@@ -2,7 +2,7 @@
 
 The coarsest parallel axis in the system — each design's build + STA +
 mGBA fit is independent — fanned across process workers by
-:func:`repro.parallel.evaluate_suite`.  Two claims are exercised:
+:func:`repro.service.suite.evaluate_suite`.  Two claims are exercised:
 
 * **equivalence** (hard-asserted, here and by the ``bench-smoke`` CI
   gate): every deterministic field of every per-design report is

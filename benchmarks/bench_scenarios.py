@@ -5,9 +5,9 @@ One multi-corner sweep, two ways:
 * **stacked** — the whole scenario matrix as one
   :class:`~repro.timing.scenarios.ScenarioStack` pass (an extra numpy
   axis over the shared levelized layout);
-* **fan-out** — the pre-stack baseline: one full ``update_timing`` per
-  corner, sharded over :class:`~repro.parallel.ProcessExecutor`
-  workers.
+* **per-corner** — the reference: a second analysis whose corner
+  engines each run their own full ``update_timing()``, one after the
+  other in declaration order.
 
 Equivalence is hard-asserted per corner (bit-identical state arrays
 and equal slack maps — the same contract tier-1 gates in
@@ -28,7 +28,6 @@ import time
 import numpy as np
 
 from repro.designs.suite import build_design
-from repro.parallel import ProcessExecutor, SerialExecutor
 from repro.timing.corners import Corner, MultiCornerAnalysis
 
 from benchmarks.conftest import bench_design_names, print_table
@@ -63,19 +62,14 @@ def _engines_identical(a, b) -> bool:
     return slacks_a == slacks_b
 
 
-def compare_sweeps(names, n_scenarios: int = DEFAULT_SCENARIOS,
-                   workers: "int | None" = None):
-    """Per-design rows + divergence list for stacked vs fan-out sweeps.
+def compare_sweeps(names, n_scenarios: int = DEFAULT_SCENARIOS):
+    """Per-design rows + divergence list for stacked vs per-corner sweeps.
 
-    The fan-out baseline runs on a :class:`ProcessExecutor` (one corner
-    per worker — the strongest pre-stack configuration); ``workers=0``
-    degrades it to serial for constrained CI boxes.
+    A design diverges when the stacked path was not taken, when any
+    corner's state or slacks differ from its engine updated alone, or
+    when the two reports differ.
     """
     corners = _corners(n_scenarios)
-    if workers == 0:
-        executor = SerialExecutor(workers=1)
-    else:
-        executor = ProcessExecutor(workers=workers or n_scenarios)
     rows = []
     diverged = []
     for name in names:
@@ -87,29 +81,31 @@ def compare_sweeps(names, n_scenarios: int = DEFAULT_SCENARIOS,
         stacked_s = time.perf_counter() - start
         mode = stacked.last_update_mode
 
-        fanout = _analysis(design, corners)
+        oracle = _analysis(design, corners)
         start = time.perf_counter()
-        fanout.update_all(executor, stacked=False)
-        fanout_s = time.perf_counter() - start
+        for engine in oracle.engines.values():
+            engine.update_timing()
+        oracle_s = time.perf_counter() - start
 
         equal = mode == "stacked" and all(
             _engines_identical(stacked.engines[c.name],
-                               fanout.engines[c.name])
+                               oracle.engines[c.name])
             for c in corners
-        ) and stacked.report() == fanout.report()
+        ) and stacked.report() == oracle.report()
         if not equal:
             diverged.append(name)
         rows.append([
             name, str(n_scenarios),
-            f"{stacked_s * 1e3:.1f}", f"{fanout_s * 1e3:.1f}",
-            f"{fanout_s / stacked_s:.2f}x" if stacked_s > 0 else "-",
+            f"{stacked_s * 1e3:.1f}", f"{oracle_s * 1e3:.1f}",
+            f"{oracle_s / stacked_s:.2f}x" if stacked_s > 0 else "-",
             "ok" if equal else "DIVERGED",
         ])
     return rows, diverged
 
 
 _HEADERS = [
-    "design", "scenarios", "stacked ms", "fan-out ms", "speedup", "equal",
+    "design", "scenarios", "stacked ms", "per-corner ms", "speedup",
+    "equal",
 ]
 
 
@@ -127,12 +123,12 @@ def test_scenario_stack_vs_fanout(benchmark):
 
     rows, diverged = compare_sweeps(names)
     print_table(
-        f"Scenario sweep: stacked vs process fan-out "
+        f"Scenario sweep: stacked vs per-corner "
         f"(x{DEFAULT_SCENARIOS} corners)",
         _HEADERS, rows,
         note=(
             "stacked = one ScenarioStack pass over the shared layout; "
-            "fan-out = one update_timing per corner on a process pool. "
+            "per-corner = one update_timing per corner engine, serially. "
             "Speedups are logged, not asserted; per-corner bit-equality "
             "is asserted."
         ),
@@ -142,7 +138,7 @@ def test_scenario_stack_vs_fanout(benchmark):
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
-        description="Scenario sweep bench: stacked vs fan-out "
+        description="Scenario sweep bench: stacked vs per-corner "
                     "equivalence + speed",
     )
     parser.add_argument(
@@ -150,18 +146,13 @@ def main(argv=None) -> int:
         help=f"corner count per sweep (default: {DEFAULT_SCENARIOS})",
     )
     parser.add_argument(
-        "--workers", type=int, default=None,
-        help="fan-out worker count (default: one per scenario; "
-             "0 = serial baseline)",
-    )
-    parser.add_argument(
         "--designs", default="",
         help="comma-separated subset (default: REPRO_BENCH_DESIGNS or all)",
     )
     parser.add_argument(
         "--check", action="store_true",
-        help="exit 1 when the stacked sweep diverges from the fan-out "
-             "(or was not taken at all)",
+        help="exit 1 when the stacked sweep diverges from the "
+             "per-corner updates (or was not taken at all)",
     )
     args = parser.parse_args(argv)
     if args.scenarios < 1:
@@ -170,9 +161,9 @@ def main(argv=None) -> int:
         [n.strip() for n in args.designs.split(",") if n.strip()]
         or bench_design_names()
     )
-    rows, diverged = compare_sweeps(names, args.scenarios, args.workers)
+    rows, diverged = compare_sweeps(names, args.scenarios)
     print_table(
-        f"Scenario sweep: stacked vs process fan-out "
+        f"Scenario sweep: stacked vs per-corner "
         f"(x{args.scenarios} corners)",
         _HEADERS, rows,
     )
@@ -180,7 +171,7 @@ def main(argv=None) -> int:
         print(f"FAIL: scenario-sweep divergence on {diverged}",
               file=sys.stderr)
         return 1
-    print("stacked-vs-fanout equivalence: OK")
+    print("stacked-vs-per-corner equivalence: OK")
     return 0
 
 

@@ -200,9 +200,10 @@ class ScenarioSweepResult:
     rows; ``merged`` is the per-endpoint worst setup slack across the
     matrix as (endpoint, slack, corner), worst-first — exactly how a
     multi-corner signoff report is read.  ``stacked`` records whether
-    the sweep ran as one scenario-stacked kernel pass or fell back to
-    the per-corner fan-out; both produce bit-identical content, so
-    ``stacked`` (like ``seconds``) is excluded from equality.
+    the sweep ran as one scenario-stacked kernel pass (every vector
+    sweep) or as per-corner updates (scalar-oracle designs only); both
+    produce bit-identical content, so ``stacked`` (like ``seconds``) is
+    excluded from equality.
     """
 
     design: str
@@ -495,19 +496,19 @@ def evaluate(names: "list[str] | None" = None, *,
 
 def run_scenarios(design: "Design | str",
                   corners=None,
-                  context: "RunContext | None" = None, *,
-                  stacked: bool = True) -> ScenarioSweepResult:
+                  context: "RunContext | None" = None) -> ScenarioSweepResult:
     """Multi-scenario STA: the whole corner matrix in one stacked sweep.
 
     ``corners`` is a sequence of
     :class:`~repro.timing.corners.Corner` values or (name, delay scale)
     pairs; None sweeps the classic ss/tt/ff set.  All scenarios
-    propagate in *one* scenario-stacked kernel pass when the stack
-    accepts them (vector kernel, shared structure); ``stacked=False``
-    — or a structurally incompatible scenario set — takes the
-    per-corner :mod:`repro.parallel` fan-out instead.  Both paths are
-    bit-identical per corner, so the result content never depends on
-    the path taken.
+    propagate in *one* scenario-stacked kernel pass
+    (:meth:`~repro.timing.corners.MultiCornerAnalysis.update_all`); a
+    design configured for the scalar oracle updates corner by corner
+    instead.  Both paths are bit-identical per corner, so the result
+    content never depends on the path taken.  ``context`` is accepted
+    for signature parity with the other verbs; the sweep itself runs
+    in-process.
     """
     from repro.timing.corners import (
         DEFAULT_CORNERS,
@@ -516,7 +517,6 @@ def run_scenarios(design: "Design | str",
     )
 
     start = time.perf_counter()
-    ctx = context or RunContext.from_env()
     bundle = load_design(design) if isinstance(design, str) else design
     chosen = tuple(
         c if isinstance(c, Corner) else Corner(str(c[0]), float(c[1]))
@@ -526,7 +526,7 @@ def run_scenarios(design: "Design | str",
         bundle.netlist, bundle.constraints,
         getattr(bundle, "placement", None), bundle.sta_config, chosen,
     )
-    analysis.update_all(ctx.executor(), stacked=stacked)
+    analysis.update_all()
     return scenario_result_from_analysis(
         analysis, seconds=time.perf_counter() - start
     )

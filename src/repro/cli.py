@@ -339,7 +339,7 @@ def _cmd_cache(args) -> int:
             # Bypass the in-process LRU: a still-cached layout from an
             # earlier in-process run would skip the disk tier entirely.
             # The kernel is pinned to vector — only it has a layout to
-            # warm, regardless of REPRO_STA_KERNEL.
+            # warm, whatever the design's config selects.
             kernel_mod.clear_layout_cache()
             engine = STAEngine(
                 design.netlist, design.constraints, design.placement,
@@ -611,10 +611,8 @@ def _cmd_scenarios(args) -> int:
         except ValueError as exc:
             print(f"scenarios: {exc}", file=sys.stderr)
             return 2
-    result = api.run_scenarios(
-        args.design, corners=corners, stacked=not args.fanout
-    )
-    mode = "stacked sweep" if result.stacked else "per-corner fan-out"
+    result = api.run_scenarios(args.design, corners=corners)
+    mode = "stacked sweep" if result.stacked else "per-corner updates"
     print(f"{args.design} scenario sweep "
           f"({len(result.corners)} scenario(s), {mode}, "
           f"{result.seconds:.2f}s):\n")
@@ -938,11 +936,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--corners", metavar="SPEC", default=None,
         help="comma-separated name:scale list "
              "(default: ss:1.15,tt:1.0,ff:0.87)",
-    )
-    p_scen.add_argument(
-        "--fanout", action="store_true",
-        help="force the per-corner process/thread fan-out instead of "
-             "the stacked kernel (results are bit-identical)",
     )
     p_scen.add_argument(
         "--paths", type=int, default=5, metavar="N",

@@ -38,23 +38,6 @@ def _structure_fingerprint(netlist: Netlist) -> str:
     return hasher.hexdigest()[:16]
 
 
-def __getattr__(name: str):
-    if name == "netlist_fingerprint":
-        import warnings
-
-        warnings.warn(
-            "repro.mgba.persistence.netlist_fingerprint is deprecated; "
-            "use repro.service.keys.netlist_hash for content addressing "
-            "(the weight-file format keeps its own internal fingerprint)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return _structure_fingerprint
-    raise AttributeError(
-        f"module {__name__!r} has no attribute {name!r}"
-    )
-
-
 def weights_to_json(weights: dict[str, float], netlist: Netlist) -> str:
     """Serialize a weight map with provenance."""
     payload = {

@@ -7,17 +7,11 @@ Public surface (see ``docs/parallelism.md`` for the tour):
   global ``--workers`` flag.
 
 The finer axes live next to the code they accelerate:
-``MultiCornerAnalysis.update_all`` (one corner per worker),
 ``enumerate_worst_paths`` / ``PBAEngine.analyze`` (per-endpoint and
-per-path sharding), and :class:`~repro.context.RunContext` for the
-flow and service.
-
-Design-suite fan-out (``evaluate_suite`` and friends) moved to
-:mod:`repro.service.suite`; importing it from here still works for one
-release but emits a :class:`DeprecationWarning` (see ``docs/api.md``).
+per-path sharding), :mod:`repro.service.suite` (one design per
+worker), and :class:`~repro.context.RunContext` for the flow and
+service.
 """
-
-import warnings
 
 from repro.parallel.executor import (
     BACKENDS,
@@ -45,29 +39,4 @@ __all__ = [
     "resolve_backend",
     "resolve_workers",
     "set_default_workers",
-    # deprecated re-exports (moved to repro.service.suite)
-    "DesignReport",
-    "evaluate_design",
-    "evaluate_suite",
 ]
-
-#: Names that moved to :mod:`repro.service.suite` in the service-layer
-#: redesign.  Resolved lazily so ``import repro.parallel`` stays silent;
-#: only *using* a moved name warns.
-_MOVED = ("DesignReport", "evaluate_design", "evaluate_suite")
-
-
-def __getattr__(name):
-    if name in _MOVED:
-        warnings.warn(
-            f"repro.parallel.{name} moved to repro.service.suite.{name}; "
-            "the repro.parallel alias will be removed in the next release",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        from repro.service import suite
-
-        return getattr(suite, name)
-    raise AttributeError(
-        f"module {__name__!r} has no attribute {name!r}"
-    )

@@ -14,8 +14,7 @@ Three pieces compose here (see ``docs/service.md``):
   ``scenario_sweep``, ``what_if``, ``min_period``);
 * :mod:`repro.service.batch` — the versioned JSONL protocol behind
   ``repro-sta batch`` and ``repro-sta serve``;
-* :mod:`repro.service.suite` — design-suite fan-out (moved from
-  ``repro.parallel.fanout``, which remains as a deprecated alias).
+* :mod:`repro.service.suite` — design-suite fan-out.
 """
 
 from repro.service.batch import (

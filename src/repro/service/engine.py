@@ -50,7 +50,6 @@ import itertools
 import os
 import time
 import traceback as traceback_mod
-import warnings
 from collections import OrderedDict
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Sequence
@@ -402,19 +401,7 @@ class TimingService:
         rotates, so exactly the artifacts derived from the old content
         stop being served — other designs, and this design's *previous*
         content (hit again after a revert), are untouched.
-
-        The pre-unification form ``apply_change(name, change)`` still
-        works behind a :class:`DeprecationWarning` for one release.
         """
-        if isinstance(change, str) and isinstance(design, ChangeRecord):
-            warnings.warn(
-                "TimingService.apply_change(name, change) is deprecated; "
-                "call apply_change(change, design=name) — the ChangeRecord "
-                "now leads, matching STAEngine.apply_change",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            change, design = design, change
         if not isinstance(change, ChangeRecord):
             raise ServiceError(
                 f"apply_change takes a ChangeRecord, got "

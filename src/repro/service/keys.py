@@ -59,8 +59,7 @@ def netlist_hash(netlist: "Netlist") -> str:
 
     Covers gates, cell bindings, and connectivity via the canonical
     Verilog serialization — any edit that could move timing moves the
-    hash.  Supersedes ``repro.mgba.persistence.netlist_fingerprint``
-    (which hashed connectivity only and remains as a deprecated alias).
+    hash.
     """
     from repro.netlist.verilog import write_verilog
 

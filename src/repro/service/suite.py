@@ -1,9 +1,7 @@
 """Design-suite fan-out: evaluate many designs on many workers.
 
-Moved here from ``repro.parallel.fanout`` (which remains as a
-deprecated alias for one release): suite evaluation is a *service*
-operation — it is the coarsest batch axis the
-:class:`~repro.service.engine.TimingService` exposes as the
+Suite evaluation is a *service* operation — it is the coarsest batch
+axis the :class:`~repro.service.engine.TimingService` exposes as the
 ``evaluate`` query, and it belongs next to the other batched query
 machinery rather than inside the executor substrate.
 

@@ -12,13 +12,12 @@ dominate).  The merged view is per-endpoint worst — exactly how a
 multi-corner signoff report is read.
 
 Corners share one netlist and differ only in values (delay scale,
-derate table), so ``update_all`` first tries to propagate them all in
-*one* stacked array sweep (:class:`repro.timing.scenarios.ScenarioStack`
-— the corner set rides an extra numpy axis over the shared levelized
-layout).  Scenarios the stack cannot take — scalar-kernel engines,
-structurally diverged graphs — fall back to fanning one corner per
-worker through :mod:`repro.parallel`.  Both paths are bit-identical to
-a serial per-corner update, and the merge iterates corners in
+derate table), so ``update_all`` propagates them all in *one* stacked
+array sweep (:class:`repro.timing.scenarios.ScenarioStack` — the
+corner set rides an extra numpy axis over the shared levelized
+layout).  Only scalar-oracle engines, which the stack refuses, update
+one by one in declaration order.  Both paths are bit-identical to each
+engine's own ``update_timing()``, and the merge iterates corners in
 declaration order either way.
 """
 
@@ -30,23 +29,11 @@ from repro.aocv.table import DeratingTable
 from repro.errors import TimingError
 from repro.netlist.core import Netlist
 from repro.netlist.placement import Placement
-from repro.obs.metrics import counter
 from repro.obs.trace import span
-from repro.parallel.executor import Executor, default_executor
 from repro.sdc.constraints import Constraints
+from repro.timing.scenarios import ScenarioError, ScenarioStack
 from repro.timing.slack import CheckKind, EndpointSlack, SlackSummary
 from repro.timing.sta import STAConfig, STAEngine
-
-
-def _updated_engine(engine: STAEngine) -> STAEngine:
-    """Worker body of the corner fan-out (module-level: picklable).
-
-    Returns the engine so the process backend can ship the fully
-    propagated copy back; serial/thread backends hand back the very
-    object they were given, updated in place.
-    """
-    engine.update_timing()
-    return engine
 
 
 @dataclass(frozen=True)
@@ -98,7 +85,7 @@ class MultiCornerAnalysis:
             raise TimingError(f"duplicate corner names: {names}")
         self.corners = corners
         #: How the last ``update_all`` ran: ``"stacked"`` (one scenario
-        #: sweep), ``"fanout"`` (per-corner workers), or ``"none"``.
+        #: sweep), ``"serial"`` (per-engine updates), or ``"none"``.
         self.last_update_mode = "none"
         self.engines: dict[str, STAEngine] = {}
         for corner in corners:
@@ -120,80 +107,30 @@ class MultiCornerAnalysis:
         except KeyError:
             raise TimingError(f"unknown corner {corner_name!r}") from None
 
-    def update_all(
-        self,
-        executor: "Executor | None" = None,
-        *,
-        stacked: bool = True,
-    ) -> None:
-        """Run timing at every corner, preferring one stacked sweep.
+    def update_all(self) -> None:
+        """Run timing at every corner, as one stacked sweep if possible.
 
         When every corner engine runs the vector kernel over the same
         structure, the whole corner set propagates as one
         :class:`~repro.timing.scenarios.ScenarioStack` pass — an extra
-        numpy axis instead of one process per corner.  Engines the
-        stack rejects (:class:`~repro.timing.scenarios.ScenarioError`:
-        scalar kernel, diverged structure) fall back to the per-corner
-        fan-out; ``stacked=False`` forces that fallback (the bench's
-        baseline).
-
-        The fan-out path re-installs engines in corner declaration
-        order, and the stacked path is bit-identical per corner to an
-        isolated update, so every downstream merge is bit-identical to
-        a serial per-corner loop either way.  The process backend
-        replaces each engine with its round-tripped, fully propagated
-        copy.
+        numpy axis instead of one update per corner.  Engines the stack
+        refuses up front (:class:`~repro.timing.scenarios.ScenarioError`:
+        scalar-oracle engines) update one by one in corner declaration
+        order.  The stacked path is bit-identical per corner to that
+        serial loop, so every downstream merge is too.
         """
-        if executor is None:
-            executor = default_executor()
         names = list(self.engines)
-        with span(
-            "corners.update_all",
-            corners=len(names),
-            backend=executor.backend,
-            workers=executor.workers,
-        ):
-            if stacked and self._update_stacked(names):
-                self.last_update_mode = "stacked"
+        engines = list(self.engines.values())
+        with span("corners.update_all", corners=len(names)):
+            try:
+                stack = ScenarioStack.from_engines(engines, names)
+            except ScenarioError:
+                for engine in engines:
+                    engine.update_timing()
+                self.last_update_mode = "serial"
                 return
-            updated = executor.map(
-                _updated_engine,
-                [self.engines[name] for name in names],
-                chunk_size=1,
-                label="corners.update_all",
-            )
-        for name, engine in zip(names, updated):
-            self.engines[name] = engine
-        self.last_update_mode = "fanout"
-
-    def _update_stacked(self, names: "list[str]") -> bool:
-        """Try the scenario-stacked sweep; True on success.
-
-        A :class:`~repro.timing.scenarios.ScenarioError` (or any
-        unexpected stacking failure) is the signal to fall back — the
-        fan-out's full per-engine updates overwrite any partial state,
-        so falling back mid-way is always safe.  Real timing errors
-        (cycles, missing constraints) propagate: the fan-out would hit
-        them too.
-        """
-        from repro.timing.scenarios import ScenarioError, ScenarioStack
-
-        try:
-            stack = ScenarioStack.from_engines(
-                [self.engines[name] for name in names], names
-            )
-        except ScenarioError:
-            counter("corners.stacked_fallbacks").inc()
-            return False
-        try:
             stack.update_all()
-        except TimingError:
-            raise
-        except Exception:
-            counter("corners.stacked_fallbacks").inc()
-            return False
-        counter("corners.stacked_updates").inc()
-        return True
+        self.last_update_mode = "stacked"
 
     # ------------------------------------------------------------------
     # Merged views

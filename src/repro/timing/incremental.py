@@ -18,14 +18,11 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.errors import TimingError
 from repro.netlist.edit import ChangeRecord
-from repro.obs.metrics import counter
 from repro.timing.graph import TimingGraph
 from repro.timing.propagation import (
     BoundaryConditions,
     TimingState,
-    propagate_full,
     relax_node,
 )
 
@@ -219,29 +216,16 @@ def _propagate(engine: "STAEngine", seeds: set[int]) -> int:
 
     The vector kernel advances a per-level frontier over the levelized
     layout (see :func:`repro.timing.kernel.propagate_incremental`); the
-    scalar kernel runs the rank-ordered worklist above.  Both relax the same
-    node set and produce bit-identical states.  An unexpected vector
-    failure falls back to a *full* scalar pass (a fixpoint regardless
-    of how far the vector sweep got) and counts ``kernel.fallbacks``.
+    scalar oracle runs the rank-ordered worklist above.  Both relax the
+    same node set and produce bit-identical states.
     """
     if getattr(engine, "kernel", "scalar") == "vector":
         from repro.timing import kernel as kernel_mod
 
-        try:
-            return kernel_mod.propagate_incremental(
-                engine._ensure_layout(), engine.graph, engine.calc,
-                engine.state, engine.boundary(), seeds,
-            )
-        except TimingError:
-            raise
-        except Exception:
-            counter("kernel.fallbacks").inc()
-            propagate_full(
-                engine.graph, engine.calc, engine.state, engine.boundary()
-            )
-            if engine._layout is not None:
-                kernel_mod.sync_edge_arrays(engine._layout, engine.graph)
-            return engine.graph.node_count()
+        return kernel_mod.propagate_incremental(
+            engine._ensure_layout(), engine.graph, engine.calc,
+            engine.state, engine.boundary(), seeds,
+        )
     return propagate_incremental(
         engine.graph, engine.calc, engine.state, engine.boundary(), seeds
     )

@@ -224,9 +224,9 @@ class LevelizedLayout:
 
 
 #: In-process LRU of built layouts, content-keyed.  Engines built from
-#: the *same design content* (the multi-corner fan-out, repeated cold
-#: bench runs in one process) share one flattening pass: the clone
-#: aliases every structural array — levelization, CSR, derate
+#: the *same design content* (the corner engines of one analysis,
+#: repeated cold bench runs in one process) share one flattening pass:
+#: the clone aliases every structural array — levelization, CSR, derate
 #: classification, boundary — and only the mutable edge-value arrays
 #: are allocated fresh per engine.  Bounded small: a layout references
 #: a few |V|+|E| arrays, and anything beyond the working corner set of
@@ -762,10 +762,7 @@ def patch_layout(
     if layout.structure_version == graph.structure_version:
         return layout
     with span("kernel.patch"):
-        try:
-            patched = _patch_layout(layout, graph, boundary, depths)
-        except Exception:  # a failed patch degrades to a rebuild
-            patched = None
+        patched = _patch_layout(layout, graph, boundary, depths)
     if patched is None:
         counter("kernel.layout_patch_fallbacks").inc()
     else:
@@ -972,6 +969,17 @@ def _patch_layout(
                     cell_net_index[net] = idx
                     cell_nets.append(net)
                 cell_edge_net[edge_id] = idx
+    # A removed buffer's output net leaves with its arcs (and the
+    # netlist): keep only the nets live cell arcs still load, in the
+    # builder's first-use order, so a full sweep never asks for a load
+    # on a net that is gone.
+    net_eids = live_eids[cell_edge_net[live_eids] >= 0]
+    used, first = np.unique(cell_edge_net[net_eids], return_index=True)
+    kept = used[np.argsort(first)]
+    renumber = np.full(len(cell_nets), -1, dtype=np.int64)
+    renumber[kept] = np.arange(kept.size, dtype=np.int64)
+    cell_edge_net[net_eids] = renumber[cell_edge_net[net_eids]]
+    cell_nets = [cell_nets[idx] for idx in kept.tolist()]
     clock_eids = np.concatenate(
         [clock_list, np.asarray(clock_new, dtype=np.int64)]
     )
@@ -1363,9 +1371,10 @@ def _writeback_edges(layout: LevelizedLayout, graph: TimingGraph) -> None:
 def sync_edge_arrays(layout: LevelizedLayout, graph: TimingGraph) -> None:
     """Refresh the layout's edge arrays from the TimingEdge objects.
 
-    Needed after a scalar pass ran on a vector engine (the fallback
-    path) so later vector reads — the backward pass, gate slacks —
-    see the values the scalar pass wrote.
+    Needed after edge values were written outside this layout's sweep
+    (the scenario stack scatters each scenario's delays onto its
+    engine's edges) so later vector reads — the backward pass, gate
+    slacks — see those values.
     """
     layout._flow_key = None
     for edge in graph.edges:

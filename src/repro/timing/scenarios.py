@@ -31,7 +31,8 @@ make the scenarios disagree on topology or shared statics (different
 netlist objects, clock ports, kernels, wire models, placements) raises
 :class:`ScenarioError`, which
 :meth:`repro.timing.corners.MultiCornerAnalysis.update_all` treats as
-"fall back to the per-corner :mod:`repro.parallel` fan-out".
+"update each engine on its own" (only scalar-oracle corner sets get
+there).
 """
 
 from __future__ import annotations

@@ -16,7 +16,6 @@ operations the rest of the system needs:
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, replace
 
 from repro.aocv.depth import compute_gba_depths
@@ -90,10 +89,11 @@ class STAConfig:
     #: characterized library.
     delay_scale: float = 1.0
     #: Propagation kernel: ``"vector"`` (levelized numpy kernel, see
-    #: :mod:`repro.timing.kernel`) or ``"scalar"`` (the per-node oracle).
-    #: ``None`` defers to ``REPRO_STA_KERNEL`` (default ``vector``).
-    #: Deliberately excluded from the service-layer config hash — both
-    #: kernels produce bit-identical results.
+    #: :mod:`repro.timing.kernel`; the default for ``None``) or
+    #: ``"scalar"`` (the per-node oracle the tests and equivalence
+    #: benches compare against).  Deliberately excluded from the
+    #: service-layer config hash — both kernels produce bit-identical
+    #: results.
     kernel: str | None = None
 
 
@@ -101,8 +101,8 @@ _KERNELS = ("vector", "scalar")
 
 
 def resolve_kernel(configured: str | None) -> str:
-    """Resolve the propagation kernel: config beats env beats default."""
-    value = configured or os.environ.get("REPRO_STA_KERNEL") or "vector"
+    """Resolve the propagation kernel (``None`` means ``"vector"``)."""
+    value = configured or "vector"
     if value not in _KERNELS:
         raise TimingError(
             f"unknown STA kernel {value!r}; expected one of {_KERNELS}"
@@ -244,20 +244,10 @@ class STAEngine:
             if self._structure_dirty:
                 self._refresh_structure()
             if self.kernel == "vector":
-                try:
-                    kernel_mod.propagate_full(
-                        self._ensure_layout(), self.graph, self.calc,
-                        self.state, self.boundary(),
-                    )
-                except TimingError:
-                    raise  # cycles etc. — the scalar path raises too
-                except Exception:
-                    counter("kernel.fallbacks").inc()
-                    propagate_full(
-                        self.graph, self.calc, self.state, self.boundary()
-                    )
-                    if self._layout is not None:
-                        kernel_mod.sync_edge_arrays(self._layout, self.graph)
+                kernel_mod.propagate_full(
+                    self._ensure_layout(), self.graph, self.calc,
+                    self.state, self.boundary(),
+                )
             else:
                 propagate_full(
                     self.graph, self.calc, self.state, self.boundary()
@@ -299,7 +289,8 @@ class STAEngine:
         from repro.timing.incremental import apply_change_incremental
 
         self._setup_slack_cache = None
-        apply_change_incremental(self, change)
+        with span("sta.apply_change", kind=change.kind, kernel=self.kernel):
+            apply_change_incremental(self, change)
         counter("sta.incremental_updates").inc()
 
     # ------------------------------------------------------------------

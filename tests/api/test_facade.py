@@ -158,20 +158,19 @@ class TestVerbs:
         assert narrowed.endpoint == "FF4/D"
         assert narrowed.explanation.summary.endpoints == 1
 
-    def test_run_scenarios_stacked_equals_fanout(self, ctx):
+    def test_run_scenarios_stacked_equals_serial(self, ctx):
         corners = [("slow", 1.1), ("fast", 0.9)]
         stacked = api.run_scenarios("fig2", corners=corners, context=ctx)
-        fanout = api.run_scenarios(
-            "fig2", corners=corners, context=ctx, stacked=False
+        design = api.load_design("fig2")
+        design.sta_config = dataclasses.replace(
+            design.sta_config, kernel="scalar"
         )
-        from repro.timing.sta import resolve_kernel
-
-        # Scalar-kernel CI legs legitimately fall back to the fan-out.
-        assert stacked.stacked is (resolve_kernel(None) == "vector")
-        assert fanout.stacked is False
+        serial = api.run_scenarios(design, corners=corners, context=ctx)
+        assert stacked.stacked is True
+        assert serial.stacked is False
         # stacked/seconds are provenance, excluded from equality:
         # both paths must produce bit-identical sweep content.
-        assert stacked == fanout
+        assert stacked == serial
         assert stacked.design == "paper_fig2"
         assert [name for name, _ in stacked.corners] == ["slow", "fast"]
         assert stacked.dominant == "slow"

@@ -5,7 +5,6 @@ deterministic per-item work must make every backend produce *exactly*
 the serial bytes, on the paper's 4-FF Fig. 2 example and on a generated
 design.  Covered here:
 
-* multi-corner STA (merged setup/hold slacks with their corner tags);
 * per-endpoint k-worst PBA (enumeration order, GBA/PBA slacks, depth /
   distance / CRPR fields, batched endpoint slacks);
 * the full mGBA flow (fitted weights, solver iterations, pass ratios).
@@ -16,7 +15,6 @@ import pytest
 from repro.mgba.flow import MGBAConfig, MGBAFlow
 from repro.pba.engine import PBAEngine
 from repro.pba.enumerate import enumerate_worst_paths
-from repro.timing.corners import MultiCornerAnalysis
 from repro.timing.sta import STAEngine
 
 from tests.conftest import engine_for
@@ -29,19 +27,6 @@ def executor(backend):
     from repro.parallel import get_executor
 
     return get_executor(WORKERS, backend)
-
-
-def _corner_fingerprint(design, exec_or_none):
-    analysis = MultiCornerAnalysis(
-        design.netlist, design.constraints,
-        getattr(design, "placement", None), design.sta_config,
-    )
-    analysis.update_all(exec_or_none)
-    return (
-        [(m.name, m.slack, m.corner) for m in analysis.merged_setup()],
-        [(m.name, m.slack, m.corner) for m in analysis.merged_hold()],
-        analysis.dominant_corner(),
-    )
 
 
 def _pba_fingerprint(engine, exec_obj):
@@ -69,18 +54,6 @@ def designs():
         "fig2": build_fig2_design(),
         "generated": generate_design(MEDIUM_SPEC),
     }
-
-
-class TestCornersDeterminism:
-    @pytest.mark.parametrize("backend", PARALLEL_BACKENDS)
-    @pytest.mark.parametrize("design_name", ["fig2", "generated"])
-    def test_merged_slacks_bit_identical(self, designs, design_name,
-                                         backend):
-        design = designs[design_name]
-        from repro.parallel import SerialExecutor
-
-        reference = _corner_fingerprint(design, SerialExecutor())
-        assert _corner_fingerprint(design, executor(backend)) == reference
 
 
 class TestPBADeterminism:

@@ -33,10 +33,7 @@ class TestScenarioSweepVerb:
         assert cold.cached is False
         assert warm.cached is True
         assert cold.result == warm.result
-        from repro.timing.sta import resolve_kernel
-
-        # Scalar-kernel CI legs legitimately fall back to the fan-out.
-        assert cold.result.stacked is (resolve_kernel(None) == "vector")
+        assert cold.result.stacked is True
 
     def test_corner_set_changes_the_cache_key(self, service):
         _submit(service)

@@ -1,9 +1,9 @@
-"""Deprecation shims: old import paths work for one release, warning.
+"""Deprecation shims: old paths work for one release, then fail loudly.
 
 Policy (``docs/api.md``): a moved or renamed public symbol keeps its
-old import path for one release behind a ``DeprecationWarning``; the
-shim resolves to the *same object* as the new path so behavior cannot
-drift between the two.
+old path for one release behind a ``DeprecationWarning``.  Once that
+release has passed the shim is deleted and the old path fails loudly
+instead of resolving; the new path stays, and does not warn.
 """
 
 import sys
@@ -13,22 +13,21 @@ import pytest
 
 
 class TestParallelFanoutMove:
-    def test_attribute_access_warns_and_aliases(self):
+    """The suite functions moved to :mod:`repro.service.suite`."""
+
+    def test_attribute_access_fails(self):
         import repro.parallel
         from repro.service import suite
 
         for name in ("evaluate_suite", "evaluate_design", "DesignReport"):
-            with pytest.warns(DeprecationWarning, match="repro.service.suite"):
-                moved = getattr(repro.parallel, name)
-            assert moved is getattr(suite, name)
+            assert hasattr(suite, name)
+            with pytest.raises(AttributeError):
+                getattr(repro.parallel, name)
 
-    def test_fanout_module_import_warns(self):
+    def test_fanout_module_import_fails(self):
         sys.modules.pop("repro.parallel.fanout", None)
-        with pytest.warns(DeprecationWarning, match="repro.service.suite"):
-            import repro.parallel.fanout as fanout
-        from repro.service import suite
-
-        assert fanout.evaluate_suite is suite.evaluate_suite
+        with pytest.raises(ModuleNotFoundError):
+            import repro.parallel.fanout  # noqa: F401
 
     def test_package_import_is_silent(self):
         """Importing repro.parallel itself must not warn."""
@@ -45,19 +44,16 @@ class TestParallelFanoutMove:
 
 
 class TestNetlistFingerprintRename:
-    def test_warns_and_matches_internal(self):
-        import repro.mgba.persistence as persistence
-        from repro.designs.generator import generate_design
-        from tests.conftest import SMALL_SPEC
+    """``netlist_fingerprint`` was renamed ``keys.netlist_hash``."""
 
-        with pytest.warns(DeprecationWarning, match="netlist_hash"):
-            deprecated = persistence.netlist_fingerprint
-        design = generate_design(SMALL_SPEC)
-        assert (deprecated(design.netlist)
-                == persistence._structure_fingerprint(design.netlist))
+    def test_old_name_fails(self):
+        import repro.mgba.persistence as persistence
+
+        with pytest.raises(AttributeError):
+            persistence.netlist_fingerprint
 
     def test_weight_files_unaffected(self, tmp_path):
-        """The shim must not change the on-disk weight-file format."""
+        """The rename must not change the on-disk weight-file format."""
         from repro.designs.generator import generate_design
         from repro.mgba.persistence import load_weights, save_weights
         from tests.conftest import SMALL_SPEC
@@ -93,26 +89,14 @@ class TestApplyChangeUnification:
             change = resize_gate(netlist, gate, up=False)
         return service, change
 
-    def test_old_form_warns_and_still_rotates_the_key(self, tmp_path):
-        from repro.context import RunContext
-        from repro.designs.generator import generate_design
-        from repro.netlist.edit import resize_gate
-        from repro.service import TimingService
-        from tests.conftest import SMALL_SPEC
+    def test_old_form_is_rejected(self, tmp_path):
+        from repro.service import ServiceError
 
-        service = TimingService(context=RunContext.from_env(
-            workers=1, backend="serial", cache_dir=str(tmp_path / "cache"),
-        ))
-        service.register_design("dut", design=generate_design(SMALL_SPEC))
-        before = service.design_key("dut").token  # pre-edit content
-        netlist = service.design("dut").netlist
-        gate = netlist.combinational_gates()[0]
-        change = resize_gate(netlist, gate, up=True)
-        if change is None:
-            change = resize_gate(netlist, gate, up=False)
-        with pytest.warns(DeprecationWarning, match="design=name"):
+        service, change = self._service_and_change(tmp_path)
+        before = service.design_key("dut").token
+        with pytest.raises(ServiceError, match="ChangeRecord"):
             service.apply_change("dut", change)
-        assert service.design_key("dut").token != before
+        assert service.design_key("dut").token == before
 
     def test_new_form_is_silent(self, tmp_path):
         service, change = self._service_and_change(tmp_path)

@@ -22,6 +22,7 @@ from repro.designs.generator import generate_design
 from repro.designs.suite import build_design
 from repro.errors import TimingError
 from repro.netlist.edit import insert_buffer, resize_gate
+from repro.obs.flight import default_flight_recorder
 from repro.obs.metrics import counter
 from repro.timing import kernel as kernel_mod
 from repro.timing.sta import STAEngine, resolve_kernel
@@ -244,39 +245,58 @@ class TestRandomDesigns:
 
 
 # ----------------------------------------------------------------------
-# Kernel selection and fallback
+# Kernel selection and failures
 # ----------------------------------------------------------------------
 class TestKernelSelection:
-    def test_config_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_STA_KERNEL", "vector")
-        assert resolve_kernel("scalar") == "scalar"
-
-    def test_env_beats_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_STA_KERNEL", "scalar")
-        assert resolve_kernel(None) == "scalar"
-
-    def test_default_is_vector(self, monkeypatch):
-        monkeypatch.delenv("REPRO_STA_KERNEL", raising=False)
+    def test_default_is_vector(self):
         assert resolve_kernel(None) == "vector"
 
     def test_unknown_kernel_raises(self):
         with pytest.raises(TimingError):
             resolve_kernel("simd")
 
-    def test_vector_failure_falls_back_to_scalar(self, monkeypatch):
-        design = generate_design(SMALL_SPEC)
-        vector = _engine(design, "vector")
-        reference = _engine(generate_design(SMALL_SPEC), "scalar")
-        reference.update_timing()
-        before = counter("kernel.fallbacks").value
+
+def _last_span_error(name: str) -> "str | None":
+    records = [r for r in default_flight_recorder().spans() if r.name == name]
+    assert records, f"no {name} span recorded"
+    return records[-1].error
+
+
+class TestKernelFailures:
+    """A vector-kernel error raises as is; nothing reruns the oracle."""
+
+    def test_full_update_error_escapes(self, monkeypatch):
+        engine = _engine(generate_design(SMALL_SPEC), "vector")
+        injected = RuntimeError("injected kernel failure")
 
         def boom(*args, **kwargs):
-            raise RuntimeError("injected kernel failure")
+            raise injected
 
         monkeypatch.setattr(kernel_mod, "_propagate_full", boom)
-        vector.update_timing()
-        assert counter("kernel.fallbacks").value == before + 1
-        _assert_states_identical(reference, vector)
+        default_flight_recorder().clear()
+        with pytest.raises(RuntimeError) as excinfo:
+            engine.update_timing()
+        assert excinfo.value is injected
+        assert _last_span_error("sta.update_timing") == "RuntimeError"
+
+    def test_incremental_error_escapes(self, monkeypatch):
+        engine = _engine(generate_design(SMALL_SPEC), "vector")
+        engine.update_timing()
+        gate = sorted(engine.netlist.combinational_gates())[0]
+        change = resize_gate(engine.netlist, gate, up=True) \
+            or resize_gate(engine.netlist, gate, up=False)
+        assert change is not None
+        injected = RuntimeError("injected kernel failure")
+
+        def boom(*args, **kwargs):
+            raise injected
+
+        monkeypatch.setattr(kernel_mod, "propagate_incremental", boom)
+        default_flight_recorder().clear()
+        with pytest.raises(RuntimeError) as excinfo:
+            engine.apply_change(change)
+        assert excinfo.value is injected
+        assert _last_span_error("sta.apply_change") == "RuntimeError"
 
 
 # ----------------------------------------------------------------------

@@ -44,8 +44,7 @@ def _spec(seed: int) -> DesignSpec:
 
 
 def _timed_engine(design):
-    # The kernel is pinned: these tests exercise the vector layout
-    # tiers and must mean the same on the scalar-oracle CI leg.
+    # The kernel is pinned: these tests exercise the vector layout tiers.
     engine = STAEngine(
         design.netlist, design.constraints, design.placement,
         replace(design.sta_config, kernel="vector"),
@@ -218,6 +217,24 @@ class TestLevelPatching:
         engine.apply_change(inverse)
         assert counter("kernel.layout_patches").value == patches0 + 2
         assert _setup_slacks(engine) == baseline
+        # The removed buffer's net leaves the layout with its arcs, so
+        # the next full sweep (a weight install) loads only live nets.
+        assert all(
+            net in design.netlist.nets for net in engine._layout.cell_nets
+        )
+        engine.set_gate_weights({})
+        engine.update_timing()
+        reference = STAEngine(
+            design.netlist, design.constraints, design.placement,
+            replace(design.sta_config, kernel="scalar"),
+        )
+        reference.update_timing()
+        for kind in ("setup_slacks", "hold_slacks"):
+            assert [
+                (s.name, s.slack) for s in getattr(engine, kind)()
+            ] == [
+                (s.name, s.slack) for s in getattr(reference, kind)()
+            ], kind
 
     def test_random_edit_sequence_matches_full_rebuild(self):
         import random

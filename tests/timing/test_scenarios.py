@@ -6,8 +6,8 @@ equality, dict insertion order included — to running that engine's own
 ``update_timing()`` in isolation, across delay scales, corner-private
 derating tables, and per-corner mGBA weights.  Structurally
 incompatible scenario sets must raise :class:`ScenarioError`, and
-:class:`MultiCornerAnalysis` must fall back to the per-corner fan-out
-(producing the same results) rather than fail.
+:class:`MultiCornerAnalysis` must update the scalar-oracle engines the
+stack refuses one by one (producing the same results) rather than fail.
 """
 
 from __future__ import annotations
@@ -36,9 +36,7 @@ FOUR_CORNERS = (
 
 def _mca(design, corners=FOUR_CORNERS, kernel="vector") -> \
         MultiCornerAnalysis:
-    """An analysis with the kernel pinned in config (config beats the
-    ``REPRO_STA_KERNEL`` env, so these tests mean the same thing on the
-    scalar-kernel CI leg)."""
+    """An analysis with the kernel pinned in config."""
     return MultiCornerAnalysis(
         design.netlist, design.constraints, design.placement,
         replace(design.sta_config, kernel=kernel), corners,
@@ -72,12 +70,17 @@ def _assert_engines_identical(a: STAEngine, b: STAEngine) -> None:
     assert a.gate_slacks() == b.gate_slacks()
 
 
+def _updated_alone(mca: MultiCornerAnalysis) -> MultiCornerAnalysis:
+    """Run each corner engine's own ``update_timing()`` (the reference)."""
+    for engine in mca.engines.values():
+        engine.update_timing()
+    return mca
+
+
 def _assert_matches_oracle(mca: MultiCornerAnalysis, design,
                            corners) -> None:
-    """Every stacked engine equals a freshly fanned-out one."""
-    oracle = _mca(design, corners)
-    oracle.update_all(stacked=False)
-    assert oracle.last_update_mode == "fanout"
+    """Every stacked engine equals a fresh one updated on its own."""
+    oracle = _updated_alone(_mca(design, corners))
     for name in mca.engines:
         _assert_engines_identical(mca.engines[name], oracle.engines[name])
     assert [
@@ -140,13 +143,13 @@ class TestStackedEquivalence:
             for name, eng in mca.engines.items()
         )
         assert moved
-        # ...and the weighted stack still matches the weighted fan-out.
+        # ...and the weighted stack still matches weighted lone updates.
         oracle = _mca(small_design)
         for i, name in enumerate(oracle.engines):
             oracle.engines[name].set_gate_weights(
                 {g: 0.6 + 0.1 * i for g in targets}
             )
-        oracle.update_all(stacked=False)
+        _updated_alone(oracle)
         for name in mca.engines:
             _assert_engines_identical(
                 mca.engines[name], oracle.engines[name]
@@ -216,10 +219,10 @@ class TestStackedReductions:
 
 
 class TestFallback:
-    def test_scalar_kernel_falls_back_to_fanout(self, small_design):
+    def test_scalar_engines_take_the_serial_loop(self, small_design):
         mca = _mca(small_design, kernel="scalar")
         mca.update_all()
-        assert mca.last_update_mode == "fanout"
+        assert mca.last_update_mode == "serial"
         stacked = _mca(small_design)
         stacked.update_all()
         assert stacked.last_update_mode == "stacked"
@@ -227,11 +230,6 @@ class TestFallback:
             _assert_engines_identical(
                 mca.engines[name], stacked.engines[name]
             )
-
-    def test_stacked_false_forces_fanout(self, small_design):
-        mca = _mca(small_design)
-        mca.update_all(stacked=False)
-        assert mca.last_update_mode == "fanout"
 
 
 class TestValidation:
@@ -277,8 +275,9 @@ class TestLayoutCache:
         hits_before = registry.counter("kernel.layout_cache_hits").value
         mca = _mca(fresh_small_design)
         mca.update_all()
-        oracle = _mca(fresh_small_design, (Corner("tt", 1.0),))
-        oracle.update_all(stacked=False)
+        oracle = _updated_alone(
+            _mca(fresh_small_design, (Corner("tt", 1.0),))
+        )
         hits_after = registry.counter("kernel.layout_cache_hits").value
         assert hits_after > hits_before
         _assert_engines_identical(
