@@ -1,17 +1,18 @@
 """Timing-closure optimization framework (left half of the paper's Fig. 5).
 
 * :class:`~repro.opt.qor.QoRMetrics` — WNS/TNS/area/leakage/buffers.
-* :mod:`~repro.opt.transforms` — sizing and buffering moves evaluated
-  under incremental timing, with clean revert.
 * :class:`~repro.opt.closure.TimingClosureOptimizer` — the greedy
   fix-violations / recover-area loop, run with plain GBA or with the
-  mGBA-corrected engine.
+  mGBA-corrected engine; its sizing, VT and buffering moves are edit
+  specs applied and undone by :func:`~repro.opt.whatif.apply_edit`.
 * :func:`~repro.opt.compare.run_flow_comparison` — GBA-flow vs
   mGBA-flow A/B on one design (Tables 2 and 5).
-* :mod:`~repro.opt.whatif` — batched what-if candidate evaluation and
-  min-period search: the closure loop's inner oracle as a parallel,
-  cacheable API (served by ``TimingService`` as ``what_if`` /
-  ``min_period``).
+* :mod:`~repro.opt.whatif` — the one edit-and-undo path
+  (:func:`~repro.opt.whatif.apply_edit`), batched what-if candidate
+  evaluation and min-period search: the closure loop's inner oracle as
+  a parallel, cacheable API (served by ``TimingService`` as
+  ``what_if`` / ``min_period``).
+* :mod:`~repro.opt.eco` — ECO script export and replay.
 """
 
 from repro.opt.qor import QoRMetrics

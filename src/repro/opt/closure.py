@@ -4,9 +4,9 @@ Greedy violation fixing under incremental timing:
 
 1. analyze (GBA, or mGBA-corrected when a flow installed weights);
 2. pick the worst violating endpoint, trace its worst path;
-3. try candidate transforms (upsize path gates, buffer heavy nets) and
-   keep the first one that improves the endpoint without hurting the
-   design's TNS; revert the rest;
+3. try candidate edits (upsize or LVT-swap path gates, buffer heavy
+   nets) and keep the first one that improves the endpoint without
+   hurting the design's TNS; undo the rest;
 4. repeat until few enough violating endpoints remain (the paper notes
    "usually no more than 100 violated endpoints is acceptable") or the
    move budget runs out;
@@ -17,19 +17,27 @@ The pessimism connection: a flow driven by plain GBA sees phantom
 violations (paths PBA would accept), burns moves and area on them, and
 keeps iterating; the mGBA-driven flow sees corrected slacks, fixes only
 real violations, and exits earlier with a smaller design — Table 2.
+
+Every move is an edit spec (:mod:`repro.opt.whatif` grammar) applied
+and undone by :func:`~repro.opt.whatif.apply_edit`, the same path the
+``what_if`` verb scores candidates on.  Moves never touch sequential
+cells or the clock network: clock-tree surgery is a different
+discipline than data-path closure.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
+from typing import Any, Callable
 
 from repro.mgba.flow import MGBAConfig, MGBAFlow, MGBAResult
-from repro.netlist.core import Netlist
+from repro.netlist.core import Netlist, PinRef
 from repro.netlist.placement import Placement
 from repro.obs.metrics import counter
 from repro.obs.trace import Span, span
 from repro.opt.qor import QoRMetrics
-from repro.opt.transforms import TransformEngine
+from repro.opt.whatif import WhatIfError, apply_edit
 from repro.sdc.constraints import Constraints
 from repro.timing.graph import EdgeKind
 from repro.timing.report import trace_worst_path
@@ -114,7 +122,116 @@ class TimingClosureOptimizer:
     ):
         self.config = config or ClosureConfig()
         self.engine = STAEngine(netlist, constraints, placement, sta_config)
-        self.transforms = TransformEngine(self.engine)
+
+    # ------------------------------------------------------------------
+    # Edit specs (None = a move the loop refuses)
+    # ------------------------------------------------------------------
+    def is_touchable(self, gate_name: str) -> bool:
+        """True when the loop may edit this gate: it is not sequential
+        and none of its pins is on the clock tree (read from the live,
+        timed graph)."""
+        netlist = self.engine.netlist
+        cell = netlist.cell_of(gate_name)
+        if cell.is_sequential:
+            return False
+        self.engine.ensure_timing()
+        graph = self.engine.graph
+        return not any(
+            graph.node(graph.node_of[PinRef(gate_name, pin)]).is_clock_tree
+            for pin in cell.pins
+        )
+
+    def resize_spec(self, gate_name: str, up: bool) -> dict[str, Any] | None:
+        """One size step up or down."""
+        if not self.is_touchable(gate_name):
+            return None
+        return {"kind": "resize", "gate": gate_name, "up": up}
+
+    def vt_spec(self, gate_name: str, vt: str) -> dict[str, Any] | None:
+        """Another VT flavour: ``"lvt"`` speeds a critical gate up,
+        ``"hvt"`` recovers leakage on a slack-rich one."""
+        if not self.is_touchable(gate_name):
+            return None
+        return {"kind": "vt_swap", "gate": gate_name, "vt": vt}
+
+    def buffer_spec(self, net_name: str) -> dict[str, Any] | None:
+        """A mid-size buffer isolating the off-critical loads of a net.
+
+        Keeps the single most critical load (approximated by the latest
+        arrival) on the original net and moves the other gate loads
+        behind the buffer, cutting the load the critical arc sees.
+        """
+        netlist, engine = self.engine.netlist, self.engine
+        driver = netlist.net_driver(net_name)
+        if driver is None or (
+            driver.gate and not self.is_touchable(driver.gate)
+        ):
+            return None
+        loads = [r for r in netlist.net_loads(net_name) if not r.is_port]
+        buffers = netlist.library.buffers()
+        if len(loads) < 2 or not buffers:
+            return None
+
+        def arrival(ref: PinRef) -> float:
+            node_id = engine.graph.node_of.get(ref)
+            if node_id is None:
+                return 0.0
+            return float(engine.state.arrival_late[node_id])
+
+        critical = max(loads, key=arrival)
+        return {
+            "kind": "insert_buffer", "net": net_name,
+            "buffer_cell": buffers[len(buffers) // 2].name,
+            "loads": [str(r) for r in loads if r != critical],
+        }
+
+    def hold_pad_spec(self, endpoint_ref: PinRef) -> dict[str, Any] | None:
+        """The smallest buffer inserted right before a hold endpoint.
+
+        Reroutes only the endpoint's own pin, so other sinks of the net
+        (and their setup paths) are untouched; the padded pin gains the
+        buffer's delay on *every* path, early and late — helping hold
+        at a bounded setup cost the acceptance check verifies.
+        """
+        netlist = self.engine.netlist
+        if endpoint_ref.gate is None:
+            return None
+        net_name = netlist.gate(endpoint_ref.gate).connections.get(
+            endpoint_ref.pin
+        )
+        buffers = netlist.library.buffers()
+        if (
+            net_name is None or netlist.net_driver(net_name) is None
+            or not buffers
+        ):
+            return None
+        return {
+            "kind": "insert_buffer", "net": net_name,
+            "buffer_cell": buffers[0].name, "loads": [str(endpoint_ref)],
+        }
+
+    def _attempt(self, spec: dict[str, Any] | None,
+                 accept: Callable[[], bool]) -> bool:
+        """Apply one spec; keep its ECO when ``accept()`` holds, else undo.
+
+        Every call counts as tried, refused (None) and inapplicable
+        specs included.  Generated buffer names are ``wbuf<k>`` with
+        ``k`` the ECO command's position, so a run's ECO does not
+        depend on what the process did before it.
+        """
+        self._tried += 1
+        if spec is None:
+            return False
+        try:
+            change, undo, eco = apply_edit(self.engine, spec, len(self._eco))
+        except WhatIfError:
+            return False
+        if accept():
+            logger.debug("accepted %s", change.description)
+            self._eco.append(eco)
+            return True
+        undo(self.engine)
+        return False
 
     # ------------------------------------------------------------------
     # Candidate generation
@@ -132,7 +249,7 @@ class TimingClosureOptimizer:
             if edge.kind is EdgeKind.CELL and edge.gate is not None:
                 if (
                     edge.gate not in seen_gates
-                    and self.transforms.is_touchable(edge.gate)
+                    and self.is_touchable(edge.gate)
                 ):
                     seen_gates.add(edge.gate)
                     gates.append(edge.gate)
@@ -164,7 +281,7 @@ class TimingClosureOptimizer:
         return gates[:limit], heavy_nets[:limit]
 
     # ------------------------------------------------------------------
-    # Greedy accept/revert
+    # Greedy accept/undo
     # ------------------------------------------------------------------
     def _endpoint_slack(self, endpoint: int) -> float:
         for s in self.engine.setup_slacks():
@@ -177,35 +294,20 @@ class TimingClosureOptimizer:
         before_slack = self._endpoint_slack(endpoint)
         before = self.engine.summary()
         gates, nets = self._path_candidates(endpoint)
-        moves = (
-            [("upsize", g) for g in gates]
-            + [("lvt", g) for g in gates]
-            + [("buffer", n) for n in nets]
-        )
-        for kind, target in moves:
-            self._tried += 1
-            if kind == "upsize":
-                applied = self.transforms.upsize(target)
-            elif kind == "lvt":
-                applied = self.transforms.swap_to_vt(target, "lvt")
-            else:
-                applied = self.transforms.buffer_net(target)
-            if applied is None:
-                continue
-            after_slack = self._endpoint_slack(endpoint)
-            after = self.engine.summary()
-            improved = (
-                after_slack > before_slack + 1e-9
-                and after.tns >= before.tns - 1e-9
+
+        def improves() -> bool:
+            return (
+                self._endpoint_slack(endpoint) > before_slack + 1e-9
+                and self.engine.summary().tns >= before.tns - 1e-9
             )
-            if improved:
-                logger.debug("accepted %s", applied.description)
-                self._eco.extend(applied.eco)
-                if kind == "buffer":
-                    self.transforms.refresh_clock_gates()
-                return True
-            applied.revert(self.engine)
-        return False
+
+        # Lazy: each spec is built against the timing its move sees.
+        specs = chain(
+            (self.resize_spec(g, up=True) for g in gates),
+            (self.vt_spec(g, "lvt") for g in gates),
+            (self.buffer_spec(n) for n in nets),
+        )
+        return any(self._attempt(spec, improves) for spec in specs)
 
     # ------------------------------------------------------------------
     # Phases
@@ -245,7 +347,6 @@ class TimingClosureOptimizer:
         """Re-fit the correction against the current netlist."""
         with span("closure.mgba_refresh") as refresh_span:
             MGBAFlow(self.config.mgba).run(self.engine)
-            self.transforms.refresh_clock_gates()
         self._mgba_refreshes += 1
         self._refresh_spans.append(refresh_span)
 
@@ -256,8 +357,6 @@ class TimingClosureOptimizer:
         increase setup violations or TNS (padding a D pin delays its
         late arrival too).  Returns accepted pads.
         """
-        from repro.netlist.core import PinRef
-
         applied = 0
         hopeless: set[int] = set()
         while applied < self.config.max_hold_transforms:
@@ -271,33 +370,25 @@ class TimingClosureOptimizer:
             if not holds:
                 break
             worst = holds[0]
-            info = self.engine.graph.endpoints[worst.node]
             endpoint_ref = self.engine.graph.node(worst.node).ref
             setup_before = self.engine.summary()
-            self._tried += 1
-            move = self.transforms.pad_hold_path(
-                PinRef(endpoint_ref.gate, endpoint_ref.pin)
-            )
-            if move is None:
-                hopeless.add(worst.node)
-                continue
-            hold_after = next(
-                (s for s in self.engine.hold_slacks()
-                 if s.node == worst.node), None
-            )
-            setup_after = self.engine.summary()
-            improved = (
-                hold_after is not None
-                and hold_after.slack > worst.slack + 1e-9
-                and setup_after.violations <= setup_before.violations
-                and setup_after.tns >= setup_before.tns - 1e-9
-            )
-            if improved:
+
+            def improves() -> bool:
+                hold_after = next(
+                    (s for s in self.engine.hold_slacks()
+                     if s.node == worst.node), None
+                )
+                setup_after = self.engine.summary()
+                return (
+                    hold_after is not None
+                    and hold_after.slack > worst.slack + 1e-9
+                    and setup_after.violations <= setup_before.violations
+                    and setup_after.tns >= setup_before.tns - 1e-9
+                )
+
+            if self._attempt(self.hold_pad_spec(endpoint_ref), improves):
                 applied += 1
-                self._eco.extend(move.eco)
-                self.transforms.refresh_clock_gates()
             else:
-                move.revert(self.engine)
                 hopeless.add(worst.node)
         return applied
 
@@ -307,7 +398,7 @@ class TimingClosureOptimizer:
         Tries, per candidate in descending-slack order, an HVT swap
         (big leakage win, no area change) and then a downsize (area +
         leakage win); each move must not create violations or worsen
-        TNS, else it reverts.  Returns the number of applied moves.
+        TNS, else it is undone.  Returns the number of applied moves.
         """
         applied = 0
         margin = self.config.recovery_margin
@@ -318,28 +409,27 @@ class TimingClosureOptimizer:
         )
         budget = self.config.max_recovery
         before = self.engine.summary()
+
+        def no_worse() -> bool:
+            nonlocal before
+            after = self.engine.summary()
+            if (
+                after.violations > before.violations
+                or after.tns < before.tns - 1e-9
+            ):
+                return False
+            before = after
+            return True
+
         for gate_name in candidates:
             if budget is not None and applied >= budget:
                 break
-            for attempt in ("hvt", "downsize"):
-                self._tried += 1
-                move = (
-                    self.transforms.swap_to_vt(gate_name, "hvt")
-                    if attempt == "hvt"
-                    else self.transforms.downsize(gate_name)
-                )
-                if move is None:
-                    continue
-                after = self.engine.summary()
-                if (
-                    after.violations > before.violations
-                    or after.tns < before.tns - 1e-9
-                ):
-                    move.revert(self.engine)
-                else:
+            for spec in (
+                self.vt_spec(gate_name, "hvt"),
+                self.resize_spec(gate_name, up=False),
+            ):
+                if self._attempt(spec, no_worse):
                     applied += 1
-                    self._eco.extend(move.eco)
-                    before = after
         return applied
 
     # ------------------------------------------------------------------

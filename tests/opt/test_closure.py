@@ -2,7 +2,7 @@
 
 
 from repro.opt.closure import ClosureConfig, TimingClosureOptimizer
-from repro.designs.generator import generate_design
+from repro.designs.generator import DesignSpec, generate_design
 from tests.conftest import SMALL_SPEC
 
 
@@ -51,6 +51,32 @@ class TestGBAFlow:
         ).run()
         assert with_recovery.final.area <= without.final.area + 1e-9
         assert with_recovery.final.violations <= without.final.violations
+
+
+class TestClockTree:
+    def test_moves_never_touch_the_clock_network(self):
+        """Touchability must come from the timed graph: a clock set read
+        before the first update is empty, and this run then sizes
+        ckbuf_clk_5."""
+        spec = DesignSpec(
+            "gen2", seed=102, n_flops=30, n_inputs=6, n_outputs=4,
+            depth_range=(3, 9), violation_quantile=0.6,
+        )
+        optimizer = _optimizer(
+            ClosureConfig(max_transforms=60, recovery=False), spec
+        )
+        report = optimizer.run()
+        assert report.eco_commands
+        netlist, graph = optimizer.engine.netlist, optimizer.engine.graph
+        clock_gates = {
+            node.ref.gate for node in graph.live_nodes()
+            if node.is_clock_tree and node.ref.gate is not None
+            and not netlist.cell_of(node.ref.gate).is_sequential
+        }
+        assert clock_gates
+        for command in report.eco_commands:
+            for token in command.split()[1:]:
+                assert token.split("/")[0] not in clock_gates, command
 
 
 class TestMGBAFlow:

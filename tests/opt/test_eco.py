@@ -5,6 +5,7 @@ import pytest
 from repro.errors import ParseError
 from repro.opt.closure import ClosureConfig, TimingClosureOptimizer
 from repro.opt.eco import apply_eco, write_eco
+from repro.opt.whatif import apply_edit
 from repro.designs.generator import generate_design
 from tests.conftest import SMALL_SPEC, engine_for
 
@@ -51,6 +52,30 @@ class TestRoundTrip:
         for name, value in want_slacks.items():
             assert got_slacks[name] == pytest.approx(value, abs=1e-6)
 
+    def test_replayed_port_net_buffer_matches_the_edit(self):
+        """A buffer on a port-driven net replays placed like the edit."""
+        edited = generate_design(SMALL_SPEC)
+        load = next(
+            r for r in edited.netlist.net_loads("in0") if not r.is_port
+        )
+        _, _, command = apply_edit(engine_for(edited), {
+            "kind": "insert_buffer", "net": "in0",
+            "buffer_cell": edited.netlist.library.buffers()[0].name,
+            "loads": [str(load)],
+        }, 0)
+        pristine = generate_design(SMALL_SPEC)
+        apply_eco(
+            pristine.netlist, write_eco([command]),
+            placement=pristine.placement,
+        )
+        assert pristine.placement.location("wbuf0") == \
+            edited.placement.location("wbuf0")
+        want, got = engine_for(edited), engine_for(pristine)
+        assert [(s.name, s.slack) for s in got.setup_slacks()] == \
+            [(s.name, s.slack) for s in want.setup_slacks()]
+        assert [(s.name, s.slack) for s in got.hold_slacks()] == \
+            [(s.name, s.slack) for s in want.hold_slacks()]
+
     def test_eco_counts_match_accepted_moves(self):
         _, report = _run_closure()
         assert len(report.eco_commands) == report.transforms_applied
@@ -76,6 +101,20 @@ class TestScriptFormat:
         design = generate_design(SMALL_SPEC)
         with pytest.raises(ParseError):
             apply_eco(design.netlist, "size_cell only_one_arg\n")
+
+    def test_replay_rejects_load_off_the_net(self):
+        design = generate_design(SMALL_SPEC)
+        stranger = next(
+            r for r in design.netlist.net_loads("in1") if not r.is_port
+        )
+        text = (
+            "# header\n"
+            f"insert_buffer in0 BUF_X1 b0 n0 {stranger}\n"
+        )
+        with pytest.raises(ParseError) as err:
+            apply_eco(design.netlist, text)
+        assert err.value.line == 2
+        assert "b0" not in design.netlist.gates
 
     def test_replay_error_carries_line(self):
         design = generate_design(SMALL_SPEC)

@@ -1,15 +1,10 @@
 """Hold-violation fixing tests."""
 
-import pytest
-
+from repro.netlist.core import PinRef
 from repro.opt.closure import ClosureConfig, TimingClosureOptimizer
-from repro.opt.transforms import TransformEngine
+from repro.opt.whatif import apply_edit
 from repro.timing.slack import CheckKind
-from repro.designs.generator import generate_design
-from tests.conftest import engine_for
-
-
-from repro.designs.generator import DesignSpec
+from repro.designs.generator import DesignSpec, generate_design
 
 #: Shallow cones race the clock skew: guaranteed hold violations.
 HOLD_SPEC = DesignSpec(
@@ -18,59 +13,69 @@ HOLD_SPEC = DesignSpec(
 )
 
 
+def _optimizer(design):
+    return TimingClosureOptimizer(
+        design.netlist, design.constraints, design.placement,
+        design.sta_config,
+    )
+
+
 def _design_with_hold_violations():
     design = generate_design(HOLD_SPEC)
-    engine = engine_for(design)
-    engine.update_timing()
-    holds = [s for s in engine.hold_slacks() if s.slack < 0]
+    optimizer = _optimizer(design)
+    optimizer.engine.update_timing()
+    holds = [s for s in optimizer.engine.hold_slacks() if s.slack < 0]
     assert holds, "HOLD_SPEC must produce hold violations"
-    return design, engine
+    return design, optimizer
+
+
+def _worst_hold(engine):
+    worst = min(engine.hold_slacks(), key=lambda s: s.slack)
+    return worst, engine.graph.node(worst.node).ref
 
 
 class TestPadTransform:
     def test_pad_improves_hold(self):
-        design, engine = _design_with_hold_violations()
-        transforms = TransformEngine(engine)
-        worst = min(engine.hold_slacks(), key=lambda s: s.slack)
-        ref = engine.graph.node(worst.node).ref
-        move = transforms.pad_hold_path(ref)
-        assert move is not None
+        design, optimizer = _design_with_hold_violations()
+        engine = optimizer.engine
+        worst, ref = _worst_hold(engine)
+        spec = optimizer.hold_pad_spec(ref)
+        assert spec is not None
+        apply_edit(engine, spec, 0)
         after = next(
             s for s in engine.hold_slacks() if s.name == worst.name
         )
         assert after.slack > worst.slack
 
     def test_pad_reverts_exactly(self):
-        design, engine = _design_with_hold_violations()
-        transforms = TransformEngine(engine)
-        baseline = {s.name: s.slack for s in engine.hold_slacks()}
-        worst = min(engine.hold_slacks(), key=lambda s: s.slack)
-        move = transforms.pad_hold_path(engine.graph.node(worst.node).ref)
-        move.revert(engine)
-        restored = {s.name: s.slack for s in engine.hold_slacks()}
-        for name, value in baseline.items():
-            assert restored[name] == pytest.approx(value, abs=1e-9)
+        design, optimizer = _design_with_hold_violations()
+        engine = optimizer.engine
+        hold = {s.name: s.slack for s in engine.hold_slacks()}
+        setup = {s.name: s.slack for s in engine.setup_slacks()}
+        _, ref = _worst_hold(engine)
+        _, undo, _ = apply_edit(engine, optimizer.hold_pad_spec(ref), 0)
+        undo(engine)
+        assert {s.name: s.slack for s in engine.hold_slacks()} == hold
+        assert {s.name: s.slack for s in engine.setup_slacks()} == setup
 
     def test_pad_only_moves_one_load(self):
-        design, engine = _design_with_hold_violations()
-        transforms = TransformEngine(engine)
-        worst = min(engine.hold_slacks(), key=lambda s: s.slack)
-        ref = engine.graph.node(worst.node).ref
+        design, optimizer = _design_with_hold_violations()
+        _, ref = _worst_hold(optimizer.engine)
         net = design.netlist.gate(ref.gate).connections[ref.pin]
         other_loads_before = [
             r for r in design.netlist.net_loads(net) if r != ref
         ]
-        transforms.pad_hold_path(ref)
+        spec = optimizer.hold_pad_spec(ref)
+        assert spec["loads"] == [str(ref)]
+        apply_edit(optimizer.engine, spec, 0)
+        assert design.netlist.pin_net(ref) != net
         for load in other_loads_before:
-            # Everyone else still hangs on the original net's successor
-            # structure — i.e. they were not rerouted.
-            assert design.netlist.pin_net(load) is not None
+            # Everyone else still hangs on the original net.
+            assert design.netlist.pin_net(load) == net
 
-    def test_port_endpoint_refused(self, small_engine):
-        from repro.netlist.core import PinRef
-
-        transforms = TransformEngine(small_engine)
-        assert transforms.pad_hold_path(PinRef(None, "out0")) is None
+    def test_port_endpoint_refused(self, small_design):
+        optimizer = _optimizer(small_design)
+        assert optimizer.hold_pad_spec(PinRef(None, "out0")) is None
 
 
 class TestHoldPhase:

@@ -13,12 +13,9 @@ The module's contract has three legs, each gated here:
   contract is a pure function of content, not of evaluation order.
 """
 
-import copy
-
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro import api
 from repro.context import RunContext
 from repro.designs.generator import generate_design
 from repro.netlist.verilog import write_verilog
