@@ -7,14 +7,11 @@ exactly the affected cone instead of re-propagating the whole design.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 from repro.errors import NetlistError
 from repro.netlist.core import Netlist, PinRef
 from repro.netlist.placement import Placement
-
-_uid = itertools.count()
 
 
 @dataclass
@@ -32,11 +29,16 @@ class ChangeRecord:
     metadata: dict = field(default_factory=dict)
 
 
-def _fresh_name(netlist: Netlist, prefix: str) -> str:
-    while True:
-        name = f"{prefix}_{next(_uid)}"
-        if name not in netlist.gates and name not in netlist.nets:
-            return name
+def fresh_name(netlist: Netlist, base: str) -> str:
+    """``base``, with ``_`` appended until no gate or net has the name.
+
+    A function of the netlist alone: the same edits on two copies of a
+    design create the same names.
+    """
+    name = base
+    while name in netlist.gates or name in netlist.nets:
+        name += "_"
+    return name
 
 
 def resize_gate(netlist: Netlist, gate_name: str, up: bool) -> ChangeRecord | None:
@@ -102,9 +104,8 @@ def insert_buffer(
     model needs to actually see an improvement.
 
     ``buffer_name`` / ``new_net_name`` pin the generated names (ECO
-    replay and what-if evaluation need names that do not depend on the
-    process-global fresh-name counter); by default both are minted from
-    that counter.
+    replay needs the recorded ones); by default they are
+    :func:`fresh_name` probes from ``rbuf`` / ``rnet``.
     """
     driver = netlist.net_driver(net_name)
     if driver is None:
@@ -121,11 +122,11 @@ def insert_buffer(
                 f"cannot reroute top-level port load {ref} through a buffer"
             )
     if buffer_name is None:
-        buffer_name = _fresh_name(netlist, "rbuf")
+        buffer_name = fresh_name(netlist, "rbuf")
     elif buffer_name in netlist.gates or buffer_name in netlist.nets:
         raise NetlistError(f"buffer name {buffer_name} already in use")
     if new_net_name is None:
-        new_net = _fresh_name(netlist, "rnet")
+        new_net = fresh_name(netlist, "rnet")
     elif new_net_name in netlist.gates or new_net_name in netlist.nets:
         raise NetlistError(f"net name {new_net_name} already in use")
     else:

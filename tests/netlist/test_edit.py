@@ -82,6 +82,16 @@ class TestInsertBuffer:
         change = insert_buffer(n, "w", "BUF_X2", placement=placement)
         assert placement.has(change.gates[0])
 
+    def test_default_names_depend_only_on_the_netlist(self):
+        first, second = _fanout_netlist(), _fanout_netlist()
+        second.add_net("rbuf")  # a taken name is probed past
+        a = insert_buffer(first, "w", "BUF_X2").metadata
+        b = insert_buffer(second, "w", "BUF_X2").metadata
+        assert (a["buffer"], a["new_net"]) == ("rbuf", "rnet")
+        assert (b["buffer"], b["new_net"]) == ("rbuf_", "rnet")
+        again = insert_buffer(first, a["new_net"], "BUF_X2").metadata
+        assert (again["buffer"], again["new_net"]) == ("rbuf_", "rnet_")
+
 
 class TestRemoveBuffer:
     def test_insert_then_remove_restores_topology(self):

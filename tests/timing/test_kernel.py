@@ -10,14 +10,12 @@ suite, and hypothesis-random reconvergent netlists.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 
-import repro.netlist.edit as edit_mod
 from repro.designs.generator import generate_design
 from repro.designs.suite import build_design
 from repro.errors import TimingError
@@ -40,15 +38,11 @@ def _engine(design, kernel: str) -> STAEngine:
 def _pair(factory):
     """(scalar, vector) engines over independently built design copies.
 
-    The per-process buffer-name counter is reset before each build so
-    edit sequences applied to both copies create identically named
-    instances (names feed the ``gate_slacks`` ordering contract).
+    Generated buffer names depend only on the netlist, so edit
+    sequences applied to both copies create identically named instances
+    (names feed the ``gate_slacks`` ordering contract).
     """
-    edit_mod._uid = itertools.count()
-    scalar = _engine(factory(), "scalar")
-    edit_mod._uid = itertools.count()
-    vector = _engine(factory(), "vector")
-    return scalar, vector
+    return _engine(factory(), "scalar"), _engine(factory(), "vector")
 
 
 def _live_ids(engine) -> list[int]:
@@ -175,9 +169,7 @@ class TestIncrementalEquivalence:
         scalar, vector = _pair(lambda: generate_design(SMALL_SPEC))
         scalar.update_timing()
         vector.update_timing()
-        edit_mod._uid = itertools.count()
         _apply_edits(scalar)
-        edit_mod._uid = itertools.count()
         _apply_edits(vector)
         _assert_results_identical(scalar, vector)
 
@@ -187,22 +179,17 @@ class TestIncrementalEquivalence:
             engine.update_timing()
             engine.set_gate_weights(_weights_for(engine.netlist))
             engine.update_timing()
-        edit_mod._uid = itertools.count()
         _apply_edits(scalar)
-        edit_mod._uid = itertools.count()
         _apply_edits(vector)
         _assert_results_identical(scalar, vector)
 
     def test_incremental_matches_fresh_full_update(self):
         """Vector incremental state == a from-scratch vector engine."""
-        edit_mod._uid = itertools.count()
         edited = _engine(generate_design(SMALL_SPEC), "vector")
         edited.update_timing()
         _apply_edits(edited)
-        edit_mod._uid = itertools.count()
         fresh = _engine(generate_design(SMALL_SPEC), "vector")
         fresh.update_timing()
-        edit_mod._uid = itertools.count()
         _apply_edits(fresh)
         fresh.update_timing()  # force a second full pass over same netlist
         _assert_states_identical(fresh, edited)
@@ -237,9 +224,7 @@ class TestRandomDesigns:
         scalar, vector = _pair(lambda: generate_design(spec))
         scalar.update_timing()
         vector.update_timing()
-        edit_mod._uid = itertools.count()
         _apply_edits(scalar)
-        edit_mod._uid = itertools.count()
         _apply_edits(vector)
         _assert_states_identical(scalar, vector)
 
@@ -312,7 +297,6 @@ class TestLayoutLifecycle:
         assert engine._layout is layout
 
     def test_structural_edit_rebuilds_layout(self):
-        edit_mod._uid = itertools.count()
         engine = _engine(generate_design(SMALL_SPEC), "vector")
         engine.update_timing()
         layout = engine._layout
