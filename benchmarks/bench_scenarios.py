@@ -3,8 +3,9 @@
 One multi-corner sweep, two ways:
 
 * **stacked** — the whole scenario matrix as one
-  :class:`~repro.timing.scenarios.ScenarioStack` pass (an extra numpy
-  axis over the shared levelized layout);
+  :class:`~repro.timing.scenarios.ScenarioStack` pass (the kernel's
+  level loop with one column per scenario over the shared levelized
+  layout);
 * **per-corner** — the reference: a second analysis whose corner
   engines each run their own full ``update_timing()``, one after the
   other in declaration order.
@@ -16,7 +17,7 @@ and recorded to ``repro.obs.history``, never flaky-gated.
 
 Also runnable as a script for the CI ``scenario-equivalence`` gate::
 
-    python -m benchmarks.bench_scenarios --check --designs D1
+    python -m benchmarks.bench_scenarios --check --designs D1,D5
 """
 
 from __future__ import annotations

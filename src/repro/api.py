@@ -367,8 +367,6 @@ def explain_result_from_engine(
 def scenario_result_from_analysis(analysis, seconds: float = 0.0) \
         -> ScenarioSweepResult:
     """Freeze a :class:`~repro.timing.corners.MultiCornerAnalysis`."""
-    from repro.timing.slack import CheckKind
-
     summary = analysis.summary()
     setup_rows = []
     hold_rows = []
@@ -386,9 +384,9 @@ def scenario_result_from_analysis(analysis, seconds: float = 0.0) \
         (m.name, float(m.slack), m.corner)
         for m in analysis.merged_setup()
     )
-    dominant = (
-        analysis.dominant_corner(CheckKind.SETUP) if merged else ""
-    )
+    # Rows come back worst-first, so the first names the dominant corner
+    # (exactly what ``dominant_corner`` would re-merge to find).
+    dominant = merged[0][2] if merged else ""
     base = analysis.engines[analysis.corners[0].name]
     return ScenarioSweepResult(
         design=base.netlist.name,

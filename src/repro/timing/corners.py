@@ -13,12 +13,14 @@ multi-corner signoff report is read.
 
 Corners share one netlist and differ only in values (delay scale,
 derate table), so ``update_all`` propagates them all in *one* stacked
-array sweep (:class:`repro.timing.scenarios.ScenarioStack` — the
-corner set rides an extra numpy axis over the shared levelized
-layout).  Only scalar-oracle engines, which the stack refuses, update
-one by one in declaration order.  Both paths are bit-identical to each
-engine's own ``update_timing()``, and the merge iterates corners in
-declaration order either way.
+array sweep (:class:`repro.timing.scenarios.ScenarioStack` — one
+column per corner through the vector kernel's own level loop over the
+shared levelized layout).  Only scalar-oracle engines, which the stack
+refuses, update one by one in declaration order.  Both paths are
+bit-identical to each engine's own ``update_timing()``.  Every merged
+view reads the engines afterwards through one merge, :meth:`_merge`,
+which iterates corners in declaration order, so ties go to the first
+declared corner.
 """
 
 from __future__ import annotations
@@ -112,11 +114,11 @@ class MultiCornerAnalysis:
 
         When every corner engine runs the vector kernel over the same
         structure, the whole corner set propagates as one
-        :class:`~repro.timing.scenarios.ScenarioStack` pass — an extra
-        numpy axis instead of one update per corner.  Engines the stack
-        refuses up front (:class:`~repro.timing.scenarios.ScenarioError`:
-        scalar-oracle engines) update one by one in corner declaration
-        order.  The stacked path is bit-identical per corner to that
+        :class:`~repro.timing.scenarios.ScenarioStack` pass — one
+        column per corner instead of one update per corner.  Engines
+        the stack refuses up front
+        (:class:`~repro.timing.scenarios.ScenarioError`: scalar-oracle
+        engines) update one by one in corner declaration order.  The stacked path is bit-identical per corner to that
         serial loop, so every downstream merge is too.
         """
         names = list(self.engines)
@@ -186,8 +188,9 @@ class MultiCornerAnalysis:
         lines = [f"{'corner':<6} {'scale':>6} {'setup WNS':>11} "
                  f"{'setup TNS':>12} {'hold WNS':>10}"]
         lines.append("-" * len(lines[0]))
+        summaries = self.summary()
         for corner in self.corners:
-            summary = self.summary()[corner.name]
+            summary = summaries[corner.name]
             lines.append(
                 f"{corner.name:<6} {corner.delay_scale:>6.2f} "
                 f"{summary['setup'].wns:>11.1f} "

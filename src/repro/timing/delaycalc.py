@@ -12,6 +12,12 @@ Either way, net arc delay to one load is ``R * (C/2 + C_pin)`` and the
 net's total wire capacitance additionally loads the driving cell arc.
 Unplaced, unannotated objects contribute zero wire, so purely logical
 designs still time correctly with cell delays only.
+
+The vector kernel batches cell arcs that share one table pair through
+:meth:`DelayCalculator.compute_arcs_batch`: one engine's 1-D slews, or
+a scenario stack's ``(k, S)`` slews with an ``(S,)`` row of
+per-scenario delay scales, bit-identical per element to
+:meth:`DelayCalculator.cell_edge`.
 """
 
 from __future__ import annotations
@@ -125,7 +131,7 @@ class DelayCalculator:
     # Batched (vector-kernel) entry points
     # ------------------------------------------------------------------
     def compute_arcs_batch(self, delay_table, slew_table, input_slews,
-                           loads) -> "tuple":
+                           loads, scale=None) -> "tuple":
         """(delays, output slews) of many cell arcs sharing one table pair.
 
         One vectorized bilinear lookup per table — the batch analogue of
@@ -135,45 +141,21 @@ class DelayCalculator:
         exactly as the scalar path does.  When the two tables share axes
         (the usual library shape) the grid coordinates are computed once
         via :func:`repro.liberty.lut.lookup_pair_many`.
+
+        ``scale`` defaults to ``self.delay_scale``.  A scenario stack
+        passes ``(k, S)`` slews, ``(k, 1)`` loads and an ``(S,)`` row of
+        per-scenario scales: the lookup broadcasts elementwise, so
+        column ``s`` equals this method on a calculator whose
+        ``delay_scale`` is ``scale[s]``, bit for bit.
         """
         from repro.liberty.lut import lookup_pair_many
 
+        if scale is None:
+            scale = self.delay_scale
         delays, out_slews = lookup_pair_many(
             delay_table, slew_table, input_slews, loads
         )
-        return delays * self.delay_scale, out_slews * self.delay_scale
-
-    def compute_arcs_stack(self, delay_table, slew_table, input_slews,
-                           loads, scales) -> "tuple":
-        """(delays, output slews) of one table pair across a scenario stack.
-
-        ``input_slews`` is ``(S, k)`` — per-scenario slews of ``k`` arcs
-        — while ``loads`` (length ``k``) is scenario-invariant and
-        ``scales`` (length ``S``) carries each scenario's absolute
-        corner multiplier (``self.delay_scale`` is deliberately ignored:
-        the stack owns the per-scenario scaling).  The stack flattens
-        row-major through *one* :func:`~repro.liberty.lut.lookup_pair_many`
-        call; row ``s`` of the reshaped result is bit-identical to
-        :meth:`compute_arcs_batch` at ``delay_scale = scales[s]``
-        because the flattened lookup evaluates the same per-element
-        interpolation and the column-broadcast multiply is the same
-        scalar multiply per element.
-        """
-        import numpy as np
-
-        from repro.liberty.lut import lookup_pair_many
-
-        slews = np.asarray(input_slews, dtype=float)
-        n_scen = slews.shape[0]
-        flat_loads = np.tile(np.asarray(loads, dtype=float), n_scen)
-        delays, out_slews = lookup_pair_many(
-            delay_table, slew_table, slews.ravel(), flat_loads
-        )
-        scale_col = np.asarray(scales, dtype=float)[:, None]
-        return (
-            delays.reshape(slews.shape) * scale_col,
-            out_slews.reshape(slews.shape) * scale_col,
-        )
+        return delays * scale, out_slews * scale
 
     def compute_edges_batch(self, graph: TimingGraph,
                             edges: "list[TimingEdge]",

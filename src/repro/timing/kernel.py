@@ -26,6 +26,12 @@ reductions:
   derate via a per-depth table indexed by an integer depth array,
   multiplied by a per-gate weight vector.
 
+That level loop, :func:`sweep_levels`, is the only full forward sweep:
+one engine runs it on 1-D id-indexed arrays, and
+:class:`repro.timing.scenarios.ScenarioStack` runs it on ``(n, S)``
+arrays with one trailing column per scenario — the same indexing and
+axis-0 reductions, with loads and delay scales broadcast.
+
 **Bit-identity contract** (enforced by ``tests/timing/test_kernel.py``):
 every arithmetic expression evaluates the same IEEE-754 operations in
 the same association order as the scalar oracle, and ``max``/``min``
@@ -1218,13 +1224,18 @@ def _refresh_static_delays(
     layout: LevelizedLayout,
     graph: TimingGraph,
     calc: "DelayCalculator",
+    edge_delay: np.ndarray,
 ) -> np.ndarray:
     """Per-update delay-calc statics: net loads and net-arc delays.
 
-    Returns the per-edge load array for cell arcs.  Loads and wire
-    delays depend on pin caps / placement / parasitics — cheap to
-    recompute per full update (one pass per *net* instead of the scalar
-    engine's one pass per *edge*) and always fresh after a resize.
+    Writes each net arc's delay into ``edge_delay`` — one engine's
+    ``(n_edges,)`` array, or every column of a scenario stack's
+    ``(n_edges, S)`` array (net arcs are never delay-scaled, so one
+    value serves every scenario) — and returns the per-edge load array
+    for cell arcs.  Loads and wire delays depend on pin caps /
+    placement / parasitics — cheap to recompute per full update (one
+    pass per *net* instead of the scalar engine's one pass per *edge*)
+    and always fresh after a resize.
     """
     net_loads = np.asarray(
         [calc.output_load(net) for net in layout.cell_nets]
@@ -1237,7 +1248,7 @@ def _refresh_static_delays(
         for eid in eids.tolist():
             edge = graph.edges[eid]
             assert edge is not None
-            layout.edge_delay[eid] = calc.net_edge(graph, edge, 0.0)[0]
+            edge_delay[eid] = calc.net_edge(graph, edge, 0.0)[0]
     return load_of_edge
 
 
@@ -1312,20 +1323,54 @@ def _propagate_full(layout, graph, calc, state, boundary) -> None:
         _propagate_arrivals_only(layout, state)
         return
     layout._flow_key = None
-    load_of_edge = _refresh_static_delays(layout, graph, calc)
+    load_of_edge = _refresh_static_delays(
+        layout, graph, calc, layout.edge_delay
+    )
+    sweep_levels(
+        layout, graph, calc, state, layout.edge_delay, layout.edge_out_slew,
+        layout.boundary_arrival, layout.boundary_slew, load_of_edge,
+        calc.delay_scale,
+    )
+    write_edges(graph, layout.edge_delay, layout.edge_out_slew)
+    layout._flow_key = flow_key
+
+
+def sweep_levels(
+    layout: LevelizedLayout,
+    graph: TimingGraph,
+    calc: "DelayCalculator",
+    state: TimingState,
+    edge_delay: np.ndarray,
+    edge_out_slew: np.ndarray,
+    boundary_arrival: np.ndarray,
+    boundary_slew: np.ndarray,
+    load_of_edge: np.ndarray,
+    scale: "float | np.ndarray",
+) -> None:
+    """The level loop: boundary fill, fanin reductions, fanout delay calc.
+
+    The one forward sweep of the vector kernel.  Every array is indexed
+    by node or edge id along axis 0; a trailing axis, when present,
+    holds one column per scenario (:mod:`repro.timing.scenarios`), so
+    plain ``a[ids]`` indexing and ``reduceat`` along axis 0 serve one
+    engine's 1-D arrays and a scenario stack's ``(n, S)`` arrays alike.
+    ``load_of_edge`` is ``(n_edges,)`` or ``(n_edges, 1)`` and ``scale``
+    a float or an ``(S,)`` row, broadcast by
+    :meth:`~repro.timing.delaycalc.DelayCalculator.compute_arcs_batch`.
+    Column ``s`` therefore evaluates exactly the arithmetic a lone
+    engine evaluates for scenario ``s``.
+    """
     groups = layout.cell_groups(graph)
     arrival_late = state.arrival_late
     arrival_early = state.arrival_early
     slew = state.slew
     derate_late = state.derate_late
     derate_early = state.derate_early
-    edge_delay = layout.edge_delay
-    edge_out_slew = layout.edge_out_slew
     # Boundary fill (level 0 = exactly the no-fanin nodes).
     src_ids = layout.source_ids
-    arrival_late[src_ids] = layout.boundary_arrival[src_ids]
-    arrival_early[src_ids] = layout.boundary_arrival[src_ids]
-    slew[src_ids] = layout.boundary_slew[src_ids]
+    arrival_late[src_ids] = boundary_arrival[src_ids]
+    arrival_early[src_ids] = boundary_arrival[src_ids]
+    slew[src_ids] = boundary_slew[src_ids]
     batch_hist = histogram("kernel.level_batch")
     for lv in range(layout.levels):
         p0, p1 = int(layout.level_ptr[lv]), int(layout.level_ptr[lv + 1])
@@ -1350,37 +1395,22 @@ def _propagate_full(layout, graph, calc, state, boundary) -> None:
             edge_out_slew[net_eids] = slew[layout.net_srcs_by_level[lv]]
         for dtab, stab, eids, srcs in groups[lv]:
             delays, out_slews = calc.compute_arcs_batch(
-                dtab, stab, slew[srcs], load_of_edge[eids]
+                dtab, stab, slew[srcs], load_of_edge[eids], scale
             )
             edge_delay[eids] = delays
             edge_out_slew[eids] = out_slews
-    _writeback_edges(layout, graph)
-    layout._flow_key = flow_key
 
 
-def _writeback_edges(layout: LevelizedLayout, graph: TimingGraph) -> None:
-    """Copy the kernel's edge arrays onto the TimingEdge objects."""
-    delays = layout.edge_delay.tolist()
-    out_slews = layout.edge_out_slew.tolist()
+def write_edges(
+    graph: TimingGraph, delays: np.ndarray, out_slews: np.ndarray
+) -> None:
+    """Copy id-indexed delay/out-slew arrays onto the TimingEdge objects."""
+    delay_list = delays.tolist()
+    out_slew_list = out_slews.tolist()
     for edge in graph.edges:
         if edge is not None:
-            edge.delay = delays[edge.id]
-            edge.out_slew = out_slews[edge.id]
-
-
-def sync_edge_arrays(layout: LevelizedLayout, graph: TimingGraph) -> None:
-    """Refresh the layout's edge arrays from the TimingEdge objects.
-
-    Needed after edge values were written outside this layout's sweep
-    (the scenario stack scatters each scenario's delays onto its
-    engine's edges) so later vector reads — the backward pass, gate
-    slacks — see those values.
-    """
-    layout._flow_key = None
-    for edge in graph.edges:
-        if edge is not None:
-            layout.edge_delay[edge.id] = edge.delay
-            layout.edge_out_slew[edge.id] = edge.out_slew
+            edge.delay = delay_list[edge.id]
+            edge.out_slew = out_slew_list[edge.id]
 
 
 # ----------------------------------------------------------------------

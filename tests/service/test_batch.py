@@ -181,16 +181,21 @@ class TestServeErrorPaths:
         assert failed["error"]
         assert records[2]["cached"] is True  # the failure poisoned nothing
 
-    def test_exit_code_2_per_error_path(self, monkeypatch, capsys):
+    def test_exit_code_2_per_error_path(self, monkeypatch, capsys,
+                                        tmp_path):
         from repro.cli import main
 
-        for text in (
+        for i, text in enumerate((
             json.dumps({"op": "explode"}) + "\n",
             "{not json\n",
             json.dumps({"op": "sta", "design": "no_such"}) + "\n",
-        ):
+        )):
             monkeypatch.setattr("sys.stdin", io.StringIO(text))
-            assert main(["serve", "--no-cache"]) == 2
+            dump = tmp_path / f"flight{i}.json"
+            assert main([
+                "serve", "--no-cache", "--flight-dump", str(dump),
+            ]) == 2
+            assert dump.is_file()
             captured = capsys.readouterr()
             record = json.loads(captured.out.splitlines()[0])
             assert record["ok"] is False

@@ -261,11 +261,11 @@ class TestObsReportMetrics:
 
 
 class TestServeCommand:
-    def _serve(self, monkeypatch, text):
+    def _serve(self, monkeypatch, text, extra=()):
         import io
 
         monkeypatch.setattr("sys.stdin", io.StringIO(text))
-        return main(["serve", "--no-cache"])
+        return main(["serve", "--no-cache", *extra])
 
     def test_serve_round_trip(self, tmp_path, capsys, monkeypatch):
         import json
@@ -282,14 +282,18 @@ class TestServeCommand:
         assert records[1]["op"] == "stats"
         assert records[1]["result"]["queries"] >= 1
 
-    def test_serve_malformed_line_exits_2(self, capsys, monkeypatch):
+    def test_serve_malformed_line_exits_2(self, tmp_path, capsys,
+                                          monkeypatch):
         import json
 
+        dump = tmp_path / "flight.json"
         code = self._serve(
             monkeypatch,
             "garbage\n" + json.dumps({"op": "health"}) + "\n",
+            extra=["--flight-dump", str(dump)],
         )
         assert code == 2
+        assert dump.is_file()
         captured = capsys.readouterr()
         assert "served 2 request(s) (1 error(s))" in captured.err
         records = [json.loads(l) for l in captured.out.splitlines()]

@@ -98,6 +98,22 @@ class TestMerging:
         slacks = [m.slack for m in merged]
         assert slacks == sorted(slacks)
 
+    def test_ties_go_to_the_first_declared_corner(self):
+        from repro.designs.suite import build_design
+
+        design = build_design("D1")
+        analysis = MultiCornerAnalysis(
+            design.netlist, design.constraints, design.placement,
+            design.sta_config,
+            corners=(Corner("a", 1.0), Corner("b", 1.0)),
+        )
+        analysis.update_all()
+        merged = analysis.merged_setup()
+        assert len(merged) == len(
+            analysis.engine("a").graph.endpoint_nodes()
+        )
+        assert merged and all(m.corner == "a" for m in merged)
+
     def test_report_mentions_all_corners(self, mca):
         text = mca.report()
         for corner in DEFAULT_CORNERS:

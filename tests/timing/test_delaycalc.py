@@ -127,6 +127,12 @@ class TestBatchedDelayCalc:
         calc = DelayCalculator(netlist, _placement(), R, C)
         return netlist, graph, calc
 
+    @staticmethod
+    def _arc_load(calc, graph, edge):
+        dst_ref = graph.node(edge.dst).ref
+        net = calc.netlist.gate(dst_ref.gate).connections.get(dst_ref.pin)
+        return calc.output_load(net) if net is not None else 0.0
+
     def test_compute_arcs_batch_matches_cell_edge(self):
         _, graph, calc = self._timed_graph()
         cell_edges = [
@@ -137,16 +143,59 @@ class TestBatchedDelayCalc:
         for edge in cell_edges:
             for slew in (0.0, 13.7, 55.0, 400.0):
                 want = calc.cell_edge(graph, edge, slew)
-                dst_ref = graph.node(edge.dst).ref
-                net = calc.netlist.gate(dst_ref.gate).connections.get(
-                    dst_ref.pin
-                )
-                load = calc.output_load(net) if net is not None else 0.0
+                load = self._arc_load(calc, graph, edge)
                 delays, slews_out = calc.compute_arcs_batch(
                     edge.arc.delay, edge.arc.output_slew,
                     np.array([slew]), np.array([load]),
                 )
                 assert (delays[0], slews_out[0]) == want
+
+        # Stacked form (one column per scenario): (k, S) slews, (k, 1)
+        # loads and an (S,) row of scales.  Column s must equal, bit for
+        # bit, cell_edge on a calculator built at delay_scale scales[s].
+        from repro.designs.suite import build_design
+
+        design = build_design("D1")
+        graph = TimingGraph(design.netlist)
+        config = design.sta_config
+        scales = np.array([0.87, 1.0, 1.15])
+        calcs = [
+            DelayCalculator(
+                design.netlist, design.placement, config.wire_r_per_nm,
+                config.wire_c_per_nm, delay_scale=float(scale),
+            )
+            for scale in scales
+        ]
+        arcs = [
+            e for e in graph.live_edges() if e.kind is EdgeKind.CELL
+        ][:200]
+        by_table = {}
+        for edge in arcs:
+            key = (id(edge.arc.delay), id(edge.arc.output_slew))
+            by_table.setdefault(key, []).append(edge)
+        compared = 0
+        for members in by_table.values():
+            first = members[0].arc
+            loads = np.array(
+                [[self._arc_load(calcs[0], graph, e)] for e in members]
+            )
+            for base in (7.5, 300.0):
+                slews = base * (
+                    1.0 + 0.01 * np.arange(len(members))[:, None]
+                    + 0.25 * np.arange(scales.size)[None, :]
+                )
+                delays, slews_out = calcs[0].compute_arcs_batch(
+                    first.delay, first.output_slew, slews, loads, scales
+                )
+                assert delays.shape == slews_out.shape == slews.shape
+                for j, edge in enumerate(members):
+                    for s, scenario_calc in enumerate(calcs):
+                        want = scenario_calc.cell_edge(
+                            graph, edge, float(slews[j, s])
+                        )
+                        assert (delays[j, s], slews_out[j, s]) == want
+                        compared += 1
+        assert compared == len(arcs) * 2 * scales.size
 
     def test_compute_edges_batch_matches_scalar_loop(self):
         import copy
