@@ -514,17 +514,14 @@ def _evaluate_chunk(job) -> "tuple[_Baseline, list[CandidateResult]]":
     """Worker body of the candidate fan-out (module-level: picklable).
 
     Builds a private engine — rebuilding by name for a string source,
-    deep-copying the bundle otherwise (thread workers must never share
-    a mutable netlist) — and evaluates its candidate chunk sequentially
-    through the exact same apply/measure/revert path as serial mode.
+    otherwise on the chunk's own bundle copy made by the caller — and
+    evaluates its candidate chunk sequentially through the exact same
+    apply/measure/revert path as serial mode.
     """
     from repro import api
 
     source, candidates = job
-    bundle = (
-        api.load_design(source) if isinstance(source, str)
-        else copy.deepcopy(source)
-    )
+    bundle = api.load_design(source) if isinstance(source, str) else source
     engine = api.make_engine(bundle)
     base = _snapshot(engine)
     return base, [
@@ -570,10 +567,19 @@ def evaluate_what_if(
     ):
         counter("whatif.candidates").inc(len(normalized))
         if parallel:
-            source = design  # name (rebuilt) or bundle (deep-copied)
             chunks = chunk_ranges(len(unique_list), ctx.workers)
+            # A name is rebuilt per worker; a bundle is deep-copied per
+            # chunk here, on the calling thread.  Thread workers must
+            # never share a mutable netlist, nor deep-copy one bundle at
+            # the same time: on CPython 3.11, concurrent deepcopies of
+            # one object graph leave the heap corrupt and the garbage
+            # collector later segfaults.
             jobs = [
-                (source, [unique_list[i] for i in chunk])
+                (
+                    design if isinstance(design, str)
+                    else copy.deepcopy(design),
+                    [unique_list[i] for i in chunk],
+                )
                 for chunk in chunks
             ]
             counter("whatif.chunks").inc(len(jobs))

@@ -128,6 +128,47 @@ class TestParallelEquivalence:
         assert serial == parallel
         assert any(c.ok for c in serial.candidates)
 
+    def test_thread_chunks_get_bundles_copied_on_the_caller(
+        self, fresh_small_design, monkeypatch
+    ):
+        """Workers never deep-copy the shared bundle, least of all at once.
+
+        Concurrent deepcopies of one object graph corrupt the heap on
+        CPython 3.11 (the garbage collector segfaults later), so each
+        chunk must arrive with a private bundle copied beforehand.
+        """
+        import copy
+        import threading
+
+        from repro.opt import whatif
+
+        copied_on: "list[int]" = []
+        real_deepcopy = copy.deepcopy
+
+        def recording_deepcopy(x, memo=None):
+            if memo is None:
+                copied_on.append(threading.get_ident())
+            return real_deepcopy(x, memo)
+
+        received = []
+        real_chunk = whatif._evaluate_chunk
+
+        def recording_chunk(job):
+            received.append(job[0])
+            return real_chunk(job)
+
+        monkeypatch.setattr(copy, "deepcopy", recording_deepcopy)
+        monkeypatch.setattr(whatif, "_evaluate_chunk", recording_chunk)
+        design = fresh_small_design
+        evaluate_what_if(
+            design, small_candidates(design.netlist),
+            RunContext(workers=3, backend="thread"),
+        )
+        assert len(received) == 3
+        assert len({id(bundle) for bundle in received}) == 3
+        assert all(bundle is not design for bundle in received)
+        assert copied_on == [threading.get_ident()] * 3
+
     def test_duplicates_evaluate_once_but_report_per_position(
         self, fresh_small_design
     ):
