@@ -6,7 +6,10 @@ Two workloads per design, mirroring how the system actually calls
 * **cold** — first full update on a fresh engine (layout build + delay
   calc + propagation), plus a **hydrated** variant where the levelized
   layout is rehydrated from the on-disk ``layout/`` store instead of
-  rebuilt (see :func:`repro.timing.kernel.set_layout_disk_store`);
+  rebuilt (see :func:`repro.timing.kernel.set_layout_disk_store`), and
+  a **cold + build** column per kernel that also counts
+  ``STAEngine(...)`` construction (timing-graph build, depths,
+  derates) — what every new engine pays before its first answer;
 * **weighted loop** — the mGBA solver pattern: ``set_gate_weights``
   followed by a full update, repeated.  Weights only move the derate
   arrays, so the vector kernel's flow cache answers these with an
@@ -57,8 +60,11 @@ def _weights(netlist, round_no: int) -> dict[str, float]:
 
 
 def _run_kernel(design, kernel: str, iterations: int):
-    """(engine, cold seconds, weighted-loop seconds per iteration)."""
+    """(engine, build seconds, cold seconds, weighted-loop seconds per
+    iteration); build is ``STAEngine(...)`` construction alone."""
+    start = time.perf_counter()
     engine = _engine(design, kernel)
+    build = time.perf_counter() - start
     start = time.perf_counter()
     engine.update_timing()
     cold = time.perf_counter() - start
@@ -67,7 +73,7 @@ def _run_kernel(design, kernel: str, iterations: int):
         engine.set_gate_weights(_weights(engine.netlist, i))
         engine.update_timing()
     loop = (time.perf_counter() - start) / max(iterations, 1)
-    return engine, cold, loop
+    return engine, build, cold, loop
 
 
 def _run_hydrated(design, iterations: int):
@@ -122,10 +128,10 @@ def compare_kernels(names, iterations: int = DEFAULT_ITERATIONS):
     rows = []
     diverged = []
     for name in names:
-        scalar, cold_s, loop_s = _run_kernel(
+        scalar, build_s, cold_s, loop_s = _run_kernel(
             build_design(name), "scalar", iterations
         )
-        vector, cold_v, loop_v = _run_kernel(
+        vector, build_v, cold_v, loop_v = _run_kernel(
             build_design(name), "vector", iterations
         )
         hydrated, cold_h = _run_hydrated(build_design(name), iterations)
@@ -141,6 +147,8 @@ def compare_kernels(names, iterations: int = DEFAULT_ITERATIONS):
             f"{cold_s / cold_v:.2f}x" if cold_v > 0 else "-",
             f"{cold_h * 1e3:.1f}",
             f"{cold_s / cold_h:.2f}x" if cold_h > 0 else "-",
+            f"{(build_s + cold_s) * 1e3:.1f}",
+            f"{(build_v + cold_v) * 1e3:.1f}",
             f"{loop_s * 1e3:.1f}", f"{loop_v * 1e3:.1f}",
             f"{loop_s / loop_v:.2f}x" if loop_v > 0 else "-",
             "ok" if equal else "DIVERGED",
@@ -151,6 +159,7 @@ def compare_kernels(names, iterations: int = DEFAULT_ITERATIONS):
 _HEADERS = [
     "design", "cold scalar ms", "cold vector ms", "cold speedup",
     "cold hydr ms", "hydr speedup",
+    "cold+build scalar ms", "cold+build vector ms",
     "loop scalar ms", "loop vector ms", "loop speedup", "equal",
 ]
 
@@ -172,7 +181,8 @@ def test_sta_kernel_scalar_vs_vector(benchmark):
         _HEADERS, rows,
         note=(
             "cold = first full update; hydr = cold update with the "
-            "layout hydrated from the disk store; loop = "
+            "layout hydrated from the disk store; cold+build = engine "
+            "construction plus the first full update; loop = "
             "set_gate_weights + update_timing per iteration (the mGBA "
             "pattern, where the vector kernel's flow cache applies).  "
             "Speedups are logged, not asserted; bit-equality is "
@@ -197,7 +207,7 @@ def test_sta_layout_cold_hydrate(benchmark):
     engine, _cold = benchmark.pedantic(
         _hydrated_cold, rounds=1, iterations=1
     )
-    scalar, _, _ = _run_kernel(build_design(largest), "scalar", 0)
+    scalar, _, _, _ = _run_kernel(build_design(largest), "scalar", 0)
     assert _states_identical(scalar, engine)
 
 

@@ -195,7 +195,10 @@ def remove_buffer(netlist: Netlist, buffer_name: str) -> ChangeRecord:
     netlist.remove_net(out_net)
     return ChangeRecord(
         kind="remove_buffer",
-        gates=moved,
+        # Naming the removed buffer lets the incremental engine drop its
+        # timing nodes.  It goes after the moved loads: that order fixes
+        # which graph slots the edit frees and later reuses.
+        gates=[*moved, buffer_name],
         # out_net no longer exists; listing it lets the incremental
         # engine drop any stale timing edges defensively.
         nets=[in_net, out_net],

@@ -277,7 +277,6 @@ def _apply_insert_buffer(engine: STAEngine, spec: "dict[str, Any]",
 
     def undo(target: STAEngine) -> None:
         inverse = remove_buffer(target.netlist, buffer_name)
-        inverse.gates.append(buffer_name)
         inverse.nets.extend(change.nets)
         if target.placement is not None:
             target.placement.locations.pop(buffer_name, None)
@@ -307,9 +306,6 @@ def _apply_remove_buffer(engine: STAEngine, spec: "dict[str, Any]"):
     if engine.placement is not None and engine.placement.has(buffer_name):
         location = engine.placement.location(buffer_name)
     change = remove_buffer(netlist, buffer_name)
-    # The record must name the removed instance for the incremental
-    # updater to drop its graph nodes.
-    change.gates.append(buffer_name)
     engine.apply_change(change)
     cell_name = cell.name
 

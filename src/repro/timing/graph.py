@@ -8,8 +8,16 @@ graph edges; they live in per-endpoint records consulted at slack
 extraction time.
 
 The graph supports surgical structural updates (``rebuild_net``,
-``add_gate_nodes``, ``remove_gate_nodes``) so the incremental engine can
-track buffer insertion/removal without a full rebuild.
+``drop_net_edges``, ``add_gate_nodes``, ``remove_gate_nodes``) so the
+incremental engine can track buffer insertion/removal without a full
+rebuild.  Two indexes keep each update proportional to what it touches:
+
+* the *net index* maps a net name to its live net-edge ids, so
+  rebuilding or dropping one net costs that net's fanout and a full
+  build costs O(nodes + edges);
+* the *gate index* maps a gate name to its pin refs in creation order,
+  so removing a gate, or re-binding its arcs after a cell swap, costs
+  that gate's pins and their edges.
 """
 
 from __future__ import annotations
@@ -111,6 +119,10 @@ class TimingGraph:
         self.endpoints: dict[int, EndpointInfo] = {}
         self._free_nodes: list[int] = []
         self._free_edges: list[int] = []
+        #: Net index: net name -> ids of its live NET edges.
+        self._net_edges: dict[str, list[int]] = {}
+        #: Gate index: gate name -> its pin refs, in creation order.
+        self._gate_refs: dict[str, tuple[PinRef, ...]] = {}
         self._topo_cache: list[int] | None = None
         self._rank_cache: dict[int, int] | None = None
         #: Bumped on every topology mutation (node/edge add or drop).
@@ -190,6 +202,8 @@ class TimingGraph:
             edge_id = len(self.edges)
             edge = TimingEdge(edge_id, src, dst, kind, **attrs)
             self.edges.append(edge)
+        if edge.net is not None:
+            self._net_edges.setdefault(edge.net, []).append(edge_id)
         self.out_edges[src].append(edge_id)
         self.in_edges[dst].append(edge_id)
         self._topo_cache = None
@@ -202,6 +216,11 @@ class TimingGraph:
         assert edge is not None
         self.out_edges[edge.src].remove(edge_id)
         self.in_edges[edge.dst].remove(edge_id)
+        if edge.net is not None:
+            net_ids = self._net_edges[edge.net]
+            net_ids.remove(edge_id)
+            if not net_ids:
+                del self._net_edges[edge.net]
         self.edges[edge_id] = None
         self._free_edges.append(edge_id)
         self._topo_cache = None
@@ -212,15 +231,19 @@ class TimingGraph:
         """Create nodes and cell edges for a (new) gate instance."""
         cell = self.netlist.cell_of(gate_name)
         created: list[int] = []
+        refs: list[PinRef] = []
         for pin in cell.pins.values():
             kind = (
                 NodeKind.PIN_OUT if pin.direction is PinDirection.OUTPUT
                 else NodeKind.PIN_IN
             )
-            node = self._new_node(PinRef(gate_name, pin.name), kind)
+            ref = PinRef(gate_name, pin.name)
+            node = self._new_node(ref, kind)
             if pin.is_clock and cell.is_sequential:
                 node.is_clock_sink = True
             created.append(node.id)
+            refs.append(ref)
+        self._gate_refs[gate_name] = tuple(refs)
         for arc in cell.delay_arcs():
             src = self.node_of[PinRef(gate_name, arc.from_pin)]
             dst = self.node_of[PinRef(gate_name, arc.to_pin)]
@@ -248,8 +271,8 @@ class TimingGraph:
     def remove_gate_nodes(self, gate_name: str) -> None:
         """Remove all nodes/edges of a deleted gate instance."""
         doomed = [
-            (ref, node_id) for ref, node_id in self.node_of.items()
-            if ref.gate == gate_name
+            (ref, self.node_of[ref])
+            for ref in self._gate_refs.pop(gate_name, ())
         ]
         for ref, node_id in doomed:
             for edge_id in list(self.out_edges[node_id]):
@@ -270,12 +293,7 @@ class TimingGraph:
         Called at build time and after any edit that changes a net's
         driver or load set.
         """
-        stale = [
-            e.id for e in self.edges
-            if e is not None and e.kind is EdgeKind.NET and e.net == net_name
-        ]
-        for edge_id in stale:
-            self._drop_edge(edge_id)
+        self.drop_net_edges(net_name)
         driver = self.netlist.net_driver(net_name)
         if driver is None:
             return []
@@ -290,6 +308,17 @@ class TimingGraph:
             edge = self._new_edge(src, dst, EdgeKind.NET, net=net_name)
             created.append(edge.id)
         return created
+
+    def drop_net_edges(self, net_name: str) -> list[int]:
+        """Drop every live edge of one net; returns the dropped ids.
+
+        Drops in ascending id order, so the freed slots are reused in
+        the same order whatever sequence of edits created them.
+        """
+        stale = sorted(self._net_edges.get(net_name, ()))
+        for edge_id in stale:
+            self._drop_edge(edge_id)
+        return stale
 
     def _note_structure(
         self,
@@ -341,6 +370,13 @@ class TimingGraph:
         if edge is None:
             raise TimingError(f"edge {edge_id} has been removed")
         return edge
+
+    def gate_nodes(self, gate_name: str) -> list[int]:
+        """Node ids of one gate's pins, in creation order.
+
+        Empty when the gate has no nodes (never added, or removed).
+        """
+        return [self.node_of[ref] for ref in self._gate_refs.get(gate_name, ())]
 
     def live_nodes(self) -> "list[TimingNode]":
         """All current nodes."""

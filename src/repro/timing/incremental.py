@@ -46,15 +46,8 @@ def _collect_seed_nodes(graph: TimingGraph, change: ChangeRecord) -> set[int]:
     netlist = graph.netlist
     seeds: set[int] = set()
     for gate_name in change.gates:
-        if gate_name not in netlist.gates:
-            continue
-        cell = netlist.cell_of(gate_name)
-        for pin in cell.pins.values():
-            node_id = graph.node_of.get(
-                _ref(gate_name, pin.name)
-            )
-            if node_id is not None:
-                seeds.add(node_id)
+        if gate_name in netlist.gates:
+            seeds.update(graph.gate_nodes(gate_name))
     for net_name in change.nets:
         if net_name not in netlist.nets:
             continue
@@ -93,9 +86,7 @@ def _mirror_structure(engine: "STAEngine", change: ChangeRecord) -> bool:
     structural = False
     for gate_name in change.gates:
         in_netlist = gate_name in netlist.gates
-        has_nodes = any(
-            r.gate == gate_name for r in graph.node_of
-        )
+        has_nodes = bool(graph.gate_nodes(gate_name))
         if in_netlist and not has_nodes:
             graph.add_gate_nodes(gate_name)
             structural = True
@@ -110,15 +101,8 @@ def _mirror_structure(engine: "STAEngine", change: ChangeRecord) -> bool:
         if net_name in netlist.nets:
             graph.rebuild_net(net_name)
             structural = True
-        else:
-            stale = [
-                e.id for e in graph.live_edges()
-                if e.net == net_name
-            ]
-            for edge_id in stale:
-                graph._drop_edge(edge_id)
-            if stale:
-                structural = True
+        elif graph.drop_net_edges(net_name):
+            structural = True
     return structural
 
 
@@ -133,22 +117,23 @@ def refresh_gate_arcs(graph: TimingGraph, gate_name: str) -> None:
 
     graph.arc_epoch += 1  # invalidate per-level LUT groupings
     cell = graph.netlist.cell_of(gate_name)
-    for edge in graph.live_edges():
-        if edge.gate != gate_name or edge.arc is None:
-            continue
-        src_pin = graph.node(edge.src).ref.pin
-        dst_pin = graph.node(edge.dst).ref.pin
-        arc = cell.arc_between(src_pin, dst_pin)
-        if arc is not None:
-            edge.arc = arc
     setup = next(
         (a for a in cell.constraint_arcs() if a.kind is ArcKind.SETUP), None
     )
     hold = next(
         (a for a in cell.constraint_arcs() if a.kind is ArcKind.HOLD), None
     )
-    for info in graph.endpoints.values():
-        if info.gate == gate_name:
+    for node_id in graph.gate_nodes(gate_name):
+        src_pin = graph.node(node_id).ref.pin
+        for edge_id in graph.out_edges[node_id]:
+            edge = graph.edge(edge_id)
+            if edge.gate != gate_name:
+                continue  # a net arc leaving the gate
+            arc = cell.arc_between(src_pin, graph.node(edge.dst).ref.pin)
+            if arc is not None:
+                edge.arc = arc
+        info = graph.endpoints.get(node_id)
+        if info is not None and info.gate == gate_name:
             info.setup_arc = setup
             info.hold_arc = hold
 

@@ -1,11 +1,20 @@
 """Timing-graph construction and surgical-update tests."""
 
+import hashlib
+import json
+import random
+
 import pytest
 
+from repro.designs.generator import generate_design
+from repro.designs.suite import DESIGN_SPECS
 from repro.errors import TimingError
 from repro.liberty.builder import make_default_library
 from repro.netlist.core import Netlist, PinRef, PortDirection
+from repro.netlist.edit import insert_buffer, remove_buffer, resize_gate
+from repro.opt.whatif import apply_edit
 from repro.timing.graph import EdgeKind, NodeKind, TimingGraph
+from tests.conftest import SMALL_SPEC, engine_for
 
 LIB = make_default_library()
 
@@ -143,3 +152,136 @@ class TestSurgicalUpdates:
         g.remove_gate_nodes("u2")
         with pytest.raises(TimingError):
             g.node(victim)
+
+
+def _slot_listing(graph):
+    """Slot-list lengths plus every live edge and node slot."""
+    return [
+        len(graph.edges),
+        len(graph.nodes),
+        [
+            (e.id, e.src, e.dst, e.kind.value, e.net, e.gate)
+            for e in graph.edges if e is not None
+        ],
+        [(n.id, str(n.ref), n.kind.value) for n in graph.nodes if n is not None],
+    ]
+
+
+def _slot_digest(graph):
+    return hashlib.sha256(json.dumps(_slot_listing(graph)).encode()).hexdigest()
+
+
+class TestSlotAssignment:
+    """Layouts, layout patches and explain rows carry graph slot ids,
+    so slot assignment and reuse must not drift."""
+
+    BUILD = "96b45412d3db1f63b5cb521ca731455954e56d5966b2c47a67e20b02b4540641"
+    ROUND_TRIP = (
+        "f12102906765674ffde507d9efb6a19a78c4b45d337f8ce9ec13b99c53703019"
+    )
+
+    def test_build_and_buffer_round_trip_are_pinned(self):
+        design = generate_design(DESIGN_SPECS["D1"])  # unscaled D1
+        engine = engine_for(design)
+        assert _slot_digest(engine.graph) == self.BUILD
+        for spec in (
+            {"kind": "insert_buffer", "net": "n_g_0_0_0",
+             "buffer_cell": "BUF_X2"},
+            {"kind": "resize", "gate": "wbuf0", "up": True},
+            {"kind": "remove_buffer", "gate": "wbuf0"},
+        ):
+            apply_edit(engine, spec, 0)
+        assert _slot_digest(engine.graph) == self.ROUND_TRIP
+
+    def test_record_naming_the_buffer_twice(self):
+        """The second name finds no nodes: same graph, same slacks."""
+        results = []
+        for repeat in (False, True):
+            design = generate_design(SMALL_SPEC)
+            engine = engine_for(design)
+            net = next(
+                n for n in sorted(design.netlist.nets)
+                if n.startswith("n_") and any(
+                    not r.is_port for r in design.netlist.net_loads(n)
+                )
+            )
+            change = insert_buffer(design.netlist, net, "BUF_X2")
+            engine.apply_change(change)
+            inverse = remove_buffer(design.netlist, change.gates[0])
+            if repeat:
+                inverse.gates.append(change.gates[0])
+            engine.apply_change(inverse)
+            results.append((
+                _slot_listing(engine.graph),
+                [(s.name, s.slack) for s in engine.setup_slacks()],
+                [(s.name, s.slack) for s in engine.hold_slacks()],
+            ))
+        assert results[0] == results[1]
+
+
+def _assert_indexes_match_scan(graph):
+    by_net: dict = {}
+    for edge in graph.edges:
+        if edge is not None and edge.net is not None:
+            by_net.setdefault(edge.net, []).append(edge.id)
+    assert {
+        net: sorted(ids) for net, ids in graph._net_edges.items()
+    } == by_net
+    by_gate: dict = {}
+    for ref in graph.node_of:
+        if ref.gate is not None:
+            by_gate.setdefault(ref.gate, []).append(ref)
+    assert {
+        gate: list(refs) for gate, refs in graph._gate_refs.items()
+    } == by_gate
+    for gate, refs in by_gate.items():
+        assert graph.gate_nodes(gate) == [graph.node_of[r] for r in refs]
+
+
+class TestIndexes:
+    def test_indexes_match_full_scan_through_random_edits(self):
+        design = generate_design(SMALL_SPEC)
+        netlist = design.netlist
+        engine = engine_for(design)
+        graph = engine.graph
+        _assert_indexes_match_scan(graph)
+        rng = random.Random(5)
+        gates = sorted(
+            g for g in netlist.combinational_gates()
+            if not g.startswith("ckbuf")
+        )
+        inserted: list = []
+        applied: dict = {}
+        for _ in range(30):
+            move = rng.choice(("resize", "insert", "insert", "remove"))
+            if move == "resize":
+                change = resize_gate(
+                    netlist, rng.choice(gates + inserted),
+                    up=rng.random() < 0.5,
+                )
+            elif move == "insert":
+                nets = sorted(
+                    n for n in netlist.nets
+                    if netlist.net_driver(n) is not None
+                    and not n.startswith("ck")
+                    and any(not r.is_port for r in netlist.net_loads(n))
+                )
+                net = rng.choice(nets)
+                loads = [r for r in netlist.net_loads(net) if not r.is_port]
+                change = insert_buffer(
+                    netlist, net, "BUF_X2",
+                    loads=rng.sample(loads, rng.randint(1, len(loads))),
+                    placement=design.placement,
+                )
+                inserted.append(change.gates[0])
+            elif inserted:
+                victim = inserted.pop(rng.randrange(len(inserted)))
+                change = remove_buffer(netlist, victim)
+                design.placement.locations.pop(victim, None)
+            else:
+                continue
+            if change is not None:
+                engine.apply_change(change)
+                applied[move] = applied.get(move, 0) + 1
+            _assert_indexes_match_scan(graph)
+        assert set(applied) == {"resize", "insert", "remove"}

@@ -42,6 +42,20 @@ def _touchable_gates(design):
 
 
 class TestResize:
+    def test_flop_resize_rebinds_constraint_arcs(self):
+        """A resized flop's endpoint checks against its new cell."""
+        design, engine = _fresh()
+        flop = sorted(design.netlist.sequential_gates())[0]
+        change = resize_gate(design.netlist, flop, up=True)
+        assert change is not None
+        engine.apply_change(change)
+        setup, hold = design.netlist.cell_of(flop).constraint_arcs()
+        (info,) = [
+            i for i in engine.graph.endpoints.values() if i.gate == flop
+        ]
+        assert info.setup_arc is setup and info.hold_arc is hold
+        _assert_matches_full(engine, design)
+
     def test_single_upsize(self):
         design, engine = _fresh()
         gate = _touchable_gates(design)[0]
@@ -111,10 +125,26 @@ class TestBufferEdits:
         engine.apply_change(change)
         buffer_name = change.gates[0]
         inverse = remove_buffer(design.netlist, buffer_name)
-        inverse.gates.append(buffer_name)
         inverse.nets.extend(change.nets)
         design.placement.locations.pop(buffer_name, None)
         engine.apply_change(inverse)
+        _assert_matches_full(engine, design)
+
+    def test_remove_record_mirrors_unpatched(self):
+        """remove_buffer's own record names the buffer it removed."""
+        design, engine = _fresh()
+        net = _loaded_net(design)
+        change = insert_buffer(
+            design.netlist, net, "BUF_X2", placement=design.placement
+        )
+        engine.apply_change(change)
+        buffer_name = change.gates[0]
+        design.placement.locations.pop(buffer_name, None)
+        engine.apply_change(remove_buffer(design.netlist, buffer_name))
+        # A weight install re-sweeps from a fresh layout, which would
+        # trip over any graph node the record left behind.
+        engine.set_gate_weights({})
+        engine.update_timing()
         _assert_matches_full(engine, design)
 
     def test_depths_refresh_after_buffer(self):
