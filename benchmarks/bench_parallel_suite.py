@@ -42,10 +42,12 @@ def _run_suite(names, executor):
     return reports, time.perf_counter() - start
 
 
-def compare_serial_parallel(names, workers: int, backend: str = "process"):
-    """(serial reports, parallel reports, table rows, wall clocks)."""
+def compare_serial_parallel(names, workers: int):
+    """(serial reports, process reports, table rows, wall clocks)."""
     serial, serial_wall = _run_suite(names, SerialExecutor())
-    parallel, parallel_wall = _run_suite(names, get_executor(workers, backend))
+    parallel, parallel_wall = _run_suite(
+        names, get_executor(workers, "process")
+    )
     rows = []
     for s, p in zip(serial, parallel):
         rows.append([
@@ -98,11 +100,9 @@ def test_parallel_suite_fanout(benchmark):
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
-        description="D-suite fan-out: serial vs parallel evaluation",
+        description="D-suite fan-out: serial vs process evaluation",
     )
     parser.add_argument("--workers", type=int, default=4)
-    parser.add_argument("--backend", default="process",
-                        choices=["thread", "process"])
     parser.add_argument(
         "--designs", default="",
         help="comma-separated subset (default: REPRO_BENCH_DESIGNS or all)",
@@ -117,10 +117,10 @@ def main(argv=None) -> int:
         or bench_design_names()
     )
     serial, parallel, rows, (serial_wall, parallel_wall) = \
-        compare_serial_parallel(names, args.workers, args.backend)
+        compare_serial_parallel(names, args.workers)
     speedup = serial_wall / parallel_wall if parallel_wall > 0 else 0.0
     print_table(
-        f"D-suite fan-out: serial vs {args.backend} x{args.workers}",
+        f"D-suite fan-out: serial vs process x{args.workers}",
         ["design", "endpoints", "viol",
          "pass GBA", "pass mGBA", "serial s", "parallel s", "equal"],
         rows,

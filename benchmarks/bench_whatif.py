@@ -1,21 +1,19 @@
-"""What-if bench: parallel candidate evaluation must match sequential.
+"""What-if bench: candidates scored in sequence must match each alone.
 
-The what-if API's contract is **worker transparency** — evaluating K
-candidate edit-lists chunked across N workers (each on a private
-engine clone) must return results bit-identical to a sequential
-apply → incremental update → revert loop on one engine.  This bench
-builds a deterministic candidate list per design (resizes, VT swaps,
-and a buffer insertion over the first few combinational gates/nets),
-runs it through :func:`repro.opt.whatif.evaluate_what_if` serially and
-with a thread fan-out, and hard-checks:
+The what-if API scores K candidate edit-lists in sequence on one live
+engine: apply → incremental update → measure → revert.  The service
+caches each candidate's result under its own key
+(``repro.service.keys.what_if_key``), so a result must not depend on
+which candidates ran before it.  This bench builds a deterministic
+candidate list per design (resizes, VT swaps, and a buffer insertion
+over the first few combinational gates/nets), scores it once through
+:func:`repro.opt.whatif.evaluate_what_if`, then scores each candidate
+alone on a fresh engine, and hard-checks:
 
 * every frozen :class:`~repro.opt.whatif.CandidateResult` is equal
-  (``==`` excludes wall time) between the two passes;
+  (``==`` excludes wall time) between the sequence and the lone run;
 * the min-period search returns the identical
-  :class:`~repro.opt.whatif.MinPeriodResult` at any worker count
-  (trivially — it is worker-independent by construction — but gated
-  so a future parallel implementation cannot drift);
-* the parallel pass actually fanned out (``whatif.chunks`` > 1).
+  :class:`~repro.opt.whatif.MinPeriodResult` on two fresh engines.
 
 Also runnable as a script for the ``bench-smoke`` CI gate::
 
@@ -29,18 +27,13 @@ import sys
 import time
 
 from repro import api
-from repro.context import RunContext
-from repro.obs import default_registry
 from repro.opt.whatif import evaluate_what_if, min_period_on_engine
 
 from benchmarks.conftest import bench_design_names, print_table
 
 #: Candidates generated per design (kept small: the bench gates
-#: equivalence, not throughput; raise locally to measure speedup).
+#: equivalence, not throughput).
 CANDIDATES_PER_DESIGN = 12
-
-#: Workers for the parallel pass.
-PARALLEL_WORKERS = 4
 
 
 def build_candidates(design_name: str) -> "list[list[dict]]":
@@ -48,8 +41,7 @@ def build_candidates(design_name: str) -> "list[list[dict]]":
 
     Derived entirely from the design (gate/net iteration order is
     insertion order, which is deterministic per seed), never from
-    randomness or wall clock — the same list on every run and in
-    every worker.
+    randomness or wall clock — the same list on every run.
     """
     engine = api.make_engine(design_name)
     netlist = engine.netlist
@@ -86,44 +78,28 @@ def build_candidates(design_name: str) -> "list[list[dict]]":
 
 
 def run_design(design_name: str):
-    """(serial result, parallel result, serial s, parallel s, chunks)."""
+    """(sequence result, lone results, sequence s, lone s)."""
     candidates = build_candidates(design_name)
-    serial_ctx = RunContext(workers=1, backend="serial")
-    parallel_ctx = RunContext(workers=PARALLEL_WORKERS, backend="thread")
-    registry = default_registry()
     start = time.perf_counter()
-    serial = evaluate_what_if(design_name, candidates, serial_ctx)
-    serial_wall = time.perf_counter() - start
-    chunks_before = registry.counter("whatif.chunks").value
+    sequence = evaluate_what_if(design_name, candidates)
+    sequence_wall = time.perf_counter() - start
     start = time.perf_counter()
-    parallel = evaluate_what_if(design_name, candidates, parallel_ctx)
-    parallel_wall = time.perf_counter() - start
-    chunks = registry.counter("whatif.chunks").value - chunks_before
-    return serial, parallel, serial_wall, parallel_wall, chunks
+    alone = [
+        evaluate_what_if(design_name, [candidate]).candidates[0]
+        for candidate in candidates
+    ]
+    alone_wall = time.perf_counter() - start
+    return sequence, alone, sequence_wall, alone_wall
 
 
-def equivalence_failures(design_name: str, serial, parallel,
-                         chunks: int) -> "list[str]":
+def equivalence_failures(design_name: str, sequence, alone) -> "list[str]":
     """Human-readable divergences between the two evaluation modes."""
-    failures = []
-    if serial != parallel:  # frozen dataclasses; seconds excluded
-        for index, (s, p) in enumerate(
-            zip(serial.candidates, parallel.candidates)
-        ):
-            if s != p:
-                failures.append(
-                    f"{design_name} candidate {index}: serial and "
-                    f"parallel results differ"
-                )
-        if (serial.wns_baseline, serial.tns_baseline) != (
-            parallel.wns_baseline, parallel.tns_baseline
-        ):
-            failures.append(f"{design_name}: baselines differ")
-    if chunks < 2:
-        failures.append(
-            f"{design_name}: parallel pass did not fan out "
-            f"({chunks} chunk(s))"
-        )
+    failures = [
+        f"{design_name} candidate {index}: the sequence and the lone "
+        f"run differ"
+        for index, (s, a) in enumerate(zip(sequence.candidates, alone))
+        if s != a  # frozen dataclasses; seconds excluded
+    ]
     mp_a = min_period_on_engine(api.make_engine(design_name))
     mp_b = min_period_on_engine(api.make_engine(design_name))
     if mp_a != mp_b:
@@ -131,31 +107,33 @@ def equivalence_failures(design_name: str, serial, parallel,
     return failures
 
 
+def _row(name, sequence, alone, sequence_wall, alone_wall) -> list:
+    equal = sum(s == a for s, a in zip(sequence.candidates, alone))
+    return [
+        name, len(alone), f"{sequence_wall:.3f}", f"{alone_wall:.3f}",
+        f"{equal}/{len(alone)}",
+    ]
+
+
+HEADERS = ["design", "cands", "sequence s", "alone s", "equal"]
+
+
 def test_whatif_parallel_vs_sequential():
-    """Parallel candidate evaluation is bit-identical to sequential."""
+    """Candidates scored in sequence equal each candidate scored alone."""
     failures = []
     rows = []
     for name in bench_design_names()[:1]:
-        serial, parallel, s_wall, p_wall, chunks = run_design(name)
-        failures += equivalence_failures(name, serial, parallel, chunks)
-        rows.append([
-            name, len(serial.candidates),
-            f"{s_wall:.3f}", f"{p_wall:.3f}",
-            f"{s_wall / p_wall:.2f}x" if p_wall else "-",
-            chunks, "ok" if serial == parallel else "DIVERGED",
-        ])
-    print_table(
-        "what-if parallel vs sequential",
-        ["design", "cands", "seq s", "par s", "speedup", "chunks", "equal"],
-        rows,
-    )
+        sequence, alone, sequence_wall, alone_wall = run_design(name)
+        failures += equivalence_failures(name, sequence, alone)
+        rows.append(_row(name, sequence, alone, sequence_wall, alone_wall))
+    print_table("what-if: sequence vs each candidate alone", HEADERS, rows)
     assert not failures
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
-        description="what-if equivalence: parallel vs sequential "
-                    "candidate evaluation",
+        description="what-if equivalence: candidates scored in sequence "
+                    "vs each scored alone on a fresh engine",
     )
     parser.add_argument(
         "--designs", default="",
@@ -163,7 +141,7 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--check", action="store_true",
-        help="exit 1 on any serial/parallel divergence or a "
+        help="exit 1 on any sequence/alone divergence or a "
              "non-deterministic min-period search",
     )
     args = parser.parse_args(argv)
@@ -174,20 +152,15 @@ def main(argv=None) -> int:
     failures: "list[str]" = []
     rows = []
     for name in names:
-        serial, parallel, s_wall, p_wall, chunks = run_design(name)
-        failures += equivalence_failures(name, serial, parallel, chunks)
-        rows.append([
-            name, len(serial.candidates),
-            f"{s_wall:.3f}", f"{p_wall:.3f}",
-            f"{s_wall / p_wall:.2f}x" if p_wall else "-",
-            chunks, "ok" if serial == parallel else "DIVERGED",
-        ])
+        sequence, alone, sequence_wall, alone_wall = run_design(name)
+        failures += equivalence_failures(name, sequence, alone)
+        rows.append(_row(name, sequence, alone, sequence_wall, alone_wall))
     print_table(
-        f"what-if parallel vs sequential over {len(names)} design(s)",
-        ["design", "cands", "seq s", "par s", "speedup", "chunks", "equal"],
-        rows,
-        note=f"{CANDIDATES_PER_DESIGN} candidates/design, "
-             f"{PARALLEL_WORKERS} thread workers",
+        f"what-if: sequence vs each candidate alone over "
+        f"{len(names)} design(s)",
+        HEADERS, rows,
+        note=f"{CANDIDATES_PER_DESIGN} candidates/design; the lone runs "
+             f"each build a fresh engine",
     )
     if failures and args.check:
         for failure in failures:
@@ -197,7 +170,7 @@ def main(argv=None) -> int:
         for failure in failures:
             print(f"warn: {failure}", file=sys.stderr)
     else:
-        print("what-if parallel-vs-sequential equivalence: OK")
+        print("what-if sequence-vs-alone equivalence: OK")
     return 0
 
 

@@ -128,7 +128,7 @@ __all__ = [
     "save_weights", "load_weights",
     # observability (tracing spans, metrics registry, solver telemetry)
     "obs",
-    # parallel execution (serial/thread/process executors)
+    # parallel execution (serial/process executors)
     "parallel", "Executor", "get_executor", "set_default_workers",
     # stable facade + unified run context
     "api", "RunContext",

@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from repro.errors import TimingError
+from repro.obs.metrics import counter
 from repro.pba.engine import PBAEngine
 from repro.timing.sta import STAEngine
 
@@ -65,6 +67,8 @@ def pessimism_report(engine: STAEngine,
 
     The engine must be a clean GBA engine (weights are cleared); golden
     slacks come from per-endpoint PBA over the ``k_paths`` worst paths.
+    Endpoints with no data paths are skipped and counted on the
+    ``pba.pathless_endpoints`` counter; any other failure raises.
     """
     engine.clear_gate_weights()
     engine.update_timing()
@@ -74,7 +78,8 @@ def pessimism_report(engine: STAEngine,
     for endpoint in engine.graph.endpoint_nodes():
         try:
             golden = pba.golden_endpoint_slack(endpoint, k=k_paths)
-        except Exception:
+        except TimingError:  # the endpoint has no data paths
+            counter("pba.pathless_endpoints").inc()
             continue
         rows.append(EndpointPessimism(
             name=gba[endpoint].name,

@@ -24,6 +24,7 @@ O(V + E) — the efficiency that makes GBA usable in implementation flows.
 from __future__ import annotations
 
 from collections import deque
+from typing import Iterable
 
 from repro.errors import TimingError
 from repro.netlist.core import Netlist
@@ -35,11 +36,12 @@ def _comb_graph(netlist: Netlist) -> tuple[
     list[str], dict[str, list[str]], dict[str, list[str]],
     dict[str, bool], dict[str, bool],
 ]:
-    """Build the combinational-gate DAG and boundary flags.
+    """Build the combinational-gate DAG, its order and boundary flags.
 
-    Returns (gates, preds, succs, boundary_fanin, boundary_fanout) where
-    a boundary fanin/fanout means the gate touches a launch/capture
-    point directly.
+    Returns (order, preds, succs, boundary_fanin, boundary_fanout) where
+    ``order`` lists the gates topologically and a boundary
+    fanin/fanout means the gate touches a launch/capture point
+    directly.  Both depth sweeps share one build.
     """
     comb = netlist.combinational_gates()
     comb_set = set(comb)
@@ -81,7 +83,8 @@ def _comb_graph(netlist: Netlist) -> tuple[
         if not any_output:
             has_boundary_out = True  # dangling output ends the "path"
         boundary_fanout[gate_name] = has_boundary_out
-    return comb, preds, succs, boundary_fanin, boundary_fanout
+    order = _topological_order(comb, preds, succs)
+    return order, preds, succs, boundary_fanin, boundary_fanout
 
 
 def _topological_order(
@@ -106,30 +109,31 @@ def _topological_order(
     return order
 
 
+def _min_depths(order: Iterable[str], neighbours: dict[str, list[str]],
+                boundary: dict[str, bool]) -> dict[str, int]:
+    """Minimum cell count from a boundary to each gate, gate inclusive.
+
+    ``order`` visits every gate after all of its ``neighbours``.
+    """
+    depth: dict[str, float] = {}
+    for gate in order:
+        best = 1.0 if boundary[gate] else _INF
+        for other in neighbours[gate]:
+            best = min(best, depth[other] + 1)
+        depth[gate] = best if best != _INF else 1.0
+    return {g: int(v) for g, v in depth.items()}
+
+
 def forward_min_depths(netlist: Netlist) -> dict[str, int]:
     """Minimum launch-to-gate cell count (gate inclusive) per gate."""
-    gates, preds, succs, boundary_fanin, _ = _comb_graph(netlist)
-    order = _topological_order(gates, preds, succs)
-    fwd: dict[str, float] = {}
-    for gate in order:
-        best = 1.0 if boundary_fanin[gate] else _INF
-        for pred in preds[gate]:
-            best = min(best, fwd[pred] + 1)
-        fwd[gate] = best if best != _INF else 1.0
-    return {g: int(v) for g, v in fwd.items()}
+    order, preds, _, boundary_fanin, _ = _comb_graph(netlist)
+    return _min_depths(order, preds, boundary_fanin)
 
 
 def backward_min_depths(netlist: Netlist) -> dict[str, int]:
     """Minimum gate-to-capture cell count (gate inclusive) per gate."""
-    gates, preds, succs, _, boundary_fanout = _comb_graph(netlist)
-    order = _topological_order(gates, preds, succs)
-    bwd: dict[str, float] = {}
-    for gate in reversed(order):
-        best = 1.0 if boundary_fanout[gate] else _INF
-        for succ in succs[gate]:
-            best = min(best, bwd[succ] + 1)
-        bwd[gate] = best if best != _INF else 1.0
-    return {g: int(v) for g, v in bwd.items()}
+    order, _, succs, _, boundary_fanout = _comb_graph(netlist)
+    return _min_depths(reversed(order), succs, boundary_fanout)
 
 
 def compute_gba_depths(netlist: Netlist) -> dict[str, int]:
@@ -140,8 +144,11 @@ def compute_gba_depths(netlist: Netlist) -> dict[str, int]:
     ``gba_depth(g) <= len(P)`` (property-tested), so GBA always picks a
     derate factor at least as pessimistic as PBA's.
     """
-    fwd = forward_min_depths(netlist)
-    bwd = backward_min_depths(netlist)
+    order, preds, succs, boundary_fanin, boundary_fanout = (
+        _comb_graph(netlist)
+    )
+    fwd = _min_depths(order, preds, boundary_fanin)
+    bwd = _min_depths(reversed(order), succs, boundary_fanout)
     return {g: fwd[g] + bwd[g] - 1 for g in fwd}
 
 

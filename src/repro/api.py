@@ -302,9 +302,7 @@ def golden_slacks_from_engine(
     chosen_k = k if k is not None else ctx.pba_k
     pba = PBAEngine(engine, recalc_slew=ctx.recalc_slew)
     start = time.perf_counter()
-    by_node = pba.golden_endpoint_slacks(
-        k=chosen_k, executor=ctx.executor()
-    )
+    by_node = pba.golden_endpoint_slacks(k=chosen_k)
     graph = engine.graph
     slacks = tuple(
         (str(graph.node(node_id).ref), float(slack))
@@ -533,15 +531,16 @@ def run_scenarios(design: "Design | str",
 def what_if(design: "Design | STAEngine | str",
             candidates: "list[Any]",
             context: "RunContext | None" = None) -> WhatIfResult:
-    """Score K candidate ECO edit-lists against one design, in parallel.
+    """Score K candidate ECO edit-lists against one design.
 
     Each candidate is an edit-spec list (``{"kind": "resize", ...}``
     dicts — see :mod:`repro.opt.whatif`) or ECO text in the
     :mod:`repro.opt.eco` grammar.  Candidates are applied, measured,
-    and reverted; passing an :class:`STAEngine` evaluates on *that*
-    engine (serially) and leaves it bit-identical to how it arrived.
-    Parallel and serial evaluation produce equal frozen results, which
-    is the contract the service's per-candidate cache rests on.
+    and reverted in sequence on one engine; passing an
+    :class:`STAEngine` evaluates on *that* engine and leaves it
+    bit-identical to how it arrived.  A candidate scored after others
+    equals the same candidate scored alone on a fresh engine, which is
+    the contract the service's per-candidate cache rests on.
     """
     from repro.opt.whatif import evaluate_what_if
 

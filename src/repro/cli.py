@@ -52,11 +52,12 @@ Global observability flags (before the subcommand):
 
 Global parallelism flag (before the subcommand):
 
-* ``--workers N`` — fan the parallel regions (multi-corner STA,
-  per-endpoint PBA, design-suite evaluation) over N workers; overrides
-  ``REPRO_WORKERS``.  Backend via ``REPRO_PARALLEL_BACKEND``
-  (``thread`` default, ``process`` for CPU-bound wins).  See
-  ``docs/parallelism.md``.
+* ``--workers N`` — run design-suite evaluation (``designs
+  --detail``) and multi-design service batches (``batch``) one design
+  per worker over N workers; overrides ``REPRO_WORKERS``.  Work inside
+  one design always runs serially.  Backend via
+  ``REPRO_PARALLEL_BACKEND`` (``process`` default, or ``serial``).
+  See ``docs/parallelism.md``.
 """
 
 from __future__ import annotations
@@ -816,8 +817,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("-v", "--verbose", action="store_true")
     parser.add_argument(
         "--workers", type=int, metavar="N", default=None,
-        help="worker count for parallel regions (overrides REPRO_WORKERS; "
-             "backend via REPRO_PARALLEL_BACKEND, default thread)",
+        help="workers for suite evaluation and service batches, one "
+             "design each (overrides REPRO_WORKERS; backend via "
+             "REPRO_PARALLEL_BACKEND, default process)",
     )
     parser.add_argument(
         "--trace", metavar="FILE",

@@ -1,12 +1,8 @@
 """RunContext — the one place run-wide knobs are resolved.
 
-Before this module existed, execution knobs were scattered: worker
-counts lived on ``MGBAConfig.workers`` *and* ``REPRO_WORKERS`` *and*
-the CLI's ``--workers``; the parallel backend on
-``MGBAConfig.parallel_backend`` *and* ``REPRO_PARALLEL_BACKEND``;
-solver epsilons on ``MGBAConfig`` and ad-hoc keyword arguments.  A
-:class:`RunContext` gathers them into one frozen object that is
-threaded through :class:`~repro.mgba.flow.MGBAFlow`,
+A :class:`RunContext` gathers the worker count, the parallel backend,
+the fit and PBA knobs, and the cache settings into one frozen object
+that is threaded through :class:`~repro.mgba.flow.MGBAFlow`,
 :func:`~repro.service.suite.evaluate_suite`, the
 :class:`~repro.service.engine.TimingService`, and every ``repro.api``
 facade call.
@@ -48,10 +44,11 @@ class RunContext:
     Attributes
     ----------
     workers / backend:
-        Parallel fan-out configuration (see ``docs/parallelism.md``).
-        ``None`` defers to the process-wide default and environment at
-        :meth:`executor` time; :meth:`from_env` snapshots them into
-        concrete values instead.
+        Fan-out configuration for the two one-design-per-worker
+        fan-outs, suite evaluation and service batch sharding (see
+        ``docs/parallelism.md``).  ``None`` defers to the process-wide
+        default and environment at :meth:`executor` time;
+        :meth:`from_env` snapshots them into concrete values instead.
     solver / seed / epsilon / penalty:
         mGBA fitting knobs (paper Eq. 5-6 and §4.1).
     k_per_endpoint / max_paths / recalc_slew:
@@ -109,14 +106,8 @@ class RunContext:
 
     @classmethod
     def from_config(cls, config: "MGBAConfig") -> "RunContext":
-        """Lift a legacy :class:`MGBAConfig` into a context.
-
-        The bridge that keeps ``MGBAFlow(MGBAConfig(...))`` working
-        unchanged while the flow internally runs off a context.
-        """
+        """Lift a :class:`MGBAConfig` into a context (see :meth:`mgba_config`)."""
         return cls(
-            workers=config.workers,
-            backend=config.parallel_backend,
             solver=config.solver,
             seed=config.seed,
             epsilon=config.epsilon,
@@ -134,7 +125,7 @@ class RunContext:
     # Derived objects
     # ------------------------------------------------------------------
     def executor(self) -> Executor:
-        """The executor every parallel stage under this context shares."""
+        """The executor of the suite and service-batch fan-outs."""
         return get_executor(self.workers, self.backend)
 
     def mgba_config(self) -> "MGBAConfig":
@@ -149,16 +140,14 @@ class RunContext:
             solver=self.solver,
             recalc_slew=self.recalc_slew,
             seed=self.seed,
-            workers=self.workers,
-            parallel_backend=self.backend,
         )
 
     def fit_fingerprint(self) -> "tuple[Any, ...]":
         """The fields a fitted result depends on (cache-key component).
 
-        Deliberately excludes workers/backend/cache knobs: parallelism
-        is bit-transparent (PR 2's determinism contract), so the same
-        fit fingerprint must hit the same cached artifact at any worker
+        Deliberately excludes workers/backend/cache knobs: a fit runs
+        serially inside one design whatever they say, so the same fit
+        fingerprint must hit the same cached artifact at any worker
         count.
         """
         return (

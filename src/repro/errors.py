@@ -39,8 +39,9 @@ class SolverError(ReproError):
 class ParallelError(ReproError):
     """A parallel worker failed, or the executor is misconfigured.
 
-    When a chunk of work raises inside a worker (thread or child
-    process), the executor re-raises a :class:`ParallelError` in the
+    When a chunk of work raises inside a worker (in-process for the
+    serial backend, a child process for the process backend), the
+    executor re-raises a :class:`ParallelError` in the
     caller carrying enough context to debug it without re-running
     serially:
 
@@ -50,8 +51,8 @@ class ParallelError(ReproError):
         Index of the failing chunk (0-based), or -1 for configuration
         errors raised before any work was distributed.
     backend:
-        Executor backend name (``"serial"`` / ``"thread"`` /
-        ``"process"``), or ``""`` for configuration errors.
+        Executor backend name (``"serial"`` / ``"process"``), or ``""``
+        for configuration errors.
     child_traceback:
         The worker-side formatted traceback.  For child processes this
         is the only faithful record — the original exception object may

@@ -35,7 +35,6 @@ from repro.mgba.solvers import (
 )
 from repro.obs.metrics import counter, gauge
 from repro.obs.trace import Span, span
-from repro.parallel.executor import Executor, get_executor
 from repro.pba.engine import PBAEngine
 from repro.pba.enumerate import enumerate_worst_paths
 from repro.pba.paths import TimingPath
@@ -68,17 +67,6 @@ class MGBAConfig:
     #: the worst-slew-propagation pessimism in addition to derate/CRPR).
     recalc_slew: bool = False
     seed: int | None = 0
-    #: Worker count for the flow's parallel stages (path selection and
-    #: golden PBA).  None defers to ``REPRO_WORKERS`` / the CLI's
-    #: ``--workers``; results are bit-identical at any setting.
-    workers: int | None = None
-    #: Parallel backend override (``"serial"`` / ``"thread"`` /
-    #: ``"process"``); None defers to ``REPRO_PARALLEL_BACKEND``.
-    parallel_backend: str | None = None
-
-    def executor(self) -> Executor:
-        """The executor the flow's parallel stages share."""
-        return get_executor(self.workers, self.parallel_backend)
 
     def solve(self, problem: MGBAProblem) -> SolverResult:
         """Run the configured solver on a problem."""
@@ -172,22 +160,15 @@ class MGBAFlow:
                 else MGBAConfig()
             )
         self.config = config
-        self.context = (
-            context if context is not None
-            else RunContext.from_config(config)
-        )
         self.solve_cache = solve_cache
 
-    def select_paths(self, engine: STAEngine,
-                     executor: "Executor | None" = None) -> list[TimingPath]:
+    def select_paths(self, engine: STAEngine) -> list[TimingPath]:
         """Per-endpoint top-k' critical path selection."""
         engine.ensure_timing()
         raw = enumerate_worst_paths(
             engine.graph, engine.state,
             k_per_endpoint=self.config.k_per_endpoint,
             max_total=self.config.max_paths,
-            executor=executor if executor is not None
-            else self.context.executor(),
         )
         return per_endpoint_topk(
             raw, self.config.k_per_endpoint, self.config.max_paths
@@ -199,13 +180,9 @@ class MGBAFlow:
         engine.update_timing()
 
         stages: dict[str, Span] = {}
-        executor = self.context.executor()
-        with span(
-            "mgba.run", solver=self.config.solver,
-            backend=executor.backend, workers=executor.workers,
-        ) as run_span:
+        with span("mgba.run", solver=self.config.solver) as run_span:
             with span("mgba.select") as stages["select"]:
-                paths = self.select_paths(engine, executor)
+                paths = self.select_paths(engine)
             stages["select"].set(paths=len(paths))
             counter("paths.selected").inc(len(paths))
             if not paths:
@@ -214,7 +191,7 @@ class MGBAFlow:
                 )
             with span("mgba.pba") as stages["pba"]:
                 pba = PBAEngine(engine, recalc_slew=self.config.recalc_slew)
-                pba.analyze(paths, executor)
+                pba.analyze(paths)
                 # Never fit against false paths: their "golden" slack is
                 # a fiction (the path cannot happen), and set_false_path
                 # is exactly the launch-pair information GBA lacks.

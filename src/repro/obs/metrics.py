@@ -29,8 +29,8 @@ class Counter:
     """A monotonically increasing value.
 
     Thread-safe: :meth:`inc` holds a per-instrument lock, so counters
-    updated from ``repro.parallel`` thread-backend workers never drop
-    increments (``x += y`` is not atomic in CPython).
+    updated from several threads never drop increments (``x += y`` is
+    not atomic in CPython).
     """
 
     __slots__ = ("name", "value", "_lock")

@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
+from repro.errors import TimingError
+from repro.obs.metrics import counter
 from repro.opt.closure import ClosureConfig, ClosureReport, TimingClosureOptimizer
 from repro.pba.engine import PBAEngine
 from repro.timing.sta import STAEngine
@@ -27,7 +29,11 @@ class SignoffQoR:
 
 
 def signoff_qor(engine: STAEngine, k_paths: int = 16) -> SignoffQoR:
-    """Golden (PBA) endpoint slacks of the engine's current netlist."""
+    """Golden (PBA) endpoint slacks of the engine's current netlist.
+
+    Endpoints with no data paths are skipped and counted on the
+    ``pba.pathless_endpoints`` counter; any other failure raises.
+    """
     engine.clear_gate_weights()
     engine.update_timing()
     pba = PBAEngine(engine)
@@ -37,7 +43,8 @@ def signoff_qor(engine: STAEngine, k_paths: int = 16) -> SignoffQoR:
     for endpoint in engine.graph.endpoint_nodes():
         try:
             slack = pba.golden_endpoint_slack(endpoint, k=k_paths)
-        except Exception:
+        except TimingError:  # the endpoint has no data paths
+            counter("pba.pathless_endpoints").inc()
             continue
         wns = min(wns, slack)
         if slack < 0:

@@ -2,24 +2,22 @@
 
 A design optimizer iterates *candidate* edits — resize, VT swap, buffer
 insert/remove — against a timing oracle and keeps the winners.  This
-module turns that inner loop into a batched, parallel API:
+module turns that inner loop into a batched API:
 
 * :func:`apply_edit` applies one edit spec under incremental timing and
   returns its exact undo and ECO command — the one edit path, which
   :class:`~repro.opt.closure.TimingClosureOptimizer` runs its moves
   through too.
 * :func:`evaluate_what_if` scores K candidate edit-lists against one
-  design.  Each candidate is applied to an engine, measured, and
-  reverted; with a parallel :class:`~repro.context.RunContext` the
-  candidate list is chunked across workers, each worker evaluating its
-  chunk on a private engine clone.  The apply→measure→revert loop is
+  design.  Each candidate is applied to one engine, measured, and
+  reverted, in sequence.  The apply→measure→revert loop is
   *layout-stable*: bounded structural edits (buffer in/out) are spliced
   into the engine's levelized layout by
   :func:`repro.timing.kernel.patch_layout` instead of re-flattening the
-  whole graph per candidate.  Both paths are **bit-identical**: a
-  candidate's result never depends on which worker (or how many)
-  evaluated it, which is what lets the service cache single candidates
-  content-addressed (``repro.service.keys.what_if_key``).
+  whole graph per candidate.  The revert is **bit-identical**: a
+  candidate's result never depends on which candidates ran before it
+  on the same engine, which is what lets the service cache single
+  candidates content-addressed (``repro.service.keys.what_if_key``).
 * :func:`min_period_on_engine` binary-searches the smallest feasible
   clock period (pyPPA's period optimizer, made deterministic): the
   clock period only enters endpoint *required* times, so feasibility at
@@ -38,14 +36,13 @@ in the :mod:`repro.opt.eco` grammar::
     {"kind": "remove_buffer", "gate": "wbuf3"}
 
 Generated buffer/net names default to *candidate-local deterministic*
-names (``wbuf<i>`` probed against the netlist) — sequential and
-parallel evaluation must produce identical ECO text and identical
-results.
+names (``wbuf<i>`` probed against the netlist) — a candidate scored
+after others and the same candidate scored alone produce identical ECO
+text and identical results.
 """
 
 from __future__ import annotations
 
-import copy
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
@@ -170,7 +167,7 @@ def normalize_candidate(candidate: Any) \
     The canonical form — a tuple of frozen specs — is hashable and
     order-preserving; it is both the cache-key material
     (:func:`repro.service.keys.what_if_key`) and what the evaluation
-    workers consume, so "same candidate" and "same key" coincide.
+    consumes, so "same candidate" and "same key" coincide.
     """
     if isinstance(candidate, str):
         candidate = parse_eco_candidate(candidate)
@@ -466,7 +463,12 @@ def evaluate_candidate_on_engine(
     to ``base`` (the revert restores the exact netlist content, and
     incremental re-propagation is property-tested equal to a full
     update), which is what makes sequential reuse of one engine
-    equivalent to parallel fresh-engine clones.
+    equivalent to a fresh engine per candidate.
+
+    A candidate that cannot apply — an unknown gate, cell or net, the
+    end of a size family — raises a :class:`~repro.errors.ReproError`
+    and scores ``ok=False``.  Any other exception is a bug; it
+    propagates once the applied edits are undone.
     """
     start = time.perf_counter()
     undos: "list[Callable[[STAEngine], None]]" = []
@@ -480,7 +482,7 @@ def evaluate_candidate_on_engine(
             undos.append(undo)
             eco.append(command)
         after = _snapshot(engine)
-    except Exception as exc:
+    except ReproError as exc:
         error = f"{type(exc).__name__}: {exc}"
     finally:
         for undo in reversed(undos):
@@ -506,26 +508,6 @@ def evaluate_candidate_on_engine(
     )
 
 
-def _evaluate_chunk(job) -> "tuple[_Baseline, list[CandidateResult]]":
-    """Worker body of the candidate fan-out (module-level: picklable).
-
-    Builds a private engine — rebuilding by name for a string source,
-    otherwise on the chunk's own bundle copy made by the caller — and
-    evaluates its candidate chunk sequentially through the exact same
-    apply/measure/revert path as serial mode.
-    """
-    from repro import api
-
-    source, candidates = job
-    bundle = api.load_design(source) if isinstance(source, str) else source
-    engine = api.make_engine(bundle)
-    base = _snapshot(engine)
-    return base, [
-        evaluate_candidate_on_engine(engine, candidate, base)
-        for candidate in candidates
-    ]
-
-
 def evaluate_what_if(
     design,
     candidates: "Sequence[Any]",
@@ -533,83 +515,36 @@ def evaluate_what_if(
     *,
     engine: "STAEngine | None" = None,
 ) -> WhatIfResult:
-    """Score candidate edit-lists against one design; parallel over K.
+    """Score candidate edit-lists against one design, in sequence.
 
-    ``design`` is a suite name, a ``Design`` bundle, or (with
-    ``engine=``) ignored in favour of a live engine.  Duplicate
-    candidates evaluate once.  With a non-serial context and no pinned
-    engine, unique candidates chunk contiguously across workers
-    (:func:`repro.parallel.chunk_ranges` — one private engine clone per
-    chunk); results merge positionally, so the output is bit-identical
-    at any worker count.
+    ``design`` is a suite name or a ``Design`` bundle, ignored in
+    favour of ``engine`` when a live engine is given.  Duplicate
+    candidates evaluate once.  Every unique candidate runs
+    apply→measure→revert on the one engine, so a result equals the one
+    the candidate gets alone on a fresh engine.
     """
-    from repro.context import RunContext
-    from repro.parallel import chunk_ranges
-
     start = time.perf_counter()
-    ctx = context or RunContext.from_env()
     normalized = [normalize_candidate(c) for c in candidates]
-    unique: "dict[tuple, int]" = {}
-    for candidate in normalized:
-        unique.setdefault(candidate, len(unique))
-    unique_list = list(unique)
-    executor = ctx.executor()
-    parallel = (
-        engine is None and not executor.is_serial and len(unique_list) > 1
-    )
+    unique = list(dict.fromkeys(normalized))
     with span(
-        "whatif.evaluate", candidates=len(normalized),
-        unique=len(unique_list), parallel=parallel,
+        "whatif.evaluate", candidates=len(normalized), unique=len(unique),
     ):
         counter("whatif.candidates").inc(len(normalized))
-        if parallel:
-            chunks = chunk_ranges(len(unique_list), ctx.workers)
-            # A name is rebuilt per worker; a bundle is deep-copied per
-            # chunk here, on the calling thread.  Thread workers must
-            # never share a mutable netlist, nor deep-copy one bundle at
-            # the same time: on CPython 3.11, concurrent deepcopies of
-            # one object graph leave the heap corrupt and the garbage
-            # collector later segfaults.
-            jobs = [
-                (
-                    design if isinstance(design, str)
-                    else copy.deepcopy(design),
-                    [unique_list[i] for i in chunk],
-                )
-                for chunk in chunks
-            ]
-            counter("whatif.chunks").inc(len(jobs))
-            groups = executor.map(
-                _evaluate_chunk, jobs, chunk_size=1,
-                label="whatif.candidates",
-            )
-            base = groups[0][0]
-            scored: "list[CandidateResult]" = []
-            for chunk_base, results in groups:
-                scored.extend(results)
-        else:
-            if engine is None:
-                from repro import api
+        if engine is None:
+            from repro import api
 
-                engine = api.make_engine(design, ctx)
-            base = _snapshot(engine)
-            scored = [
-                evaluate_candidate_on_engine(engine, candidate, base)
-                for candidate in unique_list
-            ]
-    by_candidate = dict(zip(unique_list, scored))
-    ordered = tuple(by_candidate[c] for c in normalized)
-    name = engine.netlist.name if engine is not None else (
-        design if isinstance(design, str) else design.name
-    )
-    if name in ("fig2",):
-        name = "paper_fig2"
+            engine = api.make_engine(design, context)
+        base = _snapshot(engine)
+        by_candidate = {
+            candidate: evaluate_candidate_on_engine(engine, candidate, base)
+            for candidate in unique
+        }
     return WhatIfResult(
-        design=name,
+        design=engine.netlist.name,
         wns_baseline=base.wns,
         tns_baseline=base.tns,
         violations_baseline=base.violations,
-        candidates=ordered,
+        candidates=tuple(by_candidate[c] for c in normalized),
         seconds=time.perf_counter() - start,
     )
 

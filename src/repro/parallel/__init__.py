@@ -1,16 +1,16 @@
-"""Parallel execution layer for the STA / PBA / mGBA hot paths.
+"""Parallel execution layer: one design per worker.
 
 Public surface (see ``docs/parallelism.md`` for the tour):
 
-* :mod:`repro.parallel.executor` — the serial / thread / process
+* :mod:`repro.parallel.executor` — the serial / process
   :class:`Executor` backends behind ``REPRO_WORKERS`` and the CLI's
   global ``--workers`` flag.
 
-The finer axes live next to the code they accelerate:
-``enumerate_worst_paths`` / ``PBAEngine.analyze`` (per-endpoint and
-per-path sharding), :mod:`repro.service.suite` (one design per
-worker), and :class:`~repro.context.RunContext` for the flow and
-service.
+Two fan-outs use it, both one design per worker:
+:func:`repro.service.suite.evaluate_suite` and the per-design
+sharding of :meth:`repro.service.engine.TimingService.submit`, each
+configured through :class:`~repro.context.RunContext`.  Work inside
+one design (PBA, what-if, the mGBA fit) runs serially.
 """
 
 from repro.parallel.executor import (
@@ -18,7 +18,6 @@ from repro.parallel.executor import (
     Executor,
     ProcessExecutor,
     SerialExecutor,
-    ThreadExecutor,
     chunk_ranges,
     default_executor,
     get_executor,
@@ -31,7 +30,6 @@ __all__ = [
     "BACKENDS",
     "Executor",
     "SerialExecutor",
-    "ThreadExecutor",
     "ProcessExecutor",
     "chunk_ranges",
     "default_executor",

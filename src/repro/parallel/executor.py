@@ -1,13 +1,15 @@
-"""Executor abstraction: serial / thread / process backends.
+"""Executor abstraction: serial / process backends.
 
 One small surface — ``Executor.map(fn, items)`` — behind which the
-embarrassingly parallel axes of the system (per-corner STA, per-endpoint
-PBA enumeration, per-design suite evaluation) fan out.  Three backends:
+system's two fan-outs run one design per worker: design-suite
+evaluation (:func:`repro.service.suite.evaluate_suite`) and the
+timing service's per-design batch sharding
+(:meth:`repro.service.engine.TimingService.submit`).  Work inside one
+design (PBA, what-if, the mGBA fit) always runs serially.  Two
+backends:
 
 * :class:`SerialExecutor` — plain in-order loop, zero overhead, the
-  reference semantics every other backend must reproduce bit-for-bit;
-* :class:`ThreadExecutor` — ``ThreadPoolExecutor``; wins when workers
-  release the GIL or the work is I/O-ish, loses nothing on correctness;
+  reference semantics the process backend must reproduce bit-for-bit;
 * :class:`ProcessExecutor` — ``ProcessPoolExecutor``; true CPU
   parallelism at the cost of pickling ``fn`` and each chunk both ways.
 
@@ -29,7 +31,7 @@ Worker-count resolution (first match wins):
 4. ``1`` (serial).
 
 Backend resolution: explicit ``backend=`` argument, then the
-``REPRO_PARALLEL_BACKEND`` environment variable, then ``"thread"``.
+``REPRO_PARALLEL_BACKEND`` environment variable, then ``"process"``.
 Inside a worker process the resolved count is clamped to 1 so nested
 fan-out can never spawn pools-of-pools.
 
@@ -41,7 +43,7 @@ overlap.  Failures inside a worker surface as
 :class:`~repro.errors.ParallelError` with the chunk index, the failing
 item's position, and the worker-side traceback (child processes cannot
 reliably pickle exception objects back; the formatted traceback always
-survives).
+survives).  The serial backend also chains the original exception.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ import multiprocessing
 import os
 import time
 import traceback
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Sequence, TypeVar
@@ -63,7 +65,7 @@ T = TypeVar("T")
 R = TypeVar("R")
 
 #: Recognized backend names, in documentation order.
-BACKENDS = ("serial", "thread", "process")
+BACKENDS = ("serial", "process")
 
 #: Environment knobs (also honoured by the CLI and benches).
 WORKERS_ENV = "REPRO_WORKERS"
@@ -112,9 +114,9 @@ def resolve_workers(workers: "int | None" = None) -> int:
 
 
 def resolve_backend(backend: "str | None" = None) -> str:
-    """Effective backend name: arg > env > ``"thread"``."""
+    """Effective backend name: arg > env > ``"process"``."""
     if backend is None:
-        backend = os.environ.get(BACKEND_ENV, "") or "thread"
+        backend = os.environ.get(BACKEND_ENV, "") or "process"
     if backend not in BACKENDS:
         raise ParallelError(
             f"unknown parallel backend {backend!r}; choose from {BACKENDS}"
@@ -160,7 +162,7 @@ class _ChunkOutcome:
     values: "list[Any]" = field(default_factory=list)
     error: "str | None" = None          #: one-line summary
     child_traceback: str = ""           #: worker-side formatted traceback
-    exception: "BaseException | None" = None  #: thread backend only
+    exception: "BaseException | None" = None  #: serial backend only
     start: float = 0.0                  #: worker perf_counter at chunk start
     end: float = 0.0
     cpu_seconds: float = 0.0
@@ -177,7 +179,7 @@ def _run_chunk(fn: "Callable[[Any], Any]", index: int,
 
     Exceptions are captured into the outcome so they cross the process
     boundary as plain strings; ``ship_exception`` additionally keeps the
-    live exception object (safe for the thread/serial backends only).
+    live exception object (the serial backend, which stays in-process).
     """
     outcome = _ChunkOutcome(index=index)
     outcome.start = time.perf_counter()
@@ -202,8 +204,8 @@ def _run_chunk(fn: "Callable[[Any], Any]", index: int,
 
 def _run_chunk_job(job: "tuple") -> _ChunkOutcome:
     """Star-call shim so pools can ``map`` over prepared job tuples."""
-    fn, index, items, ship_exception = job
-    return _run_chunk(fn, index, items, ship_exception)
+    fn, index, items = job
+    return _run_chunk(fn, index, items)
 
 
 class Executor:
@@ -313,20 +315,6 @@ class SerialExecutor(Executor):
         super().__init__(1)
 
 
-class ThreadExecutor(Executor):
-    """``ThreadPoolExecutor``-backed chunks; shared-memory, GIL-bound."""
-
-    backend = "thread"
-
-    def _submit(self, fn, items, chunks) -> "list[_ChunkOutcome]":
-        jobs = [
-            (fn, index, [items[i] for i in chunk], True)
-            for index, chunk in enumerate(chunks)
-        ]
-        with ThreadPoolExecutor(max_workers=self.workers) as pool:
-            return list(pool.map(_run_chunk_job, jobs))
-
-
 def _mp_context() -> multiprocessing.context.BaseContext:
     """The configured multiprocessing start method (fork where possible).
 
@@ -362,7 +350,7 @@ class ProcessExecutor(Executor):
 
     def _submit(self, fn, items, chunks) -> "list[_ChunkOutcome]":
         jobs = [
-            (fn, index, [items[i] for i in chunk], False)
+            (fn, index, [items[i] for i in chunk])
             for index, chunk in enumerate(chunks)
         ]
         try:
@@ -381,7 +369,6 @@ class ProcessExecutor(Executor):
 
 _EXECUTORS = {
     "serial": SerialExecutor,
-    "thread": ThreadExecutor,
     "process": ProcessExecutor,
 }
 

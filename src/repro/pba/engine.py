@@ -24,34 +24,15 @@ slew recalculation is the documented extension beyond that model.
 
 from __future__ import annotations
 
-from functools import partial
-
 from repro.errors import TimingError
 from repro.netlist.core import PinRef
 from repro.obs.metrics import counter
 from repro.obs.trace import span
-from repro.parallel.executor import Executor, default_executor
 from repro.timing.graph import EdgeKind
 from repro.timing.propagation import EdgeDomain, classify_edge, effective_late
 from repro.timing.slack import setup_required
 from repro.timing.sta import STAEngine
 from repro.pba.paths import TimingPath
-
-#: TimingPath fields written by :meth:`PBAEngine.analyze_path` — what a
-#: process-backend worker must ship back into the caller's path objects.
-_ANALYSIS_FIELDS = (
-    "analyzed", "is_false", "gba_arrival", "gba_slack", "pba_slack",
-    "depth", "distance", "crpr_credit", "contributions",
-)
-
-
-def _endpoint_slack_job(pba: "PBAEngine", k: int, endpoint: int) -> float:
-    """Worker body of the endpoint-slack fan-out (module-level: picklable).
-
-    Runs strictly serially inside the worker — the outer shard is the
-    parallel axis; nesting pools under it would only thrash.
-    """
-    return pba.golden_endpoint_slack(endpoint, k)
 
 
 class PBAEngine:
@@ -266,35 +247,11 @@ class PBAEngine:
                 mean += base_delay * float(state.derate_late[edge.id])
         return mean + 3.0 * variance ** 0.5
 
-    def analyze(self, paths: "list[TimingPath]",
-                executor: "Executor | None" = None) -> "list[TimingPath]":
-        """Analyze a batch of paths in place; returns the same list.
-
-        Paths are mutually independent, so with a parallel ``executor``
-        (default: the ``REPRO_WORKERS``-configured one) the batch is
-        chunked across workers.  Per-path results merge back in input
-        order — serial, thread, and process backends all fill the
-        *same* list with bit-identical values; the process backend
-        copies each worker's analysis fields back into the caller's
-        path objects.
-        """
-        if executor is None:
-            executor = default_executor()
-        with span(
-            "pba.analyze", paths=len(paths),
-            backend=executor.backend, workers=executor.workers,
-        ):
-            if executor.is_serial:
-                for path in paths:
-                    self.analyze_path(path)
-            else:
-                analyzed = executor.map(
-                    self.analyze_path, paths, label="pba.analyze",
-                )
-                for original, result in zip(paths, analyzed):
-                    if result is not original:
-                        for name in _ANALYSIS_FIELDS:
-                            setattr(original, name, getattr(result, name))
+    def analyze(self, paths: "list[TimingPath]") -> "list[TimingPath]":
+        """Analyze a batch of paths in place; returns the same list."""
+        with span("pba.analyze", paths=len(paths)):
+            for path in paths:
+                self.analyze_path(path)
         counter("pba.paths_analyzed").inc(len(paths))
         return paths
 
@@ -312,17 +269,12 @@ class PBAEngine:
         """
         from repro.pba.enumerate import worst_paths_to_endpoint
 
-        from repro.parallel.executor import SerialExecutor
-
         paths = worst_paths_to_endpoint(
             self.sta.graph, self.sta.state, endpoint, k
         )
         if not paths:
             raise TimingError(f"endpoint {endpoint} has no data paths")
-        # One endpoint is a few dozen paths — always analyze serially;
-        # the parallel axis is *across* endpoints (golden_endpoint_slacks),
-        # and nesting pools under a sharded worker would only thrash.
-        self.analyze(paths, executor=SerialExecutor())
+        self.analyze(paths)
         real = [p.pba_slack for p in paths if not p.is_false]
         if not real:
             return float("inf")
@@ -332,28 +284,16 @@ class PBAEngine:
         self,
         endpoints: "list[int] | None" = None,
         k: int = 64,
-        executor: "Executor | None" = None,
     ) -> "dict[int, float]":
-        """PBA endpoint slack for many endpoints, sharded across workers.
+        """PBA endpoint slack for many endpoints, in endpoint order.
 
-        Endpoints are independent by construction (§3.2 — each owns its
-        k-worst enumeration), so this is the natural shard axis: every
-        worker runs :meth:`golden_endpoint_slack` for its chunk of
-        endpoints and the merge re-keys results in endpoint order,
-        making the mapping bit-identical across backends and worker
-        counts.  The per-endpoint work stays serial inside the worker.
+        Each endpoint owns its k-worst enumeration (§3.2), so this is
+        :meth:`golden_endpoint_slack` once per endpoint.
         """
         if endpoints is None:
             endpoints = self.sta.graph.endpoint_nodes()
-        if executor is None:
-            executor = default_executor()
-        with span(
-            "pba.endpoint_slacks", endpoints=len(endpoints), k=k,
-            backend=executor.backend, workers=executor.workers,
-        ):
-            slacks = executor.map(
-                partial(_endpoint_slack_job, self, k),
-                endpoints,
-                label="pba.endpoint_slacks",
-            )
-        return dict(zip(endpoints, slacks))
+        with span("pba.endpoint_slacks", endpoints=len(endpoints), k=k):
+            return {
+                endpoint: self.golden_endpoint_slack(endpoint, k)
+                for endpoint in endpoints
+            }

@@ -23,11 +23,9 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from functools import partial
 
 from repro.timing.graph import NodeKind, TimingGraph
 from repro.timing.propagation import TimingState, effective_late
-from repro.parallel.executor import Executor, default_executor
 from repro.pba.paths import TimingPath
 
 
@@ -100,57 +98,29 @@ def worst_paths_to_endpoint(
     return results
 
 
-def _endpoint_paths(graph: TimingGraph, state: TimingState, k: int,
-                    endpoint: int) -> list[TimingPath]:
-    """Worker body of the sharded enumeration (module-level: picklable)."""
-    return worst_paths_to_endpoint(graph, state, endpoint, k)
-
-
 def enumerate_worst_paths(
     graph: TimingGraph,
     state: TimingState,
     k_per_endpoint: int,
     endpoints: "list[int] | None" = None,
     max_total: int | None = None,
-    executor: "Executor | None" = None,
 ) -> list[TimingPath]:
     """Per-endpoint top-k enumeration over (a subset of) endpoints.
 
     This is the paper's second path-selection scheme: sorting only the
     paths that end at each endpoint, k' at a time, instead of globally.
-    ``max_total`` caps the result (the paper uses m' <= 5e6).
-
-    Endpoints are independent by construction (§3.2), so with a
-    parallel ``executor`` (default: the ``REPRO_WORKERS``-configured
-    one) they are sharded across workers; per-endpoint results are
-    merged back in endpoint order, so the returned list — including the
-    ``max_total`` truncation point — is bit-identical to the serial
-    walk.  The serial path keeps its early stop once the cap is hit.
+    ``max_total`` caps the result (the paper uses m' <= 5e6); the walk
+    stops as soon as the cap is hit.
     """
     chosen = endpoints if endpoints is not None else graph.endpoint_nodes()
-    if executor is None:
-        executor = default_executor()
-    if executor.is_serial or len(chosen) <= 1:
-        paths: list[TimingPath] = []
-        for endpoint in chosen:
-            paths.extend(
-                worst_paths_to_endpoint(graph, state, endpoint,
-                                        k_per_endpoint)
-            )
-            if max_total is not None and len(paths) >= max_total:
-                return paths[:max_total]
-        return paths
-    per_endpoint = executor.map(
-        partial(_endpoint_paths, graph, state, k_per_endpoint),
-        chosen,
-        label="pba.enumerate",
-    )
-    merged: list[TimingPath] = []
-    for batch in per_endpoint:
-        merged.extend(batch)
-        if max_total is not None and len(merged) >= max_total:
-            return merged[:max_total]
-    return merged
+    paths: list[TimingPath] = []
+    for endpoint in chosen:
+        paths.extend(
+            worst_paths_to_endpoint(graph, state, endpoint, k_per_endpoint)
+        )
+        if max_total is not None and len(paths) >= max_total:
+            return paths[:max_total]
+    return paths
 
 
 def count_paths_to_endpoint(graph: TimingGraph, endpoint: int,

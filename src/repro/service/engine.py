@@ -258,10 +258,8 @@ def _run_query_group(
 
     Builds a fresh service in the worker — sharing the *disk* cache
     tier with the parent through the context's ``cache_dir`` — and
-    runs one design's queries serially.  A fresh service per group is
-    what makes the thread backend safe: no two workers ever touch the
-    same engine.  Request IDs ride along so worker-side spans and
-    responses keep the caller's identity.
+    runs one design's queries serially.  Request IDs ride along so
+    worker-side spans and responses keep the caller's identity.
     """
     context, _design, queries, request_ids = job
     service = TimingService(context=context.replace(workers=1))
@@ -736,19 +734,12 @@ class TimingService:
             else:
                 misses.append(candidate)
         if misses:
-            if self.context.executor().is_serial:
-                # Apply/revert on the live engine: content is restored
-                # exactly, so the design key never rotates.
-                partial = evaluate_what_if(
-                    query.design, misses, self.context,
-                    engine=self.engine(query.design),
-                )
-            else:
-                source: "str | Design" = (
-                    query.design if self._rebuildable(query.design)
-                    else self.design(query.design)
-                )
-                partial = evaluate_what_if(source, misses, self.context)
+            # Apply/revert on the live engine: content is restored
+            # exactly, so the design key never rotates.
+            partial = evaluate_what_if(
+                query.design, misses, self.context,
+                engine=self.engine(query.design),
+            )
             baseline = (
                 partial.wns_baseline, partial.tns_baseline,
                 partial.violations_baseline,

@@ -68,12 +68,12 @@ class TestSurface:
 class TestRunContext:
     def test_from_env_resolves_once(self, monkeypatch):
         monkeypatch.setenv("REPRO_WORKERS", "3")
-        monkeypatch.setenv("REPRO_PARALLEL_BACKEND", "thread")
+        monkeypatch.setenv("REPRO_PARALLEL_BACKEND", "serial")
         monkeypatch.setenv("REPRO_CACHE", "0")
         monkeypatch.setenv("REPRO_CACHE_DIR", "/tmp/elsewhere")
         ctx = RunContext.from_env()
         assert ctx.workers == 3
-        assert ctx.backend == "thread"
+        assert ctx.backend == "serial"
         assert ctx.cache is False
         assert ctx.cache_dir == "/tmp/elsewhere"
 

@@ -116,7 +116,7 @@ class TestRegistry:
 
 
 class TestThreadSafety:
-    """Metrics recorded from thread-backend fan-outs must not drop."""
+    """Metrics recorded from several threads at once must not drop."""
 
     def test_concurrent_hammer(self):
         import threading

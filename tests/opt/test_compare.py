@@ -2,9 +2,12 @@
 
 import pytest
 
+from repro.errors import TimingError
+from repro.obs import default_registry
 from repro.opt.closure import ClosureConfig
 from repro.opt.compare import run_flow_comparison, signoff_qor
 from repro.designs.generator import DesignSpec, generate_design
+from repro.pba.engine import PBAEngine
 from tests.conftest import engine_for
 
 SPEC = DesignSpec(
@@ -41,6 +44,31 @@ class TestSignoff:
         engine.set_gate_weights({"g_0_0_0": 0.9})
         signoff_qor(engine)
         assert engine.weights == {}
+
+    def test_pathless_endpoint_skipped_and_counted(self, monkeypatch):
+        engine = engine_for(generate_design(SPEC))
+        reference = signoff_qor(engine)
+        real = PBAEngine.golden_endpoint_slack
+
+        def golden(pba, endpoint, k=64):
+            if endpoint == engine.graph.endpoint_nodes()[0]:
+                raise TimingError(f"endpoint {endpoint} has no data paths")
+            return real(pba, endpoint, k)
+
+        monkeypatch.setattr(PBAEngine, "golden_endpoint_slack", golden)
+        skips = default_registry().counter("pba.pathless_endpoints")
+        before = skips.value
+        skipped = signoff_qor(engine)
+        assert skips.value == before + 1
+        assert skipped.violations <= reference.violations
+
+    def test_other_errors_propagate(self, monkeypatch):
+        def broken(pba, endpoint, k=64):
+            raise IndexError("injected PBA fault")
+
+        monkeypatch.setattr(PBAEngine, "golden_endpoint_slack", broken)
+        with pytest.raises(IndexError, match="injected PBA fault"):
+            signoff_qor(engine_for(generate_design(SPEC)))
 
 
 class TestComparison:

@@ -1,16 +1,20 @@
-"""What-if evaluation tests: parallel == sequential, always reverted.
+"""What-if evaluation tests: in sequence == alone, always reverted.
 
 The module's contract has three legs, each gated here:
 
-* **worker transparency** — ``evaluate_what_if`` returns bit-identical
-  frozen results whether candidates run serially on one engine or
-  chunked across thread/process workers on private clones;
+* **order transparency** — ``evaluate_what_if`` runs candidates in
+  sequence on one engine and returns bit-identical frozen results to
+  each candidate scored alone on a fresh engine, under any run
+  context;
 * **clean revert** — every apply/measure/revert cycle leaves the
   engine (netlist content *and* timing state) exactly where it
   started, property-tested with hypothesis-random resize edit lists
   and checked against a from-scratch full update;
 * **deterministic min-period** — the bisection's bracket/tolerance
   contract is a pure function of content, not of evaluation order.
+
+A candidate that cannot apply scores ``ok=False``; any other error is
+a bug and escapes.
 """
 
 import pytest
@@ -114,8 +118,9 @@ class TestNormalize:
 
 
 class TestParallelEquivalence:
-    @pytest.mark.parametrize("backend", ["thread", "process"])
+    @pytest.mark.parametrize("backend", ["process"])
     def test_parallel_matches_serial(self, fresh_small_design, backend):
+        """A fan-out context changes nothing: what-if never fans out."""
         candidates = small_candidates(fresh_small_design.netlist)
         serial = evaluate_what_if(
             generate_design(SMALL_SPEC), candidates,
@@ -127,47 +132,6 @@ class TestParallelEquivalence:
         )
         assert serial == parallel
         assert any(c.ok for c in serial.candidates)
-
-    def test_thread_chunks_get_bundles_copied_on_the_caller(
-        self, fresh_small_design, monkeypatch
-    ):
-        """Workers never deep-copy the shared bundle, least of all at once.
-
-        Concurrent deepcopies of one object graph corrupt the heap on
-        CPython 3.11 (the garbage collector segfaults later), so each
-        chunk must arrive with a private bundle copied beforehand.
-        """
-        import copy
-        import threading
-
-        from repro.opt import whatif
-
-        copied_on: "list[int]" = []
-        real_deepcopy = copy.deepcopy
-
-        def recording_deepcopy(x, memo=None):
-            if memo is None:
-                copied_on.append(threading.get_ident())
-            return real_deepcopy(x, memo)
-
-        received = []
-        real_chunk = whatif._evaluate_chunk
-
-        def recording_chunk(job):
-            received.append(job[0])
-            return real_chunk(job)
-
-        monkeypatch.setattr(copy, "deepcopy", recording_deepcopy)
-        monkeypatch.setattr(whatif, "_evaluate_chunk", recording_chunk)
-        design = fresh_small_design
-        evaluate_what_if(
-            design, small_candidates(design.netlist),
-            RunContext(workers=3, backend="thread"),
-        )
-        assert len(received) == 3
-        assert len({id(bundle) for bundle in received}) == 3
-        assert all(bundle is not design for bundle in received)
-        assert copied_on == [threading.get_ident()] * 3
 
     def test_duplicates_evaluate_once_but_report_per_position(
         self, fresh_small_design
@@ -195,6 +159,48 @@ class TestParallelEquivalence:
             RunContext(workers=1, backend="serial"),
         )
         assert replay.candidates[0] == specs.candidates[0]
+
+
+class TestFailures:
+    def test_inapplicable_candidates_score_not_ok(self, fresh_small_design):
+        gate = fresh_small_design.netlist.combinational_gates()[0]
+        candidates = [
+            [{"kind": "resize", "gate": "no_such_gate", "up": True}],
+            [{"kind": "size_cell", "gate": gate, "cell": "NO_SUCH_CELL"}],
+            [{"kind": "insert_buffer", "net": "no_such_net",
+              "buffer_cell": "BUF_X2"}],
+            # Runs off the end of the gate's size family.
+            [{"kind": "resize", "gate": gate, "up": True}] * 20,
+        ]
+        result = evaluate_what_if(fresh_small_design, candidates)
+        assert [c.ok for c in result.candidates] == [False] * 4
+        assert all(c.error for c in result.candidates)
+
+    def test_kernel_error_escapes_after_the_undos(
+        self, fresh_small_design, monkeypatch
+    ):
+        """An IndexError is a bug, not a failed candidate."""
+        from repro.timing.sta import STAEngine
+
+        gates = fresh_small_design.netlist.combinational_gates()
+        applied = []
+        real_apply = STAEngine.apply_change
+
+        def faulty_apply(engine, change):
+            applied.append(change.description)
+            if len(applied) == 2:
+                raise IndexError("injected kernel fault")
+            return real_apply(engine, change)
+
+        monkeypatch.setattr(STAEngine, "apply_change", faulty_apply)
+        with pytest.raises(IndexError, match="injected kernel fault"):
+            evaluate_what_if(fresh_small_design, [[
+                {"kind": "resize", "gate": gates[0], "up": True},
+                {"kind": "resize", "gate": gates[2], "up": True},
+            ]])
+        # Two applies, the second faulting, then the first edit's undo.
+        assert len(applied) == 3
+        assert applied[2] == applied[0]
 
 
 class TestSequentialBitIdentity:
@@ -310,11 +316,12 @@ class TestSequentialBitIdentity:
 )
 @given(scripts=EDIT_LISTS)
 def test_random_resize_lists_parallel_equals_sequential(scripts):
-    """Hypothesis leg: arbitrary resize edit lists stay worker-transparent.
+    """Hypothesis leg: arbitrary resize edit lists stay order-transparent.
 
-    Each drawn script becomes one candidate; serial evaluation on one
-    engine must equal a thread fan-out on clones, and the serial engine
-    must come back to its exact baseline (checked via a full update).
+    Each drawn script becomes one candidate; evaluation on one live
+    engine must equal evaluation on a fresh design under a process
+    context, and the live engine must come back to its exact baseline
+    (checked via a full update).
     """
     design = generate_design(SMALL_SPEC)
     candidates = [
@@ -329,7 +336,7 @@ def test_random_resize_lists_parallel_equals_sequential(scripts):
     )
     parallel = evaluate_what_if(
         generate_design(SMALL_SPEC), candidates,
-        RunContext(workers=3, backend="thread"),
+        RunContext(workers=3, backend="process"),
     )
     assert serial == parallel
     serial_engine.update_timing()

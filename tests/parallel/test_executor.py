@@ -11,7 +11,6 @@ from repro.parallel import (
     BACKENDS,
     ProcessExecutor,
     SerialExecutor,
-    ThreadExecutor,
     chunk_ranges,
     get_executor,
     resolve_backend,
@@ -25,7 +24,6 @@ ALL_BACKENDS = list(BACKENDS)
 def executor_for(backend: str, workers: int = 3):
     return {
         "serial": SerialExecutor,
-        "thread": ThreadExecutor,
         "process": ProcessExecutor,
     }[backend](workers)
 
@@ -111,22 +109,26 @@ class TestResolution:
 
     def test_backend_env(self, monkeypatch):
         monkeypatch.delenv("REPRO_PARALLEL_BACKEND", raising=False)
-        assert resolve_backend() == "thread"
-        monkeypatch.setenv("REPRO_PARALLEL_BACKEND", "process")
         assert resolve_backend() == "process"
-        assert resolve_backend("serial") == "serial"
+        monkeypatch.setenv("REPRO_PARALLEL_BACKEND", "serial")
+        assert resolve_backend() == "serial"
+        assert resolve_backend("process") == "process"
 
-    def test_bad_backend(self):
+    def test_bad_backend(self, monkeypatch):
         with pytest.raises(ParallelError):
             resolve_backend("gpu")
+        # "thread" is not a backend: naming it in the environment fails.
+        monkeypatch.setenv("REPRO_PARALLEL_BACKEND", "thread")
+        with pytest.raises(ParallelError):
+            get_executor(4)
 
     def test_workers_one_is_always_serial(self, monkeypatch):
         monkeypatch.setenv("REPRO_PARALLEL_BACKEND", "process")
         assert get_executor(1).backend == "serial"
 
     def test_get_executor_parallel(self):
-        executor = get_executor(4, "thread")
-        assert isinstance(executor, ThreadExecutor)
+        executor = get_executor(4, "process")
+        assert isinstance(executor, ProcessExecutor)
         assert executor.workers == 4
 
 
@@ -164,9 +166,9 @@ class TestMap:
         # The worker-side traceback names the failing function.
         assert "fail_on_five" in err.child_traceback
 
-    def test_thread_exception_chains_original(self):
+    def test_serial_exception_chains_original(self):
         with pytest.raises(ParallelError) as excinfo:
-            ThreadExecutor(2).map(fail_on_five, range(8))
+            SerialExecutor().map(fail_on_five, range(8))
         assert isinstance(excinfo.value.__cause__, ValueError)
 
     @pytest.mark.parametrize("backend", ALL_BACKENDS)

@@ -131,7 +131,7 @@ class TestBatching:
         ).submit(batch)
         sharded = TimingService(
             context=make_context(tmp_path / "b", workers=2,
-                                 backend="thread")
+                                 backend="process")
         ).submit(batch)
         for s, p in zip(serial, sharded):
             assert s.ok and p.ok

@@ -116,7 +116,7 @@ class TestWhatIfVerb:
         serial_svc = TimingService(context=make_context(tmp_path / "a"))
         serial_svc.register_design("dut", design=generate_design(SMALL_SPEC))
         parallel_svc = TimingService(
-            context=make_context(tmp_path / "b", workers=3, backend="thread")
+            context=make_context(tmp_path / "b", workers=3, backend="process")
         )
         parallel_svc.register_design(
             "dut", design=generate_design(SMALL_SPEC)

@@ -10,6 +10,9 @@ from repro.analysis import (
     pessimism_report,
     summarize_pessimism,
 )
+from repro.errors import TimingError
+from repro.obs import default_registry
+from repro.pba.engine import PBAEngine
 from tests.conftest import engine_for
 
 
@@ -44,6 +47,35 @@ class TestReport:
         ff4 = by_name["FF4/D"]
         assert ff4.is_phantom_violation
         assert ff4.pessimism == pytest.approx(50.0)
+
+
+class TestGoldenFailures:
+    def test_pathless_endpoint_skipped_and_counted(
+        self, small_design, monkeypatch
+    ):
+        engine = engine_for(small_design)
+        skipped = engine.graph.endpoint_nodes()[0]
+        real = PBAEngine.golden_endpoint_slack
+
+        def golden(pba, endpoint, k=64):
+            if endpoint == skipped:
+                raise TimingError(f"endpoint {endpoint} has no data paths")
+            return real(pba, endpoint, k)
+
+        monkeypatch.setattr(PBAEngine, "golden_endpoint_slack", golden)
+        skips = default_registry().counter("pba.pathless_endpoints")
+        before = skips.value
+        rows = pessimism_report(engine)
+        assert len(rows) == len(engine.graph.endpoint_nodes()) - 1
+        assert skips.value == before + 1
+
+    def test_other_errors_propagate(self, small_design, monkeypatch):
+        def broken(pba, endpoint, k=64):
+            raise IndexError("injected PBA fault")
+
+        monkeypatch.setattr(PBAEngine, "golden_endpoint_slack", broken)
+        with pytest.raises(IndexError, match="injected PBA fault"):
+            pessimism_report(engine_for(small_design))
 
 
 class TestSummary:
