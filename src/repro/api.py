@@ -544,11 +544,10 @@ def what_if(design: "Design | STAEngine | str",
     """
     from repro.opt.whatif import evaluate_what_if
 
+    del context  # what-if runs in sequence on one engine: no knob applies
     if isinstance(design, STAEngine):
-        return evaluate_what_if(
-            design.netlist.name, candidates, context, engine=design
-        )
-    return evaluate_what_if(design, candidates, context)
+        return evaluate_what_if(design.netlist.name, candidates, engine=design)
+    return evaluate_what_if(design, candidates)
 
 
 def min_period(design: "Design | STAEngine | str",

@@ -8,7 +8,8 @@ Subcommands
 ``closure``    run the closure optimizer (GBA- or mGBA-driven).
 ``generate``   emit a suite design as Verilog + SDC + AOCV files.
 ``designs``    list the D1-D10 suite.
-``scenarios``  sweep a corner matrix in one scenario-stacked kernel pass.
+``scenarios``  multi-corner summary (default ss/tt/ff) from one
+               scenario-stacked kernel pass.
 ``what-if``    score candidate ECO edit-lists against a design.
 ``min-period`` binary-search the smallest feasible clock period.
 ``batch``      run a JSONL query file as one coalesced service batch.
@@ -69,7 +70,7 @@ from pathlib import Path
 from repro import api
 from repro.aocv.table import write_aocv
 from repro.designs import build_design, design_names
-from repro.errors import TimingError
+from repro.errors import ReproError, TimingError
 from repro.netlist.verilog import save_verilog
 from repro.sdc.writer import save_sdc
 from repro.timing.report import report_summary, report_timing
@@ -571,20 +572,6 @@ def _cmd_generate(args) -> int:
     return 0
 
 
-def _cmd_corners(args) -> int:
-    from repro.timing.corners import MultiCornerAnalysis
-
-    design = build_design(args.design)
-    analysis = MultiCornerAnalysis(
-        design.netlist, design.constraints,
-        design.placement, design.sta_config,
-    )
-    analysis.update_all()
-    print(f"{args.design} multi-corner analysis:\n")
-    print(analysis.report())
-    return 0
-
-
 def _parse_corner_spec(spec: str) -> "list[tuple[str, float]]":
     """Parse ``name:scale,name:scale,...`` into (name, scale) pairs."""
     pairs = []
@@ -669,11 +656,9 @@ def _cmd_what_if(args) -> int:
         print("what-if: no candidates (give --candidates FILE "
               "and/or --eco FILE)", file=sys.stderr)
         return 2
-    from repro.opt.whatif import WhatIfError
-
     try:
         result = api.what_if(args.design, candidates)
-    except WhatIfError as exc:
+    except ReproError as exc:  # a malformed candidate or ECO line
         print(f"what-if: {exc}", file=sys.stderr)
         return 2
     if args.json:
@@ -924,14 +909,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_val.add_argument("design")
     p_val.add_argument("--rows", type=int, default=25)
 
-    p_corners = sub.add_parser(
-        "corners", help="SS/TT/FF multi-corner summary"
-    )
-    p_corners.add_argument("design")
-
     p_scen = sub.add_parser(
         "scenarios",
-        help="sweep a corner matrix in one scenario-stacked kernel pass",
+        help="multi-corner summary (default ss/tt/ff) from one "
+             "scenario-stacked kernel pass",
     )
     p_scen.add_argument("design")
     p_scen.add_argument(
@@ -1165,7 +1146,6 @@ _COMMANDS = {
     "compare": _cmd_compare,
     "pessimism": _cmd_pessimism,
     "validate": _cmd_validate,
-    "corners": _cmd_corners,
     "scenarios": _cmd_scenarios,
     "what-if": _cmd_what_if,
     "min-period": _cmd_min_period,

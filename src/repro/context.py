@@ -104,19 +104,6 @@ class RunContext:
         resolved.update(overrides)
         return cls(**resolved)
 
-    @classmethod
-    def from_config(cls, config: "MGBAConfig") -> "RunContext":
-        """Lift a :class:`MGBAConfig` into a context (see :meth:`mgba_config`)."""
-        return cls(
-            solver=config.solver,
-            seed=config.seed,
-            epsilon=config.epsilon,
-            penalty=config.penalty,
-            k_per_endpoint=config.k_per_endpoint,
-            max_paths=config.max_paths,
-            recalc_slew=config.recalc_slew,
-        )
-
     def replace(self, **overrides: Any) -> "RunContext":
         """A copy with fields replaced (frozen-dataclass convenience)."""
         return replace(self, **overrides)

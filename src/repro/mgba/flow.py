@@ -80,10 +80,6 @@ class MGBAConfig:
         return runner(problem, self)
 
 
-#: Stage keys of one flow invocation, in execution order.
-STAGE_NAMES = ("select", "pba", "solve", "apply")
-
-
 @dataclass
 class MGBAResult:
     """Everything produced by one mGBA flow invocation.

@@ -8,11 +8,12 @@
 * :func:`~repro.opt.compare.run_flow_comparison` — GBA-flow vs
   mGBA-flow A/B on one design (Tables 2 and 5).
 * :mod:`~repro.opt.whatif` — the one edit-and-undo path
-  (:func:`~repro.opt.whatif.apply_edit`), batched what-if candidate
-  evaluation and min-period search: the closure loop's inner oracle as
-  a parallel, cacheable API (served by ``TimingService`` as
-  ``what_if`` / ``min_period``).
-* :mod:`~repro.opt.eco` — ECO script export and replay.
+  (:func:`~repro.opt.whatif.apply_edit`), the one ECO grammar reader,
+  batched what-if candidate evaluation and min-period search: the
+  closure loop's inner oracle as a cacheable API (served by
+  ``TimingService`` as ``what_if`` / ``min_period``).
+* :mod:`~repro.opt.eco` — ECO script export, and replay through the
+  netlist half of the edit path.
 """
 
 from repro.opt.qor import QoRMetrics

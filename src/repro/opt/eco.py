@@ -14,20 +14,24 @@ Script grammar (one command per line, ``#`` comments)::
 
 ``insert_buffer`` records the names the original run generated so the
 replay is exact (a generated name depends on the netlist it was
-probed against); loads are ``gate/pin`` references.  Replay goes
-through the same :func:`repro.netlist.edit.insert_buffer` as the
-original edit, so it validates the loads and places the buffer the
-same way.
+probed against); loads are ``gate/pin`` references.
+
+The grammar has one reader, :func:`repro.opt.whatif.parse_eco_lines`,
+and replay goes through the netlist half of the one edit path,
+:func:`repro.opt.whatif.edit_netlist`: the same checks, the same
+:func:`repro.netlist.edit.insert_buffer` and the same buffer placement
+as the original edit.  A malformed line, or one that cannot replay,
+raises :class:`~repro.errors.ParseError` carrying its line.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
 
-from repro.errors import NetlistError, ParseError
-from repro.netlist.core import Netlist, PinRef
-from repro.netlist.edit import insert_buffer, remove_buffer
+from repro.errors import ParseError, ReproError
+from repro.netlist.core import Netlist
 from repro.netlist.placement import Placement
+from repro.opt.whatif import edit_netlist, parse_eco_lines
 
 
 def write_eco(commands: "list[str]", design: str = "") -> str:
@@ -44,15 +48,6 @@ def save_eco(commands: "list[str]", path, design: str = "") -> None:
     Path(path).write_text(write_eco(commands, design))
 
 
-def _parse_pin_ref(text: str, filename: str, lineno: int) -> PinRef:
-    if "/" not in text:
-        raise ParseError(
-            f"load reference {text!r} must be gate/pin", filename, lineno
-        )
-    gate, pin = text.rsplit("/", 1)
-    return PinRef(gate, pin)
-
-
 def apply_eco(netlist: Netlist, text: str,
               placement: Placement | None = None,
               filename: str = "<eco>") -> int:
@@ -60,50 +55,17 @@ def apply_eco(netlist: Netlist, text: str,
 
     The replay uses the exact instance/net names recorded at capture
     time, so the resulting netlist is identical to the optimized one.
+    A ``size_cell`` to the gate's current cell replays as a no-op.
     """
-    applied = 0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        command = parts[0]
+    commands = parse_eco_lines(text, filename)
+    for ordinal, (line, spec) in enumerate(commands):
         try:
-            if command == "size_cell":
-                if len(parts) != 3:
-                    raise ParseError(
-                        "size_cell expects: gate new_cell", filename, lineno
-                    )
-                netlist.swap_cell(parts[1], parts[2])
-            elif command == "insert_buffer":
-                if len(parts) < 6:
-                    raise ParseError(
-                        "insert_buffer expects: net cell name new_net "
-                        "load...", filename, lineno,
-                    )
-                net, buffer_cell, buffer_name, new_net = parts[1:5]
-                loads = [
-                    _parse_pin_ref(p, filename, lineno) for p in parts[5:]
-                ]
-                insert_buffer(
-                    netlist, net, buffer_cell, loads=loads,
-                    placement=placement, buffer_name=buffer_name,
-                    new_net_name=new_net,
-                )
-            elif command == "remove_buffer":
-                if len(parts) != 2:
-                    raise ParseError(
-                        "remove_buffer expects: gate", filename, lineno
-                    )
-                remove_buffer(netlist, parts[1])
-            else:
-                raise ParseError(
-                    f"unknown ECO command {command!r}", filename, lineno
-                )
-        except NetlistError as exc:
+            if spec["kind"] == "size_cell" and \
+                    netlist.gate(spec["gate"]).cell_name == spec["cell"]:
+                continue
+            edit_netlist(netlist, placement, spec, ordinal)
+        except ReproError as exc:
             raise ParseError(
-                f"replay failed: {exc}", filename, lineno
+                f"replay failed: {exc}", filename, line
             ) from exc
-        applied += 1
-    return applied
-
+    return len(commands)

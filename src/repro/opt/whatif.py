@@ -7,7 +7,8 @@ module turns that inner loop into a batched API:
 * :func:`apply_edit` applies one edit spec under incremental timing and
   returns its exact undo and ECO command — the one edit path, which
   :class:`~repro.opt.closure.TimingClosureOptimizer` runs its moves
-  through too.
+  through too.  Its netlist half, :func:`edit_netlist`, is also what
+  :func:`repro.opt.eco.apply_eco` replays ECO scripts through.
 * :func:`evaluate_what_if` scores K candidate edit-lists against one
   design.  Each candidate is applied to one engine, measured, and
   reverted, in sequence.  The apply→measure→revert loop is
@@ -26,7 +27,8 @@ module turns that inner loop into a batched API:
   bracket/tolerance-deterministic answer.
 
 Candidates are lists of edit *specs* (JSON-friendly dicts) or ECO text
-in the :mod:`repro.opt.eco` grammar::
+in the :mod:`repro.opt.eco` grammar, which :func:`parse_eco_lines` is
+the one reader of::
 
     {"kind": "resize",        "gate": "u12", "up": true}
     {"kind": "size_cell",     "gate": "u12", "cell": "NAND2_X4"}
@@ -47,8 +49,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
-from repro.errors import ReproError
-from repro.netlist.core import PinRef
+from repro.errors import ParseError, ReproError
+from repro.netlist.core import Netlist, PinRef
 from repro.netlist.edit import (
     ChangeRecord,
     fresh_name,
@@ -57,6 +59,7 @@ from repro.netlist.edit import (
     resize_gate,
     swap_vt,
 )
+from repro.netlist.placement import Placement
 from repro.obs.metrics import counter, histogram
 from repro.obs.trace import span
 from repro.timing import slack as slack_mod
@@ -132,32 +135,47 @@ def _canonical_spec(raw: Any) -> "tuple[tuple[str, Any], ...]":
     return tuple(sorted(canonical.items()))
 
 
-def parse_eco_candidate(text: str) -> "list[dict[str, Any]]":
-    """ECO script text (:mod:`repro.opt.eco` grammar) -> edit specs."""
-    specs: "list[dict[str, Any]]" = []
+def parse_eco_lines(text: str, filename: str = "<eco>") \
+        -> "list[tuple[int, dict[str, Any]]]":
+    """ECO script text -> ``(line, edit spec)`` per command line.
+
+    The one reader of the :mod:`repro.opt.eco` grammar: ``#`` comments
+    and blank lines are skipped, and an unknown command or a wrong
+    argument count raises :class:`~repro.errors.ParseError` carrying
+    its 1-based line.
+    """
+    commands: "list[tuple[int, dict[str, Any]]]" = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        words = raw.split("#", 1)[0].split()
+        if not words:
             continue
-        parts = line.split()
-        command = parts[0]
-        if command == "size_cell" and len(parts) == 3:
-            specs.append(
-                {"kind": "size_cell", "gate": parts[1], "cell": parts[2]}
-            )
-        elif command == "insert_buffer" and len(parts) >= 6:
-            specs.append({
-                "kind": "insert_buffer", "net": parts[1],
-                "buffer_cell": parts[2], "buffer": parts[3],
-                "new_net": parts[4], "loads": parts[5:],
-            })
-        elif command == "remove_buffer" and len(parts) == 2:
-            specs.append({"kind": "remove_buffer", "gate": parts[1]})
+        command, args = words[0], words[1:]
+        if command == "size_cell" and len(args) == 2:
+            spec = {"kind": "size_cell", "gate": args[0], "cell": args[1]}
+        elif command == "insert_buffer" and len(args) >= 5:
+            net, buffer_cell, buffer, new_net, *loads = args
+            spec = {
+                "kind": "insert_buffer", "net": net,
+                "buffer_cell": buffer_cell, "buffer": buffer,
+                "new_net": new_net, "loads": loads,
+            }
+        elif command == "remove_buffer" and len(args) == 1:
+            spec = {"kind": "remove_buffer", "gate": args[0]}
         else:
-            raise WhatIfError(
-                f"ECO line {lineno}: cannot parse {line!r}"
+            raise ParseError(
+                f"cannot parse {' '.join(words)!r}; expected size_cell "
+                "<gate> <cell>, insert_buffer <net> <buffer_cell> "
+                "<buffer> <new_net> <load>..., or remove_buffer <gate>",
+                filename, lineno,
             )
-    return specs
+        commands.append((lineno, spec))
+    return commands
+
+
+def parse_eco_candidate(text: str, filename: str = "<eco>") \
+        -> "list[dict[str, Any]]":
+    """ECO script text -> edit specs (see :func:`parse_eco_lines`)."""
+    return [spec for _line, spec in parse_eco_lines(text, filename)]
 
 
 def normalize_candidate(candidate: Any) \
@@ -187,135 +205,148 @@ def normalize_candidate(candidate: Any) \
 
 
 # ----------------------------------------------------------------------
-# Apply / undo: the one edit path (what-if candidates and closure moves)
+# Apply / undo: the one edit path (closure moves, what-if candidates,
+# ECO replay)
 # ----------------------------------------------------------------------
-def _swap_cell(netlist, spec: "dict[str, Any]") -> ChangeRecord:
-    """Substitute one gate's cell per a resize / vt_swap / size_cell spec."""
-    gate, kind = spec["gate"], spec["kind"]
+def edit_netlist(netlist: Netlist, placement: "Placement | None",
+                 spec: "dict[str, Any]", ordinal: int) \
+        -> "tuple[ChangeRecord, Callable[[], ChangeRecord], str]":
+    """Apply one edit spec to a netlist and its placement, untimed.
+
+    The netlist half of :func:`apply_edit`, and the one
+    :func:`repro.opt.eco.apply_eco` replays through.  Returns (change,
+    revert, ECO command): ``revert()`` restores the netlist and the
+    placement exactly and returns the change record that mirrors the
+    restoration.  Every check runs before the first edit, so an
+    inapplicable spec (size family end, missing VT flavour, same cell,
+    a non-buffer to remove) raises with nothing changed.  ``ordinal``
+    names an ``insert_buffer`` that brings no names of its own:
+    ``wbuf<ordinal>`` / ``wnet<ordinal>``, probed against the netlist.
+    """
+    kind = spec.get("kind")
+    if kind not in SPEC_KINDS:
+        raise WhatIfError(f"unknown edit kind {kind!r}")
+
+    if kind == "insert_buffer":
+        loads = None
+        if "loads" in spec:
+            loads = []
+            for ref in spec["loads"]:
+                gate, sep, pin = ref.rpartition("/")
+                if not sep:
+                    raise WhatIfError(f"load {ref!r} must be gate/pin")
+                loads.append(PinRef(gate, pin))
+        buffer_name = spec.get("buffer", fresh_name(netlist, f"wbuf{ordinal}"))
+        new_net = spec.get("new_net", fresh_name(netlist, f"wnet{ordinal}"))
+        change = insert_buffer(
+            netlist, spec["net"], spec["buffer_cell"], loads=loads,
+            placement=placement, buffer_name=buffer_name,
+            new_net_name=new_net,
+        )
+
+        def unbuffer() -> ChangeRecord:
+            inverse = remove_buffer(netlist, buffer_name)
+            inverse.nets.extend(change.nets)
+            if placement is not None:
+                placement.locations.pop(buffer_name, None)
+            return inverse
+
+        meta = change.metadata
+        return change, unbuffer, (
+            f"insert_buffer {meta['net']} {meta['buffer_cell']} "
+            f"{meta['buffer']} {meta['new_net']} "
+            + " ".join(str(r) for r in meta["loads"])
+        )
+
+    if kind == "remove_buffer":
+        buffer_name = spec["gate"]
+        # Capture everything the revert needs *before* removal.
+        cell = netlist.cell_of(buffer_name)
+        if not cell.is_buffer:
+            raise WhatIfError(f"{buffer_name} is not a buffer instance")
+        connections = netlist.gate(buffer_name).connections
+        in_net = connections.get(cell.input_pins[0].name)
+        out_net = connections.get(cell.output_pins[0].name)
+        moved = list(netlist.net_loads(out_net)) if out_net else []
+        location = None
+        if placement is not None and placement.has(buffer_name):
+            location = placement.location(buffer_name)
+        change = remove_buffer(netlist, buffer_name)
+
+        def rebuffer() -> ChangeRecord:
+            inverse = insert_buffer(
+                netlist, in_net, cell.name, loads=moved, placement=None,
+                buffer_name=buffer_name, new_net_name=out_net,
+            )
+            if location is not None and placement is not None:
+                placement.place(buffer_name, location.x, location.y)
+            return inverse
+
+        return change, rebuffer, f"remove_buffer {buffer_name}"
+
+    # The cell-swap family: resize, vt_swap, size_cell.
+    gate = spec["gate"]
+    old_cell = netlist.gate(gate).cell_name
     if kind == "resize":
-        change = resize_gate(netlist, gate, up=spec["up"])
-        if change is None:
+        swapped = resize_gate(netlist, gate, up=spec["up"])
+        if swapped is None:
             raise WhatIfError(
                 f"gate {gate} is already at the "
                 f"{'largest' if spec['up'] else 'smallest'} size"
             )
-        return change
-    if kind == "vt_swap":
-        change = swap_vt(netlist, gate, spec["vt"])
-        if change is None:
+    elif kind == "vt_swap":
+        swapped = swap_vt(netlist, gate, spec["vt"])
+        if swapped is None:
             raise WhatIfError(
                 f"gate {gate} has no {spec['vt']} flavour (or is there already)"
             )
-        return change
-    cell = spec["cell"]
-    old_cell = netlist.gate(gate).cell_name
-    netlist.library.cell(cell)  # unknown cells raise here
-    if cell == old_cell:
-        raise WhatIfError(f"gate {gate} is already a {cell}")
-    netlist.swap_cell(gate, cell)
-    return ChangeRecord(
-        kind="resize", gates=[gate],
-        nets=list(netlist.gate(gate).connections.values()),
-        description=f"{gate}: {old_cell} -> {cell}",
-    )
+    else:
+        cell_name = spec["cell"]
+        netlist.library.cell(cell_name)  # unknown cells raise here
+        if cell_name == old_cell:
+            raise WhatIfError(f"gate {gate} is already a {cell_name}")
+        netlist.swap_cell(gate, cell_name)
+        swapped = ChangeRecord(
+            kind="resize", gates=[gate],
+            nets=list(netlist.gate(gate).connections.values()),
+            description=f"{gate}: {old_cell} -> {cell_name}",
+        )
+
+    def swap_back() -> ChangeRecord:
+        netlist.swap_cell(gate, old_cell)
+        return swapped
+
+    new_cell = netlist.gate(gate).cell_name
+    return swapped, swap_back, f"size_cell {gate} {new_cell}"
 
 
 def apply_edit(engine: STAEngine, spec: "dict[str, Any]", ordinal: int) \
         -> "tuple[ChangeRecord, Callable[[STAEngine], None], str]":
     """Apply one edit spec to a live engine, timing it incrementally.
 
-    Returns (change, undo, ECO command): ``undo(engine)`` restores the
-    netlist and every slack bit for bit, and the command replays the
-    edit through :func:`repro.opt.eco.apply_eco`.  An inapplicable edit
-    (size family end, missing VT flavour, same cell) raises
-    :class:`WhatIfError` with nothing changed.  ``ordinal`` names an
-    ``insert_buffer`` that brings no names of its own:
-    ``wbuf<ordinal>`` / ``wnet<ordinal>``, probed against the netlist.
+    The engine half of the one edit path: :func:`edit_netlist` edits
+    the engine's netlist and placement, and the change is mirrored into
+    the engine.  Returns (change, undo, ECO command): ``undo(engine)``
+    restores the netlist and every slack bit for bit, and the command
+    replays the edit through :func:`repro.opt.eco.apply_eco`.  An
+    inapplicable edit raises :class:`WhatIfError` with nothing changed.
+    When the mirror raises a :class:`~repro.errors.ReproError`, the
+    undo runs before the error propagates, so the failed edit leaves
+    neither the netlist nor the timing changed.
     """
-    kind = spec.get("kind")
-    if kind not in SPEC_KINDS:
-        raise WhatIfError(f"unknown edit kind {kind!r}")
-    if kind == "insert_buffer":
-        return _apply_insert_buffer(engine, spec, ordinal)
-    if kind == "remove_buffer":
-        return _apply_remove_buffer(engine, spec)
-    gate = spec["gate"]
-    old_cell = engine.netlist.gate(gate).cell_name
-    change = _swap_cell(engine.netlist, spec)
-    engine.apply_change(change)
-    new_cell = engine.netlist.gate(gate).cell_name
+    change, revert, eco = edit_netlist(
+        engine.netlist, engine.placement, spec, ordinal
+    )
 
     def undo(target: STAEngine) -> None:
-        target.netlist.swap_cell(gate, old_cell)
-        target.apply_change(change)
+        target.apply_change(revert())
 
-    return change, undo, f"size_cell {gate} {new_cell}"
-
-
-def _apply_insert_buffer(engine: STAEngine, spec: "dict[str, Any]",
-                         ordinal: int):
-    netlist = engine.netlist
-    loads = None
-    if "loads" in spec:
-        loads = []
-        for ref in spec["loads"]:
-            if "/" not in ref:
-                raise WhatIfError(f"load {ref!r} must be gate/pin")
-            gate, pin = ref.rsplit("/", 1)
-            loads.append(PinRef(gate, pin))
-    buffer_name = spec.get("buffer", fresh_name(netlist, f"wbuf{ordinal}"))
-    new_net = spec.get("new_net", fresh_name(netlist, f"wnet{ordinal}"))
-    change = insert_buffer(
-        netlist, spec["net"], spec["buffer_cell"], loads=loads,
-        placement=engine.placement, buffer_name=buffer_name,
-        new_net_name=new_net,
-    )
-    engine.apply_change(change)
-
-    def undo(target: STAEngine) -> None:
-        inverse = remove_buffer(target.netlist, buffer_name)
-        inverse.nets.extend(change.nets)
-        if target.placement is not None:
-            target.placement.locations.pop(buffer_name, None)
-        target.apply_change(inverse)
-
-    meta = change.metadata
-    eco = (
-        f"insert_buffer {meta['net']} {meta['buffer_cell']} "
-        f"{meta['buffer']} {meta['new_net']} "
-        + " ".join(str(r) for r in meta["loads"])
-    )
+    try:
+        engine.apply_change(change)
+    except ReproError:
+        undo(engine)
+        raise
     return change, undo, eco
-
-
-def _apply_remove_buffer(engine: STAEngine, spec: "dict[str, Any]"):
-    netlist = engine.netlist
-    buffer_name = spec["gate"]
-    # Capture everything the undo needs *before* removal.
-    cell = netlist.cell_of(buffer_name)
-    if not cell.is_buffer:
-        raise WhatIfError(f"{buffer_name} is not a buffer instance")
-    gate = netlist.gate(buffer_name)
-    in_net = gate.connections.get(cell.input_pins[0].name)
-    out_net = gate.connections.get(cell.output_pins[0].name)
-    moved = list(netlist.net_loads(out_net)) if out_net else []
-    location = None
-    if engine.placement is not None and engine.placement.has(buffer_name):
-        location = engine.placement.location(buffer_name)
-    change = remove_buffer(netlist, buffer_name)
-    engine.apply_change(change)
-    cell_name = cell.name
-
-    def undo(target: STAEngine) -> None:
-        inverse = insert_buffer(
-            target.netlist, in_net, cell_name, loads=moved,
-            placement=None, buffer_name=buffer_name, new_net_name=out_net,
-        )
-        if location is not None and target.placement is not None:
-            target.placement.place(buffer_name, location.x, location.y)
-        target.apply_change(inverse)
-
-    return change, undo, f"remove_buffer {buffer_name}"
 
 
 # ----------------------------------------------------------------------
@@ -511,7 +542,6 @@ def evaluate_candidate_on_engine(
 def evaluate_what_if(
     design,
     candidates: "Sequence[Any]",
-    context=None,
     *,
     engine: "STAEngine | None" = None,
 ) -> WhatIfResult:
@@ -533,7 +563,7 @@ def evaluate_what_if(
         if engine is None:
             from repro import api
 
-            engine = api.make_engine(design, context)
+            engine = api.make_engine(design)
         base = _snapshot(engine)
         by_candidate = {
             candidate: evaluate_candidate_on_engine(engine, candidate, base)

@@ -737,8 +737,7 @@ class TimingService:
             # Apply/revert on the live engine: content is restored
             # exactly, so the design key never rotates.
             partial = evaluate_what_if(
-                query.design, misses, self.context,
-                engine=self.engine(query.design),
+                query.design, misses, engine=self.engine(query.design),
             )
             baseline = (
                 partial.wns_baseline, partial.tns_baseline,

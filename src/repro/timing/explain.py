@@ -19,13 +19,12 @@ Two contracts make the output trustworthy rather than descriptive:
   ``state.arrival_late[endpoint]`` and ``required - arrival``
   bit-identical to the engine's reported slack (gated in
   ``tests/timing/test_explain.py``).
-* **Kernel independence** — arc classification is gathered from the
-  levelized layout's per-edge arrays (``data_eids`` / ``data_depths``
-  / ``data_gate_cols`` / ``clock_eids``) when the vector kernel is
-  active, and from :func:`~repro.timing.propagation.classify_edge`
-  under the scalar oracle; both describe the same topology, so an
-  explanation is identical (``==`` on the frozen records) under either
-  kernel.
+* **Kernel independence** — arcs are classified one way under both
+  kernels, from the timing graph
+  (:func:`~repro.timing.propagation.classify_edge` plus the engine's
+  GBA depths), and the arithmetic above is the one both kernels run,
+  so an explanation is identical (``==`` on the frozen records) under
+  either kernel.
 
 The per-stage pessimism model mirrors :class:`repro.pba.engine.PBAEngine`
 with its defaults (``variation="table"``, ``recalc_slew=False``): the
@@ -149,42 +148,21 @@ def _table_tag(table) -> str:
 
 def arc_classifier(engine: STAEngine) \
         -> "Callable[[Any], tuple[EdgeDomain, int, str | None]]":
-    """``edge -> (domain, gba_depth, gate)`` for the engine's kernel.
+    """``edge -> (domain, gba_depth, gate)`` from the timing graph.
 
-    Under the vector kernel the classification is gathered from the
-    levelized layout's per-edge arrays — no scalar re-classification
-    runs — while the scalar oracle classifies each edge directly.
-    Both views are built from the same topology, so they agree exactly
-    (asserted by the kernel-identity test).
+    The one classification under both kernels:
+    :func:`~repro.timing.propagation.classify_edge` plus the engine's
+    GBA depths, looked up per traced edge.
     """
-    if engine.kernel == "vector":
-        layout = engine._ensure_layout()
-        by_edge: "dict[int, tuple[EdgeDomain, int, str | None]]" = {}
-        for eid in layout.clock_eids.tolist():
-            by_edge[eid] = (EdgeDomain.CLOCK, 0, None)
-        for eid, depth, col in zip(
-            layout.data_eids.tolist(),
-            layout.data_depths.tolist(),
-            layout.data_gate_cols.tolist(),
-        ):
-            by_edge[eid] = (
-                EdgeDomain.DATA_CELL, int(depth), layout.gates[col]
-            )
-
-        def from_layout(edge):
-            return by_edge.get(edge.id, (EdgeDomain.PLAIN, 0, edge.gate))
-
-        return from_layout
-
     graph, depths = engine.graph, engine.gba_depths
 
-    def from_graph(edge):
+    def classify(edge):
         domain = classify_edge(graph, edge)
         if domain is EdgeDomain.DATA_CELL:
             return domain, depths.get(edge.gate, 1), edge.gate
         return domain, 0, edge.gate
 
-    return from_graph
+    return classify
 
 
 def _path_distance(engine: STAEngine, node_ids: "list[int]") -> float:

@@ -16,7 +16,7 @@ operations the rest of the system needs:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.aocv.depth import compute_gba_depths
 from repro.aocv.table import DeratingTable
@@ -411,7 +411,3 @@ class STAEngine:
     def base_edge_delay(self, edge_id: int) -> float:
         """Underated base delay of one edge."""
         return self.graph.edge(edge_id).delay
-
-    def with_config(self, **overrides) -> "STAConfig":
-        """A copy of the config with fields replaced (convenience)."""
-        return replace(self.config, **overrides)

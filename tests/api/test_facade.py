@@ -90,8 +90,6 @@ class TestRunContext:
         assert config.solver == "direct"
         assert config.epsilon == 0.1
         assert config.k_per_endpoint == 7
-        back = RunContext.from_config(config)
-        assert back.fit_fingerprint() == ctx.fit_fingerprint()
 
     def test_fingerprint_ignores_parallelism(self):
         a = RunContext(workers=1, backend="serial")

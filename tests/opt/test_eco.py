@@ -121,3 +121,12 @@ class TestScriptFormat:
         with pytest.raises(ParseError) as err:
             apply_eco(design.netlist, "\nsize_cell ghost INV_X2\n")
         assert err.value.line == 2
+
+    def test_unknown_cell_replay_carries_line(self):
+        design = generate_design(SMALL_SPEC)
+        gate = design.netlist.combinational_gates()[0]
+        cell = design.netlist.gate(gate).cell_name
+        with pytest.raises(ParseError) as err:
+            apply_eco(design.netlist, f"# header\nsize_cell {gate} NOPE_X9\n")
+        assert err.value.line == 2
+        assert design.netlist.gate(gate).cell_name == cell

@@ -4,8 +4,7 @@ The module's contract has three legs, each gated here:
 
 * **order transparency** — ``evaluate_what_if`` runs candidates in
   sequence on one engine and returns bit-identical frozen results to
-  each candidate scored alone on a fresh engine, under any run
-  context;
+  each candidate scored alone on a fresh engine;
 * **clean revert** — every apply/measure/revert cycle leaves the
   engine (netlist content *and* timing state) exactly where it
   started, property-tested with hypothesis-random resize edit lists
@@ -20,8 +19,8 @@ a bug and escapes.
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.context import RunContext
 from repro.designs.generator import generate_design
+from repro.errors import NetlistError, ParseError
 from repro.netlist.verilog import write_verilog
 from repro.opt.whatif import (
     WhatIfError,
@@ -113,35 +112,18 @@ class TestNormalize:
             normalize_candidate([])
 
     def test_bad_eco_line_reports_lineno(self):
-        with pytest.raises(WhatIfError, match="ECO line 2"):
+        with pytest.raises(ParseError) as err:
             parse_eco_candidate("size_cell u1 NAND2_X4\nwibble u1\n")
+        assert err.value.line == 2
 
 
 class TestParallelEquivalence:
-    @pytest.mark.parametrize("backend", ["process"])
-    def test_parallel_matches_serial(self, fresh_small_design, backend):
-        """A fan-out context changes nothing: what-if never fans out."""
-        candidates = small_candidates(fresh_small_design.netlist)
-        serial = evaluate_what_if(
-            generate_design(SMALL_SPEC), candidates,
-            RunContext(workers=1, backend="serial"),
-        )
-        parallel = evaluate_what_if(
-            generate_design(SMALL_SPEC), candidates,
-            RunContext(workers=3, backend=backend),
-        )
-        assert serial == parallel
-        assert any(c.ok for c in serial.candidates)
-
     def test_duplicates_evaluate_once_but_report_per_position(
         self, fresh_small_design
     ):
         gates = fresh_small_design.netlist.combinational_gates()
         candidate = [{"kind": "resize", "gate": gates[0], "up": True}]
-        result = evaluate_what_if(
-            fresh_small_design, [candidate, candidate],
-            RunContext(workers=1, backend="serial"),
-        )
+        result = evaluate_what_if(fresh_small_design, [candidate, candidate])
         assert len(result.candidates) == 2
         assert result.candidates[0] == result.candidates[1]
 
@@ -150,14 +132,10 @@ class TestParallelEquivalence:
         specs = evaluate_what_if(
             fresh_small_design,
             [[{"kind": "resize", "gate": gates[0], "up": True}]],
-            RunContext(workers=1, backend="serial"),
         )
         assert specs.candidates[0].ok
         text = "\n".join(specs.candidates[0].eco)
-        replay = evaluate_what_if(
-            generate_design(SMALL_SPEC), [text],
-            RunContext(workers=1, backend="serial"),
-        )
+        replay = evaluate_what_if(generate_design(SMALL_SPEC), [text])
         assert replay.candidates[0] == specs.candidates[0]
 
 
@@ -202,6 +180,40 @@ class TestFailures:
         assert len(applied) == 3
         assert applied[2] == applied[0]
 
+    @pytest.mark.parametrize("position", [0, 3], ids=["resize", "buffer"])
+    def test_mirror_error_undoes_its_own_edit(
+        self, fresh_small_design, monkeypatch, position
+    ):
+        """A ReproError from ``apply_change`` leaves nothing behind."""
+        from repro.timing.sta import STAEngine
+
+        engine = engine_for(fresh_small_design)
+        engine.update_timing()
+        base = _snapshot(engine)
+        verilog_before = write_verilog(engine.netlist)
+        placement_before = dict(engine.placement.locations)
+        candidate = normalize_candidate(
+            small_candidates(engine.netlist)[position]
+        )
+        real_apply = STAEngine.apply_change
+        faults = []
+
+        def fails_once(target, change):
+            if not faults:
+                faults.append(change.description)
+                raise NetlistError("injected mirror fault")
+            return real_apply(target, change)
+
+        monkeypatch.setattr(STAEngine, "apply_change", fails_once)
+        result = evaluate_candidate_on_engine(engine, candidate, base)
+        assert faults and not result.ok
+        assert "injected mirror fault" in result.error
+        assert write_verilog(engine.netlist) == verilog_before
+        assert engine.placement.locations == placement_before
+        assert _snapshot(engine) == base
+        # The engine stays usable: the same candidate now scores.
+        assert evaluate_candidate_on_engine(engine, candidate, base).ok
+
 
 class TestSequentialBitIdentity:
     """Each candidate == a fresh-engine apply -> full update, reverted."""
@@ -210,10 +222,7 @@ class TestSequentialBitIdentity:
         self, fresh_small_design
     ):
         candidates = small_candidates(fresh_small_design.netlist)
-        result = evaluate_what_if(
-            fresh_small_design, candidates,
-            RunContext(workers=1, backend="serial"),
-        )
+        result = evaluate_what_if(fresh_small_design, candidates)
         for candidate, scored in zip(candidates, result.candidates):
             if not scored.ok:
                 continue
@@ -319,9 +328,8 @@ def test_random_resize_lists_parallel_equals_sequential(scripts):
     """Hypothesis leg: arbitrary resize edit lists stay order-transparent.
 
     Each drawn script becomes one candidate; evaluation on one live
-    engine must equal evaluation on a fresh design under a process
-    context, and the live engine must come back to its exact baseline
-    (checked via a full update).
+    engine must equal evaluation on a fresh design, and the live engine
+    must come back to its exact baseline (checked via a full update).
     """
     design = generate_design(SMALL_SPEC)
     candidates = [
@@ -330,14 +338,8 @@ def test_random_resize_lists_parallel_equals_sequential(scripts):
     serial_engine = engine_for(design)
     serial_engine.update_timing()
     base = _snapshot(serial_engine)
-    serial = evaluate_what_if(
-        design, candidates,
-        RunContext(workers=1, backend="serial"), engine=serial_engine,
-    )
-    parallel = evaluate_what_if(
-        generate_design(SMALL_SPEC), candidates,
-        RunContext(workers=3, backend="process"),
-    )
+    serial = evaluate_what_if(design, candidates, engine=serial_engine)
+    parallel = evaluate_what_if(generate_design(SMALL_SPEC), candidates)
     assert serial == parallel
     serial_engine.update_timing()
     assert _snapshot(serial_engine) == base

@@ -74,10 +74,7 @@ class TestWhatIfVerb:
         candidates = candidates_for(service)
         from repro.opt.whatif import evaluate_what_if
 
-        direct = evaluate_what_if(
-            generate_design(SMALL_SPEC), candidates,
-            RunContext(workers=1, backend="serial"),
-        )
+        direct = evaluate_what_if(generate_design(SMALL_SPEC), candidates)
         via_service = service.what_if("dut", candidates)
         assert via_service.candidates == direct.candidates
         assert via_service.wns_baseline == direct.wns_baseline

@@ -38,10 +38,12 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "before" in out and "after" in out
 
-    def test_corners(self, capsys):
-        assert main(["corners", "D1"]) == 0
+    def test_scenarios(self, capsys):
+        assert main(["scenarios", "D1"]) == 0
         out = capsys.readouterr().out
-        assert "ss" in out and "merged setup WNS" in out
+        assert "\nss " in out and "dominant setup corner" in out
+        assert main(["scenarios", "D1", "--corners", "bogus"]) == 2
+        assert "bad corner" in capsys.readouterr().err
 
     def test_generate(self, tmp_path, capsys):
         assert main(["generate", "D1", "-o", str(tmp_path)]) == 0
@@ -192,6 +194,12 @@ class TestWhatIfCommand:
         assert payload["candidates"][0]["eco"] == [
             "insert_buffer n3 BUF_U b0 net0 G4/A L1/A"
         ]
+
+    def test_malformed_eco_file_exits_2(self, tmp_path, capsys):
+        eco = tmp_path / "bad.eco"
+        eco.write_text("insert_buffer n3 BUF_U b0 net0 G4/A L1/A\nwibble u1\n")
+        assert main(["what-if", "fig2", "--eco", str(eco)]) == 2
+        assert "<eco>:2: cannot parse 'wibble u1'" in capsys.readouterr().err
 
     def test_no_candidates_is_usage_error(self, capsys):
         assert main(["what-if", "fig2"]) == 2
