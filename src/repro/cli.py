@@ -627,6 +627,8 @@ def _cmd_scenarios(args) -> int:
 def _cmd_what_if(args) -> int:
     import json
 
+    from repro.opt.whatif import parse_eco_candidate
+
     candidates: "list" = []
     if args.candidates:
         try:
@@ -645,18 +647,23 @@ def _cmd_what_if(args) -> int:
                   file=sys.stderr)
             return 2
         candidates.extend(payload)
+    eco_texts = []
     for eco_path in args.eco or ():
         try:
-            candidates.append(Path(eco_path).read_text())
+            eco_texts.append((eco_path, Path(eco_path).read_text()))
         except OSError as exc:
             print(f"what-if: cannot read {eco_path}: {exc}",
                   file=sys.stderr)
             return 2
-    if not candidates:
+    if not candidates and not eco_texts:
         print("what-if: no candidates (give --candidates FILE "
               "and/or --eco FILE)", file=sys.stderr)
         return 2
     try:
+        # Parsed here, each ECO file names itself in a bad line's error.
+        candidates.extend(
+            parse_eco_candidate(text, path) for path, text in eco_texts
+        )
         result = api.what_if(args.design, candidates)
     except ReproError as exc:  # a malformed candidate or ECO line
         print(f"what-if: {exc}", file=sys.stderr)

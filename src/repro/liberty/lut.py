@@ -17,13 +17,23 @@ import numpy as np
 from repro.errors import LibertyError
 
 
-def _as_axis(values, name: str) -> np.ndarray:
+def _as_axis(values, name: str) -> "tuple[np.ndarray, list]":
+    """The axis as an array and as its plain-list mirror, checked.
+
+    The check runs on the list: a float compare per pair is cheaper
+    than ``np.diff`` on these tiny axes, and ``a < b`` is false for NaN
+    just as ``b - a > 0`` is.
+    """
     axis = np.asarray(values, dtype=float)
     if axis.ndim != 1 or axis.size == 0:
         raise LibertyError(f"{name} axis must be a non-empty 1-D sequence")
-    if axis.size > 1 and not np.all(np.diff(axis) > 0):
-        raise LibertyError(f"{name} axis must be strictly increasing: {axis.tolist()}")
-    return axis
+    points = axis.tolist()
+    for a, b in zip(points, points[1:]):
+        if not a < b:
+            raise LibertyError(
+                f"{name} axis must be strictly increasing: {points}"
+            )
+    return axis, points
 
 
 @dataclass(frozen=True)
@@ -51,8 +61,8 @@ class LookupTable2D:
     _values_list: list = field(init=False, repr=False)
 
     def __post_init__(self):
-        rows = _as_axis(self.rows, "row")
-        cols = _as_axis(self.cols, "column")
+        rows, rows_list = _as_axis(self.rows, "row")
+        cols, cols_list = _as_axis(self.cols, "column")
         values = np.asarray(self.values, dtype=float)
         if values.shape != (rows.size, cols.size):
             raise LibertyError(
@@ -62,8 +72,8 @@ class LookupTable2D:
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "_rows_list", rows.tolist())
-        object.__setattr__(self, "_cols_list", cols.tolist())
+        object.__setattr__(self, "_rows_list", rows_list)
+        object.__setattr__(self, "_cols_list", cols_list)
         object.__setattr__(self, "_values_list", values.tolist())
 
     @classmethod

@@ -51,20 +51,17 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.errors import ParseError
+from repro.errors import LibertyError, ParseError
 from repro.liberty.cell import ArcKind, Cell, Pin, PinDirection, TimingArc
 from repro.liberty.library import Library
 from repro.liberty.lut import LookupTable2D
 
+# One alternation, scanned by one ``findall``: a comment, a quoted
+# string (kept with its quotes), a punctuation mark or a newline, a
+# bare word, and last any other character -- which can only be a lone
+# ``"`` that opens no string.
 _TOKEN_RE = re.compile(
-    r"""
-    (?P<comment>/\*.*?\*/)
-  | (?P<string>"[^"]*")
-  | (?P<punct>[(){};:,])
-  | (?P<word>[^\s(){};:,"]+)
-  | (?P<space>\s+)
-    """,
-    re.VERBOSE | re.DOTALL,
+    r'/\*.*?\*/|"[^"]*"|[(){};:,\n]|[^\s(){};:,"]+|\S', re.DOTALL
 )
 
 _TIMING_TYPE_TO_KIND = {
@@ -75,16 +72,6 @@ _TIMING_TYPE_TO_KIND = {
 }
 
 _KIND_TO_TIMING_TYPE = {v: k for k, v in _TIMING_TYPE_TO_KIND.items()}
-
-
-@dataclass
-class _Token:
-    text: str
-    line: int
-    is_string: bool = False
-
-    def is_punct(self, char: str) -> bool:
-        return not self.is_string and self.text == char
 
 
 @dataclass
@@ -110,149 +97,122 @@ class Group:
         return [g for g in self.subgroups if g.kind == kind]
 
 
-def _tokenize(text: str, filename: str) -> list[_Token]:
-    tokens: list[_Token] = []
+def _tokenize(text: str, filename: str) -> "tuple[list[str], list[int]]":
+    """Token texts and their 1-based lines.
+
+    Newlines only advance the line counter and comments are dropped.
+    Quoted strings keep their quotes, so a punctuation test is a plain
+    ``==``: the string ``"}"`` never equals the brace ``}``.  Only a
+    quoted string contains ``"``, and only at its two ends, so
+    ``token.strip('"')`` is any token's text.
+    """
+    texts: list[str] = []
+    lines: list[int] = []
     line = 1
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN_RE.match(text, pos)
-        if match is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", filename, line)
-        kind = match.lastgroup
-        value = match.group()
-        if kind == "string":
-            tokens.append(_Token(value[1:-1], line, is_string=True))
-        elif kind in ("punct", "word"):
-            tokens.append(_Token(value, line))
-        line += value.count("\n")
-        pos = match.end()
-    return tokens
-
-
-class _GroupParser:
-    """Recursive-descent parser over the token stream."""
-
-    def __init__(self, tokens: list[_Token], filename: str):
-        self._tokens = tokens
-        self._pos = 0
-        self._filename = filename
-
-    def _peek(self, offset: int = 0) -> _Token | None:
-        idx = self._pos + offset
-        return self._tokens[idx] if idx < len(self._tokens) else None
-
-    def _next(self, expected: str | None = None) -> _Token:
-        token = self._peek()
-        if token is None:
-            raise ParseError(
-                f"unexpected end of input (expected {expected or 'more input'})",
-                self._filename,
-                self._tokens[-1].line if self._tokens else 0,
-            )
-        if expected is not None and not token.is_punct(expected):
-            raise ParseError(
-                f"expected {expected!r}, got {token.text!r}",
-                self._filename, token.line,
-            )
-        self._pos += 1
-        return token
-
-    def _parse_args(self) -> list[str]:
-        """Consume ``( a, b, ... )`` and return the argument texts."""
-        self._next("(")
-        args: list[str] = []
-        while True:
-            token = self._next()
-            if token.is_punct(")"):
-                break
-            if token.is_punct(","):
-                continue
-            args.append(token.text)
-        return args
-
-    def parse_group(self) -> Group:
-        name = self._next()
-        args = self._parse_args()
-        self._next("{")
-        group = Group(kind=name.text, args=args, line=name.line)
-        while True:
-            token = self._peek()
-            if token is None:
+    for token in _TOKEN_RE.findall(text):
+        first = token[0]
+        if first == "\n":
+            line += 1
+        elif first == '"':
+            if len(token) == 1:
                 raise ParseError(
-                    f"unterminated group {name.text!r}",
-                    self._filename, name.line,
+                    f"unexpected character {token!r}", filename, line
                 )
-            if token.is_punct("}"):
-                self._next()
-                break
-            self._parse_member(group)
-        return group
-
-    def _parse_member(self, group: Group) -> None:
-        name = self._peek()
-        assert name is not None
-        after = self._peek(1)
-        if after is not None and after.is_punct(":"):
-            self._next()          # name
-            self._next(":")
-            value_parts: list[str] = []
-            while True:
-                token = self._next()
-                if token.is_punct(";"):
-                    break
-                value_parts.append(token.text)
-            group.attributes[name.text] = " ".join(value_parts)
-            return
-        if after is not None and after.is_punct("("):
-            self._next()          # name
-            args = self._parse_args()
-            follow = self._peek()
-            if follow is not None and follow.is_punct(";"):
-                self._next(";")
-                group.complex_attributes[name.text] = args
-                return
-            self._next("{")
-            subgroup = Group(kind=name.text, args=args, line=name.line)
-            while True:
-                token = self._peek()
-                if token is None:
-                    raise ParseError(
-                        f"unterminated group {name.text!r}",
-                        self._filename, name.line,
-                    )
-                if token.is_punct("}"):
-                    self._next()
-                    break
-                self._parse_member(subgroup)
-            group.subgroups.append(subgroup)
-            return
-        raise ParseError(
-            f"expected attribute or group after {name.text!r}",
-            self._filename, name.line,
-        )
-
-    def expect_end(self) -> None:
-        token = self._peek()
-        if token is not None:
-            raise ParseError(
-                f"trailing input {token.text!r}", self._filename, token.line
-            )
+            texts.append(token)
+            lines.append(line)
+            line += token.count("\n")
+        elif (first == "/" and len(token) > 3 and token[1] == "*"
+              and token.endswith("*/")):
+            line += token.count("\n")
+        else:
+            texts.append(token)
+            lines.append(line)
+    return texts, lines
 
 
 def parse_group_tree(text: str, filename: str = "<string>") -> Group:
     """Parse Liberty-lite text into the generic :class:`Group` tree."""
-    tokens = _tokenize(text, filename)
-    if not tokens:
+    texts, lines = _tokenize(text, filename)
+    if not texts:
         raise ParseError("empty input", filename, 1)
-    parser = _GroupParser(tokens, filename)
-    group = parser.parse_group()
-    parser.expect_end()
-    return group
+    end = len(texts)
+    texts.append("")  # end sentinel: equal to no punctuation mark
+
+    def expected(char: str, at: int) -> ParseError:
+        if at == end:
+            return ParseError(
+                f"unexpected end of input (expected {char})",
+                filename, lines[-1],
+            )
+        got = texts[at].strip('"')
+        return ParseError(f"expected {char!r}, got {got!r}", filename, lines[at])
+
+    def parse_args(at: int) -> "tuple[list[str], int]":
+        # ``( a, b, ... )`` at ``at``: the argument texts and the index
+        # after the ``)``.
+        if texts[at] != "(":
+            raise expected("(", at)
+        try:
+            close = texts.index(")", at + 1)
+        except ValueError:
+            raise expected("more input", end) from None
+        args = [t.strip('"') for t in texts[at + 1:close] if t != ","]
+        return args, close + 1
+
+    # Any token may name the top group; its header is ``name (args) {``.
+    args, i = parse_args(1)
+    if texts[i] != "{":
+        raise expected("{", i)
+    root = group = Group(texts[0].strip('"'), args, lines[0])
+    enclosing: list[Group] = []
+    i += 1
+    while True:
+        name = texts[i]
+        if name == "}":
+            i += 1
+            if not enclosing:
+                break
+            group = enclosing.pop()
+            continue
+        if i == end:
+            raise ParseError(
+                f"unterminated group {group.kind!r}", filename, group.line
+            )
+        after = texts[i + 1]
+        if after == ":":  # name : value ... ;
+            try:
+                j = texts.index(";", i + 2)
+            except ValueError:
+                raise expected("more input", end) from None
+            group.attributes[name.strip('"')] = " ".join(
+                [t.strip('"') for t in texts[i + 2:j]]
+            )
+        elif after == "(":  # name (args) ;  or  name (args) { members }
+            args, j = parse_args(i + 1)
+            if texts[j] == ";":
+                group.complex_attributes[name.strip('"')] = args
+            elif texts[j] == "{":
+                subgroup = Group(name.strip('"'), args, lines[i])
+                group.subgroups.append(subgroup)
+                enclosing.append(group)
+                group = subgroup
+            else:
+                raise expected("{", j)
+        else:
+            name = name.strip('"')
+            raise ParseError(
+                f"expected attribute or group after {name!r}",
+                filename, lines[i],
+            )
+        i = j + 1
+    if i != end:
+        trailing = texts[i].strip('"')
+        raise ParseError(f"trailing input {trailing!r}", filename, lines[i])
+    return root
 
 
-def _parse_number_list(text: str) -> np.ndarray:
-    values = [v for v in text.replace(",", " ").split() if v]
-    return np.array([float(v) for v in values])
+def _parse_number_list(text: str) -> list[float]:
+    return [float(v) for v in text.replace(",", " ").split()]
 
 
 def _read_table(group: Group, filename: str) -> LookupTable2D:
@@ -260,18 +220,25 @@ def _read_table(group: Group, filename: str) -> LookupTable2D:
     value_rows = complex_attrs.get("values")
     if not value_rows:
         raise ParseError("table group lacks values()", filename, group.line)
-    grid = np.vstack([_parse_number_list(row) for row in value_rows])
     index_1 = complex_attrs.get("index_1")
     index_2 = complex_attrs.get("index_2")
-    row_axis = (
-        _parse_number_list(index_1[0])
-        if index_1 else np.arange(grid.shape[0], dtype=float)
-    )
-    col_axis = (
-        _parse_number_list(index_2[0])
-        if index_2 else np.arange(grid.shape[1], dtype=float)
-    )
-    return LookupTable2D(row_axis, col_axis, grid)
+    try:
+        grid = [_parse_number_list(row) for row in value_rows]
+        if len({len(row) for row in grid}) > 1:
+            raise ParseError(
+                "values() rows differ in length", filename, group.line
+            )
+        row_axis = (
+            _parse_number_list(index_1[0])
+            if index_1 else np.arange(len(grid), dtype=float)
+        )
+        col_axis = (
+            _parse_number_list(index_2[0])
+            if index_2 else np.arange(len(grid[0]), dtype=float)
+        )
+        return LookupTable2D(row_axis, col_axis, np.array(grid))
+    except (ValueError, LibertyError) as exc:
+        raise ParseError(str(exc), filename, group.line) from exc
 
 
 def _read_bool(value: str) -> bool:
@@ -324,38 +291,47 @@ def _read_pin(pin_group: Group, cell: Cell, filename: str) -> None:
             f"pin {pin_group.args[0]}: bad direction {direction_text!r}",
             filename, pin_group.line,
         ) from None
-    cell.add_pin(Pin(
-        name=pin_group.args[0],
-        direction=direction,
-        capacitance=float(attrs.get("capacitance", 0.0)),
-        max_capacitance=float(attrs.get("max_capacitance", "inf")),
-        max_transition=float(attrs.get("max_transition", "inf")),
-        is_clock=_read_bool(attrs.get("clock", "false")),
-    ))
+    try:
+        cell.add_pin(Pin(
+            name=pin_group.args[0],
+            direction=direction,
+            capacitance=float(attrs.get("capacitance", 0.0)),
+            max_capacitance=float(attrs.get("max_capacitance", "inf")),
+            max_transition=float(attrs.get("max_transition", "inf")),
+            is_clock=_read_bool(attrs.get("clock", "false")),
+        ))
+    except (ValueError, LibertyError) as exc:
+        raise ParseError(str(exc), filename, pin_group.line) from exc
 
 
 def _read_cell(cell_group: Group, filename: str) -> Cell:
     if not cell_group.args:
         raise ParseError("cell group lacks a name", filename, cell_group.line)
     attrs = cell_group.attributes
-    cell = Cell(
-        name=cell_group.args[0],
-        area=float(attrs.get("area", 0.0)),
-        leakage=float(attrs.get("cell_leakage_power", 0.0)),
-        drive_strength=float(attrs.get("drive_strength", 1.0)),
-        footprint=attrs.get("cell_footprint", "").strip('"'),
-        function=attrs.get("function_class", "").strip('"'),
-        vt=attrs.get("threshold_voltage_group", "svt"),
-        is_sequential=cell_group.first("ff") is not None,
-        is_buffer=_read_bool(attrs.get("is_buffer", "false")),
-    )
+    try:
+        cell = Cell(
+            name=cell_group.args[0],
+            area=float(attrs.get("area", 0.0)),
+            leakage=float(attrs.get("cell_leakage_power", 0.0)),
+            drive_strength=float(attrs.get("drive_strength", 1.0)),
+            footprint=attrs.get("cell_footprint", "").strip('"'),
+            function=attrs.get("function_class", "").strip('"'),
+            vt=attrs.get("threshold_voltage_group", "svt"),
+            is_sequential=cell_group.first("ff") is not None,
+            is_buffer=_read_bool(attrs.get("is_buffer", "false")),
+        )
+    except ValueError as exc:
+        raise ParseError(str(exc), filename, cell_group.line) from exc
     # Two passes: pins first so arcs can validate their endpoints.
     for pin_group in cell_group.all("pin"):
         _read_pin(pin_group, cell, filename)
     for pin_group in cell_group.all("pin"):
         pin_name = pin_group.args[0]
         for timing in pin_group.all("timing"):
-            cell.add_arc(_read_arc(timing, pin_name, filename))
+            try:
+                cell.add_arc(_read_arc(timing, pin_name, filename))
+            except LibertyError as exc:
+                raise ParseError(str(exc), filename, timing.line) from exc
     return cell
 
 
@@ -369,7 +345,10 @@ def parse_liberty(text: str, filename: str = "<string>") -> Library:
         )
     library = Library(root.args[0] if root.args else "unnamed")
     for cell_group in root.all("cell"):
-        library.add_cell(_read_cell(cell_group, filename))
+        try:
+            library.add_cell(_read_cell(cell_group, filename))
+        except LibertyError as exc:
+            raise ParseError(str(exc), filename, cell_group.line) from exc
     return library
 
 

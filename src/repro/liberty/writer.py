@@ -32,10 +32,12 @@ def _axis_text(values) -> str:
 
 
 def _emit_table(name: str, table: LookupTable2D, indent: str, out: list[str]) -> None:
+    # The table's plain-list mirrors format as the same text as its
+    # arrays, without a numpy scalar per value.
     out.append(f"{indent}{name} (tmpl) {{")
-    out.append(f'{indent}  index_1 ("{_axis_text(table.rows)}");')
-    out.append(f'{indent}  index_2 ("{_axis_text(table.cols)}");')
-    rows = ", ".join(f'"{_axis_text(row)}"' for row in table.values)
+    out.append(f'{indent}  index_1 ("{_axis_text(table._rows_list)}");')
+    out.append(f'{indent}  index_2 ("{_axis_text(table._cols_list)}");')
+    rows = ", ".join(f'"{_axis_text(row)}"' for row in table._values_list)
     out.append(f"{indent}  values ({rows});")
     out.append(f"{indent}}}")
 

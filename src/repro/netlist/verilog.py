@@ -21,67 +21,73 @@ from __future__ import annotations
 import re
 from pathlib import Path
 
-from repro.errors import ParseError
+from repro.errors import ParseError, ReproError
 from repro.liberty.library import Library
 from repro.netlist.core import Netlist, PortDirection
 
+# One alternation, scanned by one ``findall``: a comment, a punctuation
+# mark or a newline, an identifier, and last any other character, which
+# is an error.
 _TOKEN_RE = re.compile(
-    r"""
-    (?P<comment>//[^\n]*|/\*.*?\*/)
-  | (?P<punct>[();,.])
-  | (?P<ident>[A-Za-z_\\][A-Za-z0-9_$\[\]\\]*)
-  | (?P<space>\s+)
-    """,
-    re.VERBOSE | re.DOTALL,
+    r"//[^\n]*|/\*.*?\*/|[();,.\n]|[A-Za-z_\\][A-Za-z0-9_$\[\]\\]*|\S",
+    re.DOTALL,
 )
 
-_KEYWORDS = {"module", "endmodule", "input", "output", "wire"}
+_PUNCT = frozenset("();,.")
+_IDENT_START = frozenset(
+    "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_\\"
+)
 
 
 class _Tokens:
     def __init__(self, text: str, filename: str):
         self.filename = filename
-        self._items: list[tuple[str, int]] = []
+        texts: list[str] = []
+        lines: list[int] = []
         line = 1
-        pos = 0
-        while pos < len(text):
-            match = _TOKEN_RE.match(text, pos)
-            if match is None:
+        for token in _TOKEN_RE.findall(text):
+            if token in _PUNCT or token[0] in _IDENT_START:
+                texts.append(token)
+                lines.append(line)
+            elif token == "\n":
+                line += 1
+            elif len(token) > 1:  # a comment: the rest are one character
+                line += token.count("\n")
+            else:
                 raise ParseError(
-                    f"unexpected character {text[pos]!r}", filename, line
+                    f"unexpected character {token!r}", filename, line
                 )
-            if match.lastgroup in ("punct", "ident"):
-                self._items.append((match.group(), line))
-            line += match.group().count("\n")
-            pos = match.end()
+        self._texts = texts
+        self._lines = lines
         self._pos = 0
 
     def peek(self) -> str | None:
-        if self._pos < len(self._items):
-            return self._items[self._pos][0]
+        if self._pos < len(self._texts):
+            return self._texts[self._pos]
         return None
 
     def line(self) -> int:
-        if self._pos < len(self._items):
-            return self._items[self._pos][1]
-        return self._items[-1][1] if self._items else 0
+        if self._pos < len(self._lines):
+            return self._lines[self._pos]
+        return self._lines[-1] if self._lines else 0
 
     def next(self, expected: str | None = None) -> str:
-        if self._pos >= len(self._items):
+        if self._pos >= len(self._texts):
             raise ParseError(
                 f"unexpected end of input (expected {expected or 'token'})",
                 self.filename, self.line(),
             )
-        token, line = self._items[self._pos]
+        token = self._texts[self._pos]
         if expected is not None and token != expected:
             raise ParseError(
-                f"expected {expected!r}, got {token!r}", self.filename, line
+                f"expected {expected!r}, got {token!r}",
+                self.filename, self._lines[self._pos],
             )
         self._pos += 1
         return token
 
     def at_end(self) -> bool:
-        return self._pos >= len(self._items)
+        return self._pos >= len(self._texts)
 
 
 def _parse_name_list(tokens: _Tokens, terminator: str) -> list[str]:
@@ -121,12 +127,16 @@ def parse_verilog(text: str, library: Library,
             tokens.next()
             break
         if token in ("input", "output"):
+            line = tokens.line()
             tokens.next()
             direction = (
                 PortDirection.INPUT if token == "input" else PortDirection.OUTPUT
             )
             for name in _parse_name_list(tokens, ";"):
-                netlist.add_port(name, direction)
+                try:
+                    netlist.add_port(name, direction)
+                except ReproError as exc:
+                    raise ParseError(str(exc), filename, line) from exc
                 declared.add(name)
         elif token == "wire":
             tokens.next()
@@ -173,7 +183,7 @@ def _parse_instance(tokens: _Tokens, netlist: Netlist) -> None:
     tokens.next(";")
     try:
         netlist.add_gate(instance_name, cell_name, connections)
-    except Exception as exc:
+    except ReproError as exc:
         raise ParseError(str(exc), tokens.filename, line) from exc
 
 

@@ -272,6 +272,8 @@ def edit_netlist(netlist: Netlist, placement: "Placement | None",
         if placement is not None and placement.has(buffer_name):
             location = placement.location(buffer_name)
         change = remove_buffer(netlist, buffer_name)
+        if placement is not None:
+            placement.locations.pop(buffer_name, None)
 
         def rebuffer() -> ChangeRecord:
             inverse = insert_buffer(

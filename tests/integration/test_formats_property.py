@@ -4,7 +4,10 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.aocv.table import DeratingTable, parse_aocv, write_aocv
+from repro.errors import ParseError
 from repro.liberty.builder import make_default_library
+from repro.liberty.parser import parse_liberty
+from repro.liberty.writer import write_liberty
 from repro.netlist.core import Netlist, PortDirection
 from repro.netlist.parasitics import Parasitics, parse_spef, write_spef
 from repro.netlist.placement import Placement
@@ -138,3 +141,58 @@ def test_verilog_round_trip_random_chains(chain):
     assert write_verilog(parsed) == text
     for name, gate in netlist.gates.items():
         assert parsed.gate(name).cell_name == gate.cell_name
+
+
+def _small_netlist() -> Netlist:
+    netlist = Netlist("fuzz", LIB)
+    netlist.add_port("clk", PortDirection.INPUT)
+    netlist.add_port("a", PortDirection.INPUT)
+    netlist.add_port("y", PortDirection.OUTPUT)
+    netlist.add_gate("ff", "DFF_X2", {"D": "a", "CK": "clk", "Q": "q"})
+    netlist.add_gate("u1", "AOI21_X1", {"A": "q", "B": "a", "C": "q", "Z": "w"})
+    netlist.add_gate("u2", "INV_X1", {"A": "w", "Z": "y"})
+    return netlist
+
+
+LIB_TEXT = write_liberty(LIB)
+VERILOG_TEXT = write_verilog(_small_netlist())
+
+#: Characters a one-character mutation writes: both grammars'
+#: punctuation, comment and quote marks, and name and number text.
+_MUTATION_CHARS = st.sampled_from(list('(){};:,."/*#\n \tAZaz_09.-e'))
+
+
+def _mutants(text: str):
+    """Truncations and one-character replacements, insertions and
+    deletions of ``text``."""
+    position = st.integers(0, len(text) - 1)
+    return st.one_of(
+        st.integers(0, len(text)).map(lambda n: text[:n]),
+        st.tuples(position, _MUTATION_CHARS).map(
+            lambda pc: text[:pc[0]] + pc[1] + text[pc[0] + 1:]
+        ),
+        st.tuples(position, _MUTATION_CHARS).map(
+            lambda pc: text[:pc[0]] + pc[1] + text[pc[0]:]
+        ),
+        position.map(lambda i: text[:i] + text[i + 1:]),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(text=_mutants(LIB_TEXT))
+def test_mutated_liberty_parses_or_raises_parse_error(text):
+    """No ValueError, IndexError, KeyError or LibertyError escapes."""
+    try:
+        parse_liberty(text)
+    except ParseError:
+        pass
+
+
+@settings(max_examples=150, deadline=None)
+@given(text=_mutants(VERILOG_TEXT))
+def test_mutated_verilog_parses_or_raises_parse_error(text):
+    """No ValueError, IndexError, KeyError or NetlistError escapes."""
+    try:
+        parse_verilog(text, LIB)
+    except ParseError:
+        pass

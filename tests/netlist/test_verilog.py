@@ -60,6 +60,26 @@ class TestParse:
         n = parse_verilog("module m ();\nendmodule", LIB)
         assert n.ports == {}
 
+    def test_duplicate_port_is_located_error(self):
+        text = "module m (a);\n input a;\n /* x\n */ input a;\nendmodule"
+        with pytest.raises(ParseError) as err:
+            parse_verilog(text, LIB, filename="m.v")
+        assert str(err.value) == "m.v:4: duplicate port a"
+
+    def test_unexpected_character_is_located(self):
+        with pytest.raises(ParseError) as err:
+            parse_verilog("module m (a);\n // c\n input a#;", LIB)
+        assert str(err.value) == "<string>:3: unexpected character '#'"
+
+    def test_netlist_bug_is_not_a_syntax_error(self, monkeypatch):
+        """Only the netlist model's typed errors become ParseErrors."""
+        def broken(*_args, **_kwargs):
+            raise KeyError("bug")
+
+        monkeypatch.setattr(Netlist, "add_gate", broken)
+        with pytest.raises(KeyError):
+            parse_verilog(SAMPLE, LIB)
+
 
 class TestRoundTrip:
     def _build(self):

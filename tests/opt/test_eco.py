@@ -76,6 +76,26 @@ class TestRoundTrip:
         assert [(s.name, s.slack) for s in got.hold_slacks()] == \
             [(s.name, s.slack) for s in want.hold_slacks()]
 
+    def test_removed_buffer_leaves_the_placement(self):
+        """Replaying insert then remove leaves no row for the buffer."""
+        from repro.netlist.plfile import write_placement
+
+        design = generate_design(SMALL_SPEC)
+        load = next(
+            r for r in design.netlist.net_loads("in0") if not r.is_port
+        )
+        text = (
+            f"insert_buffer in0 BUF_X1 b0 n0 {load}\n"
+            "remove_buffer b0\n"
+        )
+        assert apply_eco(
+            design.netlist, text, placement=design.placement
+        ) == 2
+        assert "b0" not in design.netlist.gates
+        assert not design.placement.has("b0")
+        rows = write_placement(design.placement).splitlines()
+        assert not any(row.split()[:1] == ["b0"] for row in rows)
+
     def test_eco_counts_match_accepted_moves(self):
         _, report = _run_closure()
         assert len(report.eco_commands) == report.transforms_applied

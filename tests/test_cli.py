@@ -199,7 +199,7 @@ class TestWhatIfCommand:
         eco = tmp_path / "bad.eco"
         eco.write_text("insert_buffer n3 BUF_U b0 net0 G4/A L1/A\nwibble u1\n")
         assert main(["what-if", "fig2", "--eco", str(eco)]) == 2
-        assert "<eco>:2: cannot parse 'wibble u1'" in capsys.readouterr().err
+        assert f"{eco}:2: cannot parse 'wibble u1'" in capsys.readouterr().err
 
     def test_no_candidates_is_usage_error(self, capsys):
         assert main(["what-if", "fig2"]) == 2
