@@ -30,7 +30,7 @@ renames require a deprecation shim for one release (see
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import Any
 
 from repro.context import RunContext
@@ -262,6 +262,26 @@ def make_engine(design: "Design | str",
     return engine
 
 
+def corner_engine(bundle: Design, corner: "tuple[str, float]",
+                  context: "RunContext | None" = None) -> STAEngine:
+    """A timing-updated engine over ``bundle`` with delays scaled by
+    ``corner``'s (name, delay scale) factor.
+
+    The engine shares the bundle's netlist and constraints, so it
+    serves read-only searches (``min_period``), never edits.
+    """
+    config = replace(
+        bundle.sta_config,
+        delay_scale=bundle.sta_config.delay_scale * float(corner[1]),
+    )
+    return make_engine(replace(bundle, sta_config=config), context)
+
+
+def corner_label(corner: "tuple[str, float] | None") -> str:
+    """The ``name:scale`` label a min-period search carries ("" = nominal)."""
+    return "" if corner is None else f"{corner[0]}:{float(corner[1])!r}"
+
+
 def _as_engine(design: "Design | STAEngine | str",
                context: "RunContext | None") -> "tuple[STAEngine, str]":
     if isinstance(design, STAEngine):
@@ -474,7 +494,7 @@ def evaluate(names: "list[str] | None" = None, *,
 
     Returns a list of frozen
     :class:`~repro.service.suite.DesignReport` records in input order;
-    see :func:`repro.service.suite.evaluate_suite` for the sharding
+    see :func:`repro.service.suite.evaluate_suite` for the fan-out
     contract.
     """
     from repro.service.suite import evaluate_suite
@@ -564,13 +584,8 @@ def min_period(design: "Design | STAEngine | str",
     function of (content, clock, tolerance, max_iter), so the result
     is deterministic at any worker count.
     """
-    from dataclasses import replace as dc_replace
-
     from repro.opt.whatif import min_period_on_engine
 
-    corner_label = ""
-    if corner is not None:
-        corner_label = f"{corner[0]}:{float(corner[1])!r}"
     if isinstance(design, STAEngine):
         if corner is not None:
             raise ValueError(
@@ -579,20 +594,13 @@ def min_period(design: "Design | STAEngine | str",
         engine = design
     else:
         bundle = load_design(design) if isinstance(design, str) else design
-        if corner is not None:
-            bundle = dc_replace(
-                bundle,
-                sta_config=dc_replace(
-                    bundle.sta_config,
-                    delay_scale=(
-                        bundle.sta_config.delay_scale * float(corner[1])
-                    ),
-                ),
-            )
-        engine = make_engine(bundle, context)
+        engine = (
+            make_engine(bundle, context) if corner is None
+            else corner_engine(bundle, corner, context)
+        )
     return min_period_on_engine(
         engine, clock=clock, tolerance=tolerance, max_iter=max_iter,
-        corner=corner_label,
+        corner=corner_label(corner),
     )
 
 

@@ -54,9 +54,9 @@ Global observability flags (before the subcommand):
 Global parallelism flag (before the subcommand):
 
 * ``--workers N`` — run design-suite evaluation (``designs
-  --detail``) and multi-design service batches (``batch``) one design
-  per worker over N workers; overrides ``REPRO_WORKERS``.  Work inside
-  one design always runs serially.  Backend via
+  --detail``, the ``evaluate`` verb) one design per worker over N
+  workers; overrides ``REPRO_WORKERS``.  Work inside one design and
+  every other service query run in process.  Backend via
   ``REPRO_PARALLEL_BACKEND`` (``process`` default, or ``serial``).
   See ``docs/parallelism.md``.
 """
@@ -809,8 +809,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("-v", "--verbose", action="store_true")
     parser.add_argument(
         "--workers", type=int, metavar="N", default=None,
-        help="workers for suite evaluation and service batches, one "
-             "design each (overrides REPRO_WORKERS; backend via "
+        help="workers for suite evaluation, one design each "
+             "(overrides REPRO_WORKERS; backend via "
              "REPRO_PARALLEL_BACKEND, default process)",
     )
     parser.add_argument(

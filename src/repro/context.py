@@ -5,7 +5,8 @@ the fit and PBA knobs, and the cache settings into one frozen object
 that is threaded through :class:`~repro.mgba.flow.MGBAFlow`,
 :func:`~repro.service.suite.evaluate_suite`, the
 :class:`~repro.service.engine.TimingService`, and every ``repro.api``
-facade call.
+facade call.  The worker count and backend drive one fan-out, suite
+evaluation; the service answers its other verbs in process.
 
 Environment variables are resolved in exactly one place —
 :meth:`RunContext.from_env` — into concrete values; everything
@@ -44,9 +45,9 @@ class RunContext:
     Attributes
     ----------
     workers / backend:
-        Fan-out configuration for the two one-design-per-worker
-        fan-outs, suite evaluation and service batch sharding (see
-        ``docs/parallelism.md``).  ``None`` defers to the process-wide
+        Fan-out configuration for suite evaluation, one design per
+        worker (see ``docs/parallelism.md``); every other verb runs in
+        process whatever they say.  ``None`` defers to the process-wide
         default and environment at :meth:`executor` time;
         :meth:`from_env` snapshots them into concrete values instead.
     solver / seed / epsilon / penalty:
@@ -112,7 +113,7 @@ class RunContext:
     # Derived objects
     # ------------------------------------------------------------------
     def executor(self) -> Executor:
-        """The executor of the suite and service-batch fan-outs."""
+        """The executor of the suite-evaluation fan-out."""
         return get_executor(self.workers, self.backend)
 
     def mgba_config(self) -> "MGBAConfig":

@@ -39,7 +39,7 @@ class SolverError(ReproError):
 class ParallelError(ReproError):
     """A parallel worker failed, or the executor is misconfigured.
 
-    When a chunk of work raises inside a worker (in-process for the
+    When an item of work raises inside a worker (in-process for the
     serial backend, a child process for the process backend), the
     executor re-raises a :class:`ParallelError` in the
     caller carrying enough context to debug it without re-running
@@ -48,8 +48,9 @@ class ParallelError(ReproError):
     Attributes
     ----------
     chunk:
-        Index of the failing chunk (0-based), or -1 for configuration
-        errors raised before any work was distributed.
+        Index of the failing item (0-based; each item is one task), or
+        -1 for configuration errors raised before any work was
+        distributed.
     backend:
         Executor backend name (``"serial"`` / ``"process"``), or ``""``
         for configuration errors.

@@ -1,7 +1,12 @@
 """Liberty-lite writer: the inverse of :mod:`repro.liberty.parser`.
 
-``parse_liberty(write_liberty(lib))`` round-trips every field the data
-model carries (verified by property tests).
+``parse_liberty(write_liberty(lib))`` reads back every field the data
+model carries, with each number rounded to the 12 significant digits
+:func:`_fmt` prints.  A parsed table value equals its written text bit
+for bit but can differ from the original in its last bits (513 of the
+default library's 694 tables do); writing the parsed library again
+reproduces the text exactly.  Both are tested in
+``tests/liberty/test_parser_writer.py``.
 """
 
 from __future__ import annotations
@@ -22,8 +27,9 @@ _KIND_TO_TIMING_TYPE = {
 
 
 def _fmt(value: float) -> str:
-    # 12 significant digits: enough for exact round-trips of every value
-    # the builder produces, short enough to stay readable.
+    # 12 significant digits: short enough to stay readable, not enough
+    # for an exact round trip — a value reads back as the double
+    # nearest its 12-digit text, which can differ in the last bits.
     return f"{value:.12g}"
 
 

@@ -120,16 +120,25 @@ class Netlist:
 
         ``connections`` maps pin names to net names; nets are created on
         demand.  Unconnected pins may be wired later with
-        :meth:`connect`.
+        :meth:`connect`.  A connection that fails removes the gate and
+        every net this call created before the error propagates.
         """
         if name in self.gates:
             raise NetlistError(f"duplicate gate {name}")
-        cell = self.library.cell(cell_name)  # validates the cell exists
+        self.library.cell(cell_name)  # validates the cell exists
         gate = Gate(name, cell_name)
         self.gates[name] = gate
-        for pin_name, net_name in (connections or {}).items():
-            self.connect(name, pin_name, net_name)
-        del cell
+        # Nets only ever append to the insertion-ordered dict here, so
+        # the ones this call created are those past its old length.
+        known = len(self.nets)
+        try:
+            for pin_name, net_name in (connections or {}).items():
+                self.connect(name, pin_name, net_name)
+        except BaseException:
+            self.remove_gate(name)
+            for net_name in list(self.nets)[known:]:
+                self.remove_net(net_name)
+            raise
         return gate
 
     # ------------------------------------------------------------------

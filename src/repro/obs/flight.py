@@ -34,6 +34,8 @@ from collections import deque
 from dataclasses import asdict, dataclass
 from typing import Any
 
+from repro.obs.report import load_json_object
+
 #: Bump on any backward-incompatible change to the dump document.
 FLIGHT_SCHEMA_VERSION = 1
 
@@ -226,25 +228,8 @@ def default_flight_recorder() -> FlightRecorder:
 
 
 def load_flight(path: Any) -> "dict[str, Any] | None":
-    """Load a flight dump, tolerantly.
-
-    Returns ``None`` when the file is missing, empty, or not a JSON
-    object — ``obs-report --flight`` degrades to a note, matching
-    :func:`repro.obs.report.load_metrics`.
-    """
-    try:
-        with open(path) as fh:
-            text = fh.read()
-    except OSError:
-        return None
-    text = text.strip()
-    if not text:
-        return None
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError:
-        return None
-    return data if isinstance(data, dict) else None
+    """Load a flight dump (see :func:`repro.obs.report.load_json_object`)."""
+    return load_json_object(path)
 
 
 def format_flight(dump: "dict[str, Any]", top: "int | None" = None) -> str:

@@ -29,6 +29,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Any, Iterator
 
+from repro.obs.report import load_json_object
 from repro.obs.trace import set_span_profiler
 
 #: The flow's coarse stages — where a profile answers "what dominates
@@ -177,15 +178,12 @@ def profiling(names: "set[str] | frozenset[str] | None" = None) \
 
 
 def load_profile(path: Any) -> "dict[str, Any] | None":
-    """Load a saved profile, tolerantly (None when missing/garbled)."""
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except (OSError, ValueError):
-        return None
-    if not isinstance(data, dict) or "rows" not in data:
-        return None
-    return data
+    """Load a saved profile, tolerantly (None when missing/garbled).
+
+    A JSON object without ``rows`` is not a profile and reads as None.
+    """
+    data = load_json_object(path)
+    return data if data is not None and "rows" in data else None
 
 
 def format_profile(data: "dict[str, Any]", top: int = 20) -> str:

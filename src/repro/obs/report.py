@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from typing import Any
 
 from repro.obs.trace import Span, Tracer
 
@@ -185,27 +186,25 @@ def format_tracer(tracer: Tracer) -> str:
     return format_breakdown(tracer.roots)
 
 
-def load_metrics(path) -> "dict | None":
-    """Load a ``--metrics`` JSON snapshot, tolerantly.
+def load_json_object(path: Any) -> "dict[str, Any] | None":
+    """A file's JSON object, or ``None`` when there is none to read.
 
-    Returns the snapshot dict, or ``None`` when the file is missing,
-    empty, or not a JSON object — a run that crashed before writing
-    metrics should degrade an ``obs-report`` invocation to a note, not
-    a traceback.
+    ``None`` covers a missing, unreadable, empty, garbled, or
+    non-object file — a run that crashed before writing its metrics,
+    flight dump, or profile degrades an ``obs-report`` invocation to a
+    note, not a traceback.
     """
     try:
         with open(path) as fh:
-            text = fh.read()
-    except OSError:
-        return None
-    text = text.strip()
-    if not text:
-        return None
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError:
+            data = json.loads(fh.read())
+    except (OSError, ValueError):
         return None
     return data if isinstance(data, dict) else None
+
+
+def load_metrics(path: Any) -> "dict[str, Any] | None":
+    """Load a ``--metrics`` JSON snapshot (see :func:`load_json_object`)."""
+    return load_json_object(path)
 
 
 def format_metrics(snapshot: "dict") -> str:

@@ -332,9 +332,9 @@ def apply_edit(engine: STAEngine, spec: "dict[str, Any]", ordinal: int) \
     restores the netlist and every slack bit for bit, and the command
     replays the edit through :func:`repro.opt.eco.apply_eco`.  An
     inapplicable edit raises :class:`WhatIfError` with nothing changed.
-    When the mirror raises a :class:`~repro.errors.ReproError`, the
-    undo runs before the error propagates, so the failed edit leaves
-    neither the netlist nor the timing changed.
+    Whatever the mirror raises, the undo runs before the error
+    propagates, so the failed edit leaves neither the netlist nor the
+    timing changed.
     """
     change, revert, eco = edit_netlist(
         engine.netlist, engine.placement, spec, ordinal
@@ -345,7 +345,7 @@ def apply_edit(engine: STAEngine, spec: "dict[str, Any]", ordinal: int) \
 
     try:
         engine.apply_change(change)
-    except ReproError:
+    except BaseException:
         undo(engine)
         raise
     return change, undo, eco

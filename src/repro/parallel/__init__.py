@@ -6,11 +6,11 @@ Public surface (see ``docs/parallelism.md`` for the tour):
   :class:`Executor` backends behind ``REPRO_WORKERS`` and the CLI's
   global ``--workers`` flag.
 
-Two fan-outs use it, both one design per worker:
-:func:`repro.service.suite.evaluate_suite` and the per-design
-sharding of :meth:`repro.service.engine.TimingService.submit`, each
-configured through :class:`~repro.context.RunContext`.  Work inside
-one design (PBA, what-if, the mGBA fit) runs serially.
+One fan-out uses it, one design per worker:
+:func:`repro.service.suite.evaluate_suite`, configured through
+:class:`~repro.context.RunContext`.  Work inside one design (PBA,
+what-if, the mGBA fit) runs serially, and the timing service answers
+every query in process on its live engines.
 """
 
 from repro.parallel.executor import (
@@ -18,7 +18,6 @@ from repro.parallel.executor import (
     Executor,
     ProcessExecutor,
     SerialExecutor,
-    chunk_ranges,
     default_executor,
     get_executor,
     resolve_backend,
@@ -31,7 +30,6 @@ __all__ = [
     "Executor",
     "SerialExecutor",
     "ProcessExecutor",
-    "chunk_ranges",
     "default_executor",
     "get_executor",
     "resolve_backend",

@@ -1,26 +1,24 @@
 """Executor abstraction: serial / process backends.
 
 One small surface — ``Executor.map(fn, items)`` — behind which the
-system's two fan-outs run one design per worker: design-suite
-evaluation (:func:`repro.service.suite.evaluate_suite`) and the
-timing service's per-design batch sharding
-(:meth:`repro.service.engine.TimingService.submit`).  Work inside one
-design (PBA, what-if, the mGBA fit) always runs serially.  Two
-backends:
+system's one fan-out runs one design per worker: design-suite
+evaluation (:func:`repro.service.suite.evaluate_suite`).  Work inside
+one design (PBA, what-if, the mGBA fit) and every timing-service
+query run in process.  Two backends:
 
 * :class:`SerialExecutor` — plain in-order loop, zero overhead, the
   reference semantics the process backend must reproduce bit-for-bit;
 * :class:`ProcessExecutor` — ``ProcessPoolExecutor``; true CPU
-  parallelism at the cost of pickling ``fn`` and each chunk both ways.
+  parallelism at the cost of pickling ``fn`` and each item both ways.
 
 Determinism contract
 --------------------
 ``map`` always returns results **in input order**, regardless of which
-worker finished first: items are split into contiguous chunks, each
-chunk's results come back tagged with its index, and the merge
-reassembles them positionally.  Given a deterministic ``fn``, the
-output is therefore bit-identical across backends and worker counts
-(property-tested in ``tests/parallel``).
+worker finished first: each item is one task, its result comes back
+tagged with the item's index, and the merge reassembles them
+positionally.  Given a deterministic ``fn``, the output is therefore
+bit-identical across backends and worker counts (property-tested in
+``tests/parallel``).
 
 Worker-count resolution (first match wins):
 
@@ -36,14 +34,14 @@ Inside a worker process the resolved count is clamped to 1 so nested
 fan-out can never spawn pools-of-pools.
 
 Every ``map`` call emits a ``parallel.map`` tracing span carrying the
-backend, worker count, chunk count, and per-chunk wall seconds, with
-one ``parallel.chunk`` child span per chunk built from worker-side
+backend, worker count, item count, and per-item wall seconds, with
+one ``parallel.chunk`` child span per item built from worker-side
 clock readings — so a Chrome trace of a parallel run shows the actual
 overlap.  Failures inside a worker surface as
-:class:`~repro.errors.ParallelError` with the chunk index, the failing
-item's position, and the worker-side traceback (child processes cannot
-reliably pickle exception objects back; the formatted traceback always
-survives).  The serial backend also chains the original exception.
+:class:`~repro.errors.ParallelError` with the failing item's index and
+the worker-side traceback (child processes cannot reliably pickle
+exception objects back; the formatted traceback always survives).
+The serial backend also chains the original exception.
 """
 
 from __future__ import annotations
@@ -54,8 +52,8 @@ import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Sequence, TypeVar
+from dataclasses import dataclass
+from typing import Any, Callable, Iterable, TypeVar
 
 from repro.errors import ParallelError
 from repro.obs.metrics import counter, histogram
@@ -124,46 +122,16 @@ def resolve_backend(backend: "str | None" = None) -> str:
     return backend
 
 
-def chunk_ranges(n_items: int, workers: int,
-                 chunk_size: "int | None" = None) -> "list[range]":
-    """Contiguous index chunks covering ``range(n_items)``, in order.
-
-    By default one chunk per worker (sizes differ by at most one item),
-    which minimizes per-chunk overhead — for the process backend each
-    chunk pickles ``fn`` (often a bound method dragging an engine along)
-    once.  Pass ``chunk_size`` for finer-grained load balancing when
-    item costs are very uneven.
-    """
-    if n_items <= 0:
-        return []
-    if chunk_size is not None:
-        if chunk_size < 1:
-            raise ParallelError(f"chunk_size must be >= 1, got {chunk_size}")
-        return [
-            range(start, min(start + chunk_size, n_items))
-            for start in range(0, n_items, chunk_size)
-        ]
-    n_chunks = max(1, min(workers, n_items))
-    base, extra = divmod(n_items, n_chunks)
-    ranges: "list[range]" = []
-    start = 0
-    for index in range(n_chunks):
-        size = base + (1 if index < extra else 0)
-        ranges.append(range(start, start + size))
-        start += size
-    return ranges
-
-
 @dataclass
-class _ChunkOutcome:
-    """What one worker returns for one chunk (always picklable)."""
+class _Outcome:
+    """What one worker returns for one item (always picklable)."""
 
     index: int
-    values: "list[Any]" = field(default_factory=list)
+    value: Any = None
     error: "str | None" = None          #: one-line summary
     child_traceback: str = ""           #: worker-side formatted traceback
     exception: "BaseException | None" = None  #: serial backend only
-    start: float = 0.0                  #: worker perf_counter at chunk start
+    start: float = 0.0                  #: worker perf_counter at item start
     end: float = 0.0
     cpu_seconds: float = 0.0
 
@@ -172,28 +140,21 @@ class _ChunkOutcome:
         return self.end - self.start
 
 
-def _run_chunk(fn: "Callable[[Any], Any]", index: int,
-               items: "Sequence[Any]",
-               ship_exception: bool = False) -> _ChunkOutcome:
-    """Worker-side chunk body: run ``fn`` over ``items``, never raise.
+def _run_item(fn: "Callable[[Any], Any]", index: int, item: Any,
+              ship_exception: bool = False) -> _Outcome:
+    """Worker-side task body: run ``fn`` on one item, never raise.
 
-    Exceptions are captured into the outcome so they cross the process
+    An exception is captured into the outcome so it crosses the process
     boundary as plain strings; ``ship_exception`` additionally keeps the
     live exception object (the serial backend, which stays in-process).
     """
-    outcome = _ChunkOutcome(index=index)
+    outcome = _Outcome(index=index)
     outcome.start = time.perf_counter()
     cpu_start = time.process_time()
-    position = 0
     try:
-        for position, item in enumerate(items):
-            outcome.values.append(fn(item))
+        outcome.value = fn(item)
     except Exception as exc:
-        outcome.values = []
-        outcome.error = (
-            f"{type(exc).__name__}: {exc} "
-            f"(chunk {index}, item {position} of {len(items)})"
-        )
+        outcome.error = f"{type(exc).__name__}: {exc} (item {index})"
         outcome.child_traceback = traceback.format_exc()
         if ship_exception:
             outcome.exception = exc
@@ -202,14 +163,14 @@ def _run_chunk(fn: "Callable[[Any], Any]", index: int,
     return outcome
 
 
-def _run_chunk_job(job: "tuple") -> _ChunkOutcome:
+def _run_item_job(job: "tuple") -> _Outcome:
     """Star-call shim so pools can ``map`` over prepared job tuples."""
-    fn, index, items = job
-    return _run_chunk(fn, index, items)
+    fn, index, item = job
+    return _run_item(fn, index, item)
 
 
 class Executor:
-    """Base class: chunked, order-preserving, span-emitting ``map``."""
+    """Base class: order-preserving, span-emitting ``map``."""
 
     backend = "serial"
 
@@ -221,39 +182,32 @@ class Executor:
     def __repr__(self) -> str:
         return f"{type(self).__name__}(workers={self.workers})"
 
-    @property
-    def is_serial(self) -> bool:
-        """True when ``map`` degenerates to an inline in-order loop."""
-        return self.backend == "serial" or self.workers <= 1
-
     # ------------------------------------------------------------------
     # The one public operation
     # ------------------------------------------------------------------
     def map(self, fn: "Callable[[T], R]", items: "Iterable[T]", *,
-            chunk_size: "int | None" = None,
             label: "str | None" = None) -> "list[R]":
         """``[fn(x) for x in items]`` distributed over the workers.
 
-        Results come back in input order whatever the completion order,
-        so a deterministic ``fn`` yields bit-identical output on every
-        backend.  A worker failure raises :class:`ParallelError` with
-        the chunk index and worker-side traceback.
+        Each item is one task.  Results come back in input order
+        whatever the completion order, so a deterministic ``fn`` yields
+        bit-identical output on every backend.  A worker failure raises
+        :class:`ParallelError` with the item's index and worker-side
+        traceback.
         """
         materialized = list(items)
-        chunks = chunk_ranges(len(materialized), self.workers, chunk_size)
         with span(
             "parallel.map",
             label=label or getattr(fn, "__qualname__", str(fn)),
             backend=self.backend,
             workers=self.workers,
             items=len(materialized),
-            chunks=len(chunks),
+            chunks=len(materialized),
         ) as region:
-            if not chunks:
+            if not materialized:
                 return []
-            outcomes = self._submit(fn, materialized, chunks)
+            outcomes = self._submit(fn, materialized)
             self._record(region, outcomes)
-            results: "list[R]" = []
             for outcome in outcomes:
                 if outcome.error is not None:
                     raise ParallelError(
@@ -264,45 +218,39 @@ class Executor:
                         backend=self.backend,
                         child_traceback=outcome.child_traceback,
                     ) from outcome.exception
-                results.extend(outcome.values)
-        return results
+        return [outcome.value for outcome in outcomes]
 
     # ------------------------------------------------------------------
     # Backend hooks
     # ------------------------------------------------------------------
-    def _submit(self, fn, items, chunks) -> "list[_ChunkOutcome]":
+    def _submit(self, fn, items) -> "list[_Outcome]":
         return [
-            _run_chunk(fn, index, [items[i] for i in chunk],
-                       ship_exception=True)
-            for index, chunk in enumerate(chunks)
+            _run_item(fn, index, item, ship_exception=True)
+            for index, item in enumerate(items)
         ]
 
-    def _record(self, region: Span, outcomes: "list[_ChunkOutcome]") -> None:
-        """Attach per-chunk telemetry to the ``parallel.map`` span."""
-        chunk_seconds = [round(o.seconds, 6) for o in outcomes]
-        region.set(chunk_seconds=chunk_seconds)
+    def _record(self, region: Span, outcomes: "list[_Outcome]") -> None:
+        """Attach per-item telemetry to the ``parallel.map`` span."""
+        region.set(chunk_seconds=[round(o.seconds, 6) for o in outcomes])
         seconds_histogram = histogram("parallel.chunk_seconds")
         for outcome in outcomes:
             seconds_histogram.observe(outcome.seconds)
-            child = Span(
+            region.children.append(Span(
                 name="parallel.chunk",
                 attrs={
                     "chunk": outcome.index,
-                    "items": len(outcome.values),
+                    "items": 0 if outcome.error is not None else 1,
                     "backend": self.backend,
                 },
                 start=outcome.start,
                 end=outcome.end,
                 cpu_start=0.0,
                 cpu_end=outcome.cpu_seconds,
-            )
-            if outcome.error is not None:
-                child.attrs["items"] = 0
-                child.error = outcome.error
-            region.children.append(child)
+                error=outcome.error,
+            ))
         counter("parallel.maps").inc()
         counter("parallel.items").inc(
-            sum(len(o.values) for o in outcomes)
+            sum(o.error is None for o in outcomes)
         )
 
 
@@ -318,7 +266,7 @@ class SerialExecutor(Executor):
 def _mp_context() -> multiprocessing.context.BaseContext:
     """The configured multiprocessing start method (fork where possible).
 
-    ``fork`` keeps chunk dispatch cheap (no re-import, engines shared
+    ``fork`` keeps task dispatch cheap (no re-import, engines shared
     copy-on-write until first write); ``REPRO_MP_START`` overrides for
     platforms or runtimes where fork is unsafe.
     """
@@ -338,9 +286,9 @@ def _mp_context() -> multiprocessing.context.BaseContext:
 
 
 class ProcessExecutor(Executor):
-    """``ProcessPoolExecutor``-backed chunks; true CPU parallelism.
+    """``ProcessPoolExecutor``-backed tasks; true CPU parallelism.
 
-    ``fn`` and every chunk cross the process boundary via pickle — see
+    ``fn`` and every item cross the process boundary via pickle — see
     ``docs/parallelism.md`` for what that allows (module-level
     functions, bound methods of picklable objects, ``functools.partial``
     over either) and what it costs on tiny designs.
@@ -348,17 +296,14 @@ class ProcessExecutor(Executor):
 
     backend = "process"
 
-    def _submit(self, fn, items, chunks) -> "list[_ChunkOutcome]":
-        jobs = [
-            (fn, index, [items[i] for i in chunk])
-            for index, chunk in enumerate(chunks)
-        ]
+    def _submit(self, fn, items) -> "list[_Outcome]":
+        jobs = [(fn, index, item) for index, item in enumerate(items)]
         try:
             with ProcessPoolExecutor(
                 max_workers=min(self.workers, len(jobs)),
                 mp_context=_mp_context(),
             ) as pool:
-                return list(pool.map(_run_chunk_job, jobs))
+                return list(pool.map(_run_item_job, jobs))
         except BrokenProcessPool as exc:
             raise ParallelError(
                 f"parallel.map[process] worker died abruptly "

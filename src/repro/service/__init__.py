@@ -9,7 +9,7 @@ Three pieces compose here (see ``docs/service.md``):
 * :mod:`repro.service.registry` — the declarative verb table every
   dispatcher (service, JSONL layer, CLI, docs) derives from;
 * :mod:`repro.service.engine` — the :class:`TimingService` that
-  answers coalesced, sharded batches of registry verbs (``sta``,
+  answers coalesced batches of registry verbs in process (``sta``,
   ``pba_slacks``, ``mgba_fit``, ``evaluate``, ``explain``,
   ``scenario_sweep``, ``what_if``, ``min_period``);
 * :mod:`repro.service.batch` — the versioned JSONL protocol behind

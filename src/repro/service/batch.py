@@ -36,10 +36,10 @@ A malformed line or failed query produces an error record
 a batch file with one typo still computes the other N-1 queries.
 
 ``run_batch`` reads the whole input and submits it as **one** batch,
-so duplicates coalesce and distinct designs shard across workers;
-``serve`` answers line-by-line (flushing after each response) for
-interactive front-ends that pipeline requests, and reports how many
-error records it emitted so the CLI can exit non-zero.
+so duplicates coalesce; ``serve`` answers line-by-line (flushing
+after each response) for interactive front-ends that pipeline
+requests, and reports how many error records it emitted so the CLI
+can exit non-zero.
 """
 
 from __future__ import annotations

@@ -29,10 +29,10 @@ CLI, and the docs' verb table.
 
 Queries arrive as :class:`Query` values (or the JSONL dicts of
 ``docs/service.md``), are **coalesced** (duplicate queries in one
-batch compute once), and cache-miss groups are **sharded** across the
-:mod:`repro.parallel` executors — one design per worker, the same
-shard axis as ``evaluate_suite``, so results are bit-identical at any
-worker count.
+batch compute once), and run in input order, in process, on the live
+engines — so every answer reflects the edits :meth:`apply_change`
+mirrored, at any worker count.  Only the ``evaluate`` verb fans out,
+through :func:`~repro.service.suite.evaluate_suite`.
 
 Invalidation is key *rotation*, not deletion: a
 :class:`~repro.netlist.edit.ChangeRecord` fed to :meth:`apply_change`
@@ -101,10 +101,9 @@ _request_counter = itertools.count(1)
 def new_request_id() -> str:
     """A process-unique request ID (``r<pid>-<seq>``).
 
-    Monotonic per process and pid-qualified, so IDs minted inside
-    process-backend shard workers never collide with the parent's —
-    and a trace filtered on one ID isolates exactly one request's
-    span subtree.
+    Monotonic per process and pid-qualified, so IDs minted by two
+    service processes never collide — and a trace filtered on one ID
+    isolates exactly one request's span subtree.
     """
     return f"r{os.getpid()}-{next(_request_counter):06d}"
 
@@ -251,24 +250,6 @@ class _SolveCache:
         self.cache.put("solve", self._key(problem, config), solution)
 
 
-def _run_query_group(
-    job: "tuple[RunContext, str, tuple[Query, ...], tuple[str | None, ...]]",
-) -> "list[QueryResult]":
-    """Worker body of the cache-miss shard (module-level: picklable).
-
-    Builds a fresh service in the worker — sharing the *disk* cache
-    tier with the parent through the context's ``cache_dir`` — and
-    runs one design's queries serially.  Request IDs ride along so
-    worker-side spans and responses keep the caller's identity.
-    """
-    context, _design, queries, request_ids = job
-    service = TimingService(context=context.replace(workers=1))
-    return [
-        service._run(query, request_id)
-        for query, request_id in zip(queries, request_ids)
-    ]
-
-
 class TimingService:
     """Persistent, cached, batched timing queries over many designs."""
 
@@ -284,10 +265,9 @@ class TimingService:
             else ArtifactCache.from_context(self.context)
         )
         # Layout persistence rides the same disk tier: engines built
-        # by this service (and by the per-design workers, which
-        # construct their own TimingService) hydrate cold levelized
-        # layouts from the store's ``layout/`` class instead of
-        # re-flattening known designs.
+        # by this service hydrate cold levelized layouts from the
+        # store's ``layout/`` class instead of re-flattening known
+        # designs.
         if self.cache is not None and self.cache.disk is not None:
             from repro.timing import kernel as kernel_mod
 
@@ -299,8 +279,6 @@ class TimingService:
         self._factories: "dict[str, Callable[[], Design]]" = {}
         self._engines: "OrderedDict[str, STAEngine]" = OrderedDict()
         self._keys: "dict[str, keymod.DesignKey]" = {}
-        #: Names resolvable by rebuild in a worker process (suite/fig2).
-        self._by_name: "set[str]" = set()
         self._started = time.monotonic()
         self._register_verb_telemetry()
 
@@ -338,8 +316,7 @@ class TimingService:
 
         Unregistered names are resolved through
         :func:`repro.api.load_design` on first use (suite names and
-        ``"fig2"``), which is also the only resolution path available
-        to process-backend shard workers.
+        ``"fig2"``).
         """
         if (design is None) == (factory is None):
             raise ServiceError(
@@ -361,7 +338,6 @@ class TimingService:
                 bundle = factory()
             else:
                 bundle = api.load_design(name)
-                self._by_name.add(name)
             self._bundles[name] = bundle
         return bundle
 
@@ -615,15 +591,28 @@ class TimingService:
         if self.cache is not None:
             self.cache.put(cls, key, value)
 
-    def _q_sta(self, query: Query) -> "tuple[api.STAResult, bool]":
-        key = self.design_key(query.design).token
-        hit = self._cache_get("sta", key)
+    def _cached(self, query: Query, key: str,
+                compute: "Callable[[], Any]") -> "tuple[Any, bool]":
+        """Serve ``query`` from its verb's artifact class, or compute it.
+
+        The one lookup → compute → store path of the cached verbs: the
+        artifact class comes from the verb's registry row, and the
+        result carries the queried name either way, so two names for
+        identical content share one artifact.
+        """
+        artifact_class = verb(query.op).artifact_class
+        hit = self._cache_get(artifact_class, key)
         if hit is not None:
             return replace(hit, design=query.design), True
-        result = api.sta_result_from_engine(self.engine(query.design))
-        result = replace(result, design=query.design)
-        self._cache_put("sta", key, result)
+        result = replace(compute(), design=query.design)
+        self._cache_put(artifact_class, key, result)
         return result, False
+
+    def _q_sta(self, query: Query) -> "tuple[api.STAResult, bool]":
+        return self._cached(
+            query, self.design_key(query.design).token,
+            lambda: api.sta_result_from_engine(self.engine(query.design)),
+        )
 
     def _q_pba(self, query: Query) -> "tuple[api.GoldenSlacksResult, bool]":
         k = query.param("k")
@@ -632,15 +621,9 @@ class TimingService:
             self.design_key(query.design), k,
             self.context.recalc_slew, "table",
         )
-        hit = self._cache_get("pba", key)
-        if hit is not None:
-            return replace(hit, design=query.design), True
-        result = api.golden_slacks_from_engine(
+        return self._cached(query, key, lambda: api.golden_slacks_from_engine(
             self.engine(query.design), self.context, k
-        )
-        result = replace(result, design=query.design)
-        self._cache_put("pba", key, result)
-        return result, False
+        ))
 
     def _q_fit(self, query: Query) -> "tuple[api.FitResult, bool]":
         overrides = {
@@ -651,19 +634,12 @@ class TimingService:
         key = keymod.fit_key(
             self.design_key(query.design), ctx.fit_fingerprint()
         )
-        hit = self._cache_get("fit", key)
-        if hit is not None:
-            return replace(hit, design=query.design), True
-        solve_cache = (
-            _SolveCache(self.cache) if self.cache is not None else None
-        )
-        result = api.fit(
-            self.engine(query.design), ctx,
-            apply=False, solve_cache=solve_cache,
-        )
-        result = replace(result, design=query.design)
-        self._cache_put("fit", key, result)
-        return result, False
+        return self._cached(query, key, lambda: api.fit(
+            self.engine(query.design), ctx, apply=False,
+            solve_cache=(
+                _SolveCache(self.cache) if self.cache is not None else None
+            ),
+        ))
 
     def _q_explain(self, query: Query) -> "tuple[api.ExplainResult, bool]":
         endpoint = query.param("endpoint")
@@ -672,15 +648,9 @@ class TimingService:
         key = keymod.explain_key(
             self.design_key(query.design), endpoint, top_k
         )
-        hit = self._cache_get("explain", key)
-        if hit is not None:
-            return replace(hit, design=query.design), True
-        result = api.explain_result_from_engine(
+        return self._cached(query, key, lambda: api.explain_result_from_engine(
             self.engine(query.design), endpoint=endpoint, top_k=top_k
-        )
-        result = replace(result, design=query.design)
-        self._cache_put("explain", key, result)
-        return result, False
+        ))
 
     def _q_scenarios(self, query: Query) \
             -> "tuple[api.ScenarioSweepResult, bool]":
@@ -692,15 +662,9 @@ class TimingService:
 
             pairs = [(c.name, float(c.delay_scale)) for c in DEFAULT_CORNERS]
         key = keymod.scenario_key(self.design_key(query.design), pairs)
-        hit = self._cache_get("scenarios", key)
-        if hit is not None:
-            return replace(hit, design=query.design), True
-        result = api.run_scenarios(
+        return self._cached(query, key, lambda: api.run_scenarios(
             self.design(query.design), corners=pairs, context=self.context
-        )
-        result = replace(result, design=query.design)
-        self._cache_put("scenarios", key, result)
-        return result, False
+        ))
 
     def _q_evaluate(self, query: Query) \
             -> "tuple[tuple[DesignReport, ...], bool]":
@@ -767,39 +731,24 @@ class TimingService:
         tolerance = float(query.param("tolerance", 1.0))
         max_iter = int(query.param("max_iter", 64))
         corner = query.param("corner")
-        corner_label = ""
-        if corner is not None:
-            corner_label = f"{corner[0]}:{float(corner[1])!r}"
+        label = api.corner_label(corner)
         key = keymod.min_period_key(
-            self.design_key(query.design), clock, tolerance, max_iter,
-            corner_label,
+            self.design_key(query.design), clock, tolerance, max_iter, label,
         )
-        hit = self._cache_get("min_period", key)
-        if hit is not None:
-            return replace(hit, design=query.design), True
-        if corner is None:
-            engine = self.engine(query.design)
-        else:
-            # An ephemeral corner engine: scaled delays, same content
-            # (min_period never mutates the design, so sharing the
-            # bundle's netlist/constraints is safe).
-            bundle = self.design(query.design)
-            config = replace(
-                bundle.sta_config,
-                delay_scale=bundle.sta_config.delay_scale * float(corner[1]),
+
+        def compute() -> MinPeriodResult:
+            # The nominal search runs on the live engine, a corner's on
+            # an ephemeral scaled-delay one.
+            engine = (
+                self.engine(query.design) if corner is None
+                else api.corner_engine(self.design(query.design), corner)
             )
-            engine = STAEngine(
-                bundle.netlist, bundle.constraints,
-                getattr(bundle, "placement", None), config,
+            return min_period_on_engine(
+                engine, clock=clock, tolerance=tolerance,
+                max_iter=max_iter, corner=label,
             )
-            engine.update_timing()
-        result = min_period_on_engine(
-            engine, clock=clock, tolerance=tolerance, max_iter=max_iter,
-            corner=corner_label,
-        )
-        result = replace(result, design=query.design)
-        self._cache_put("min_period", key, result)
-        return result, False
+
+        return self._cached(query, key, compute)
 
     def _run(self, query: Query,
              request_id: "str | None" = None) -> QueryResult:
@@ -874,13 +823,12 @@ class TimingService:
     def submit(self, queries: "Sequence[Query | dict]",
                request_ids: "Sequence[str] | None" = None) \
             -> "list[QueryResult]":
-        """Run a batch: coalesce duplicates, shard misses, keep order.
+        """Run a batch: coalesce duplicates, answer in input order.
 
         Duplicate queries in one batch compute once and share the
-        result object; distinct designs fan out one-design-per-worker
-        through the context's executor (names a worker can rebuild —
-        suite designs and ``fig2`` — only; bundle-registered designs
-        run in process).  Results come back in input order.
+        result object; every unique query runs in process, in input
+        order, on the live engines, so an answer always reflects the
+        edits :meth:`apply_change` mirrored.
 
         ``request_ids`` (aligned with ``queries``) lets the JSONL
         layer thread externally minted per-request IDs through to the
@@ -894,66 +842,20 @@ class TimingService:
                 f"request_ids length {len(request_ids)} != "
                 f"queries length {len(normalized)}"
             )
-        unique: "OrderedDict[Query, QueryResult | None]" = OrderedDict()
-        ids: "dict[Query, str]" = {}
+        ids: "dict[Query, str | None]" = {}
         for index, query in enumerate(normalized):
-            unique.setdefault(query, None)
-            if request_ids is not None:
-                ids.setdefault(query, request_ids[index])
-        coalesced = len(normalized) - len(unique)
+            ids.setdefault(
+                query, request_ids[index] if request_ids is not None else None
+            )
+        coalesced = len(normalized) - len(ids)
         if coalesced:
             counter("service.coalesced").inc(coalesced)
         with span(
             "service.batch", queries=len(normalized),
-            unique=len(unique), coalesced=coalesced,
+            unique=len(ids), coalesced=coalesced,
         ):
-            self._execute(unique, ids)
-        return [unique[query] for query in normalized]  # type: ignore
-
-    def _execute(self, unique: "OrderedDict[Query, QueryResult | None]",
-                 ids: "dict[Query, str] | None" = None) -> None:
-        ids = ids or {}
-        executor = self.context.executor()
-        pending = list(unique)
-        shardable: "OrderedDict[str, list[Query]]" = OrderedDict()
-        inline: "list[Query]" = []
-        for query in pending:
-            if (
-                not executor.is_serial
-                and query.op != "evaluate"
-                and query.design
-                and self._rebuildable(query.design)
-            ):
-                shardable.setdefault(query.design, []).append(query)
-            else:
-                inline.append(query)
-        if len(shardable) > 1:
-            jobs = [
-                (
-                    self.context, design, tuple(queries),
-                    tuple(ids.get(q) for q in queries),
-                )
-                for design, queries in shardable.items()
-            ]
-            groups = executor.map(
-                _run_query_group, jobs, chunk_size=1,
-                label="service.batch",
-            )
-            for results in groups:
-                for outcome in results:
-                    unique[outcome.query] = outcome
-        else:
-            inline = pending
-        for query in inline:
-            if unique.get(query) is None:
-                unique[query] = self._run(query, ids.get(query))
-
-    def _rebuildable(self, name: str) -> bool:
-        """Can a worker process reconstruct this design from its name?"""
-        if name in self._bundles and name not in self._by_name:
-            return False
-        if name in self._factories:
-            return False
-        from repro.designs.suite import DESIGN_SPECS
-
-        return name in DESIGN_SPECS or name in ("fig2", "paper_fig2")
+            results = {
+                query: self._run(query, request_id)
+                for query, request_id in ids.items()
+            }
+        return [results[query] for query in normalized]

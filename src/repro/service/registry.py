@@ -37,7 +37,8 @@ class Verb:
     fields beyond ``op``/``design``/``id``; ``cache_key`` names the
     :mod:`repro.service.keys` function (or the reason there is none);
     ``artifact_class`` is the :data:`~repro.service.store.ARTIFACT_CLASSES`
-    bucket cached results live in ("" = uncached); ``result_schema``
+    bucket cached results live in ("" = uncached), read by the
+    service's one cached-handler path; ``result_schema``
     summarizes the response's ``result`` payload.
     """
 

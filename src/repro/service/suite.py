@@ -144,14 +144,12 @@ def evaluate_suite(names: "list[str] | None" = None, *,
                    solver: str = "scg+rs",
                    seed: int = 0,
                    executor: "Executor | None" = None,
-                   chunk_size: "int | None" = 1,
                    context: "RunContext | None" = None) \
         -> "list[DesignReport]":
     """Evaluate suite designs across workers; reports in input order.
 
-    Chunking defaults to one design per chunk — design costs are very
-    uneven (D1 is ~10x cheaper than D10), so fine-grained distribution
-    beats the executor's default one-chunk-per-worker split here.
+    Each design is one task, so uneven design costs (D1 is ~10x
+    cheaper than D10) balance across the pool.
 
     A :class:`~repro.context.RunContext` supplies the executor (and
     wins over the environment); the explicit ``executor`` argument
@@ -174,8 +172,6 @@ def evaluate_suite(names: "list[str] | None" = None, *,
         designs=len(chosen), mgba=mgba,
         backend=executor.backend, workers=executor.workers,
     ):
-        reports = executor.map(
-            job, chosen, chunk_size=chunk_size, label="suite.evaluate",
-        )
+        reports = executor.map(job, chosen, label="suite.evaluate")
     counter("suite.designs_evaluated").inc(len(reports))
     return reports

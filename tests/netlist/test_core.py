@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.errors import NetlistError
+from repro.errors import NetlistError, ReproError
 from repro.liberty.builder import make_default_library
 from repro.netlist.core import Netlist, PinRef, PortDirection
 
@@ -22,6 +22,14 @@ def _tiny():
     n.add_gate("inv1", "INV_X1", {"A": "in0", "Z": "w1"})
     n.add_gate("inv2", "INV_X1", {"A": "w1", "Z": "out0"})
     return n
+
+
+def _state(n):
+    """Every gate, net and connection of a netlist, comparable with ==."""
+    return (
+        {name: dict(gate.connections) for name, gate in n.gates.items()},
+        {net: (n.net_driver(net), n.net_loads(net)) for net in n.nets},
+    )
 
 
 class TestConstruction:
@@ -56,6 +64,18 @@ class TestConstruction:
         with pytest.raises(NetlistError):
             # inv2 output already on out0; try driving w1 again
             n.add_gate("inv3", "INV_X1", {"A": "in0", "Z": "w1"})
+
+    @pytest.mark.parametrize("connections", [
+        {"A": "a_new_net", "Q": "x_new_net"},
+        {"A": "in0", "Z": "w1"},
+        {"A": "a_new_net", "Z": "w1"},
+    ], ids=["unknown_pin", "driven_net", "new_net_then_driven_net"])
+    def test_failed_add_gate_changes_nothing(self, connections):
+        n = _tiny()
+        before = _state(n)
+        with pytest.raises(ReproError):
+            n.add_gate("u1", "INV_X1", connections)
+        assert _state(n) == before
 
 
 class TestConnectivity:

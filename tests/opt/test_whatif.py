@@ -161,6 +161,7 @@ class TestFailures:
         from repro.timing.sta import STAEngine
 
         gates = fresh_small_design.netlist.combinational_gates()
+        verilog_before = write_verilog(fresh_small_design.netlist)
         applied = []
         real_apply = STAEngine.apply_change
 
@@ -176,9 +177,12 @@ class TestFailures:
                 {"kind": "resize", "gate": gates[0], "up": True},
                 {"kind": "resize", "gate": gates[2], "up": True},
             ]])
-        # Two applies, the second faulting, then the first edit's undo.
-        assert len(applied) == 3
-        assert applied[2] == applied[0]
+        assert write_verilog(fresh_small_design.netlist) == verilog_before
+        # Two applies, the second faulting, then the faulting edit's
+        # own undo and the first edit's undo.
+        assert len(applied) == 4
+        assert applied[2] == applied[1]
+        assert applied[3] == applied[0]
 
     @pytest.mark.parametrize("position", [0, 3], ids=["resize", "buffer"])
     def test_mirror_error_undoes_its_own_edit(

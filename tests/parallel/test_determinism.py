@@ -1,8 +1,8 @@
 """Tier-1 determinism: a process worker computes the caller's bytes.
 
-Work inside one design runs serially; the fan-outs ship whole designs
-to process workers (suite evaluation, service batch shards).  That is
-only sound if a design timed in a fresh worker process yields exactly
+Work inside one design runs serially; the one fan-out, suite
+evaluation, ships whole designs to process workers.  That is only
+sound if a design timed in a fresh worker process yields exactly
 what the caller computes, on the paper's 4-FF Fig. 2 example and on a
 generated design.  Covered here:
 

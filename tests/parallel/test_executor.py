@@ -11,7 +11,6 @@ from repro.parallel import (
     BACKENDS,
     ProcessExecutor,
     SerialExecutor,
-    chunk_ranges,
     get_executor,
     resolve_backend,
     resolve_workers,
@@ -36,41 +35,6 @@ def fail_on_five(x):
     if x == 5:
         raise ValueError("item five is cursed")
     return x
-
-
-class TestChunking:
-    def test_empty(self):
-        assert chunk_ranges(0, 4) == []
-
-    def test_one_chunk_per_worker(self):
-        chunks = chunk_ranges(10, 3)
-        assert len(chunks) == 3
-        assert [list(c) for c in chunks] == [
-            [0, 1, 2, 3], [4, 5, 6], [7, 8, 9]
-        ]
-
-    def test_fewer_items_than_workers(self):
-        chunks = chunk_ranges(2, 8)
-        assert len(chunks) == 2
-        assert sum(len(c) for c in chunks) == 2
-
-    def test_explicit_chunk_size(self):
-        chunks = chunk_ranges(10, 3, chunk_size=4)
-        assert [list(c) for c in chunks] == [
-            [0, 1, 2, 3], [4, 5, 6, 7], [8, 9]
-        ]
-
-    def test_chunks_cover_range_in_order(self):
-        for n in (1, 5, 17, 100):
-            for workers in (1, 2, 7, 16):
-                flat = [
-                    i for c in chunk_ranges(n, workers) for i in c
-                ]
-                assert flat == list(range(n))
-
-    def test_bad_chunk_size(self):
-        with pytest.raises(ParallelError):
-            chunk_ranges(10, 2, chunk_size=0)
 
 
 class TestResolution:
@@ -143,15 +107,6 @@ class TestMap:
     @pytest.mark.parametrize("backend", ALL_BACKENDS)
     def test_empty_items(self, backend):
         assert executor_for(backend).map(square, []) == []
-
-    @pytest.mark.parametrize("backend", ALL_BACKENDS)
-    def test_chunk_size_does_not_change_results(self, backend):
-        executor = executor_for(backend)
-        baseline = executor.map(square, range(11))
-        for chunk_size in (1, 2, 5, 100):
-            assert executor.map(
-                square, range(11), chunk_size=chunk_size
-            ) == baseline
 
     @pytest.mark.parametrize("backend", ALL_BACKENDS)
     def test_exception_carries_context(self, backend):

@@ -1,12 +1,30 @@
 """TimingService tests: cache transparency, coalescing, error capture."""
 
+from dataclasses import replace
+
 import pytest
 
+from repro import api
 from repro.context import RunContext
+from repro.netlist.edit import resize_gate
 from repro.obs.metrics import default_registry
 from repro.service import Query, ServiceError, TimingService
 from repro.designs.generator import generate_design
 from tests.conftest import SMALL_SPEC
+
+#: Two suite designs in one batch: both load by name, so a worker
+#: process could rebuild either one and miss an edit on its live engine.
+TWO_DESIGNS = [
+    {"op": "sta", "design": "D1"},
+    {"op": "sta", "design": "fig2"},
+]
+
+
+def resize_first_gate(netlist):
+    """Resize the first combinational gate; returns the ChangeRecord."""
+    gate = netlist.combinational_gates()[0]
+    return (resize_gate(netlist, gate, up=True)
+            or resize_gate(netlist, gate, up=False))
 
 
 def make_context(tmp_path, **overrides):
@@ -121,21 +139,54 @@ class TestBatching:
         ])
         assert [o.query.op for o in out] == ["pba_slacks", "sta"]
 
-    def test_thread_sharding_matches_serial(self, tmp_path):
-        batch = [
-            {"op": "sta", "design": "D1"},
-            {"op": "sta", "design": "fig2"},
-        ]
+    def test_process_context_matches_serial(self, tmp_path):
         serial = TimingService(
             context=make_context(tmp_path / "a")
-        ).submit(batch)
-        sharded = TimingService(
+        ).submit(TWO_DESIGNS)
+        parallel = TimingService(
             context=make_context(tmp_path / "b", workers=2,
                                  backend="process")
-        ).submit(batch)
-        for s, p in zip(serial, sharded):
+        ).submit(TWO_DESIGNS)
+        for s, p in zip(serial, parallel):
             assert s.ok and p.ok
             assert s.result == p.result
+
+    def test_batch_answers_for_the_edited_design(self, tmp_path):
+        """An edit mirrored by ``apply_change`` shows in every batch."""
+
+        def edited_batch(service):
+            before = service.sta("D1")  # primes the pre-edit artifact
+            change = resize_first_gate(service.design("D1").netlist)
+            service.apply_change(change, design="D1")
+            out = service.submit(TWO_DESIGNS)
+            assert all(o.ok for o in out)
+            assert out[0].result.slacks != before.slacks
+            return [o.result for o in out]
+
+        serial = edited_batch(TimingService(
+            context=make_context(tmp_path / "a")
+        ))
+        parallel = edited_batch(TimingService(
+            context=make_context(tmp_path / "b", workers=2,
+                                 backend="process")
+        ))
+        assert parallel == serial
+        twin = api.load_design("D1")
+        resize_first_gate(twin.netlist)
+        fresh = api.sta_result_from_engine(api.make_engine(twin))
+        assert parallel[0] == replace(fresh, design="D1")
+
+    def test_batches_start_no_worker_pool(self, tmp_path):
+        """Only suite evaluation fans out: batches run in process."""
+        maps = default_registry().counter("parallel.maps")
+        before = maps.value
+        service = TimingService(
+            context=make_context(tmp_path, workers=2, backend="process")
+        )
+        service.submit(TWO_DESIGNS)
+        warm = service.submit(TWO_DESIGNS)
+        assert all(o.ok and o.cached for o in warm)
+        assert maps.value == before
 
 
 class TestRegistration:
