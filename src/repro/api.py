@@ -501,12 +501,7 @@ def evaluate(names: "list[str] | None" = None, *,
 
     ctx = context or RunContext.from_env()
     return evaluate_suite(
-        names,
-        mgba=mgba,
-        k_per_endpoint=ctx.k_per_endpoint,
-        solver=ctx.solver,
-        seed=ctx.seed if ctx.seed is not None else 0,
-        context=ctx,
+        names, mgba=mgba, context=ctx, **ctx.suite_fit_knobs(),
     )
 
 

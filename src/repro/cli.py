@@ -54,9 +54,9 @@ Global observability flags (before the subcommand):
 Global parallelism flag (before the subcommand):
 
 * ``--workers N`` — run design-suite evaluation (``designs
-  --detail``, the ``evaluate`` verb) one design per worker over N
+  --detail``, ``api.evaluate``) one design per worker over N
   workers; overrides ``REPRO_WORKERS``.  Work inside one design and
-  every other service query run in process.  Backend via
+  every service query run in process.  Backend via
   ``REPRO_PARALLEL_BACKEND`` (``process`` default, or ``serial``).
   See ``docs/parallelism.md``.
 """

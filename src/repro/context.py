@@ -130,6 +130,16 @@ class RunContext:
             seed=self.seed,
         )
 
+    def suite_fit_knobs(self) -> "dict[str, Any]":
+        """The fit keywords of a suite report
+        (:func:`~repro.service.suite.design_report`); an unseeded
+        context fits at seed 0."""
+        return {
+            "k_per_endpoint": self.k_per_endpoint,
+            "solver": self.solver,
+            "seed": self.seed if self.seed is not None else 0,
+        }
+
     def fit_fingerprint(self) -> "tuple[Any, ...]":
         """The fields a fitted result depends on (cache-key component).
 

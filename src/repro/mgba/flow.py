@@ -171,9 +171,17 @@ class MGBAFlow:
         )
 
     def run(self, engine: STAEngine, apply: bool = True) -> MGBAResult:
-        """Execute the full flow; installs weights unless ``apply=False``."""
-        engine.clear_gate_weights()
-        engine.update_timing()
+        """Execute the full flow; installs weights unless ``apply=False``.
+
+        A weighted engine is cleared and re-timed first; a clean one is
+        only brought up to date (``ensure_timing``), since a refresh
+        would recompute the arrays it already holds.
+        """
+        if engine.weights:
+            engine.clear_gate_weights()
+            engine.update_timing()
+        else:
+            engine.ensure_timing()
 
         stages: dict[str, Span] = {}
         with span("mgba.run", solver=self.config.solver) as run_span:

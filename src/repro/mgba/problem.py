@@ -22,7 +22,7 @@ import numpy as np
 from scipy import sparse
 
 from repro.errors import SolverError
-from repro.pba.paths import TimingPath
+from repro.pba.paths import PathContributions, TimingPath, segment_entries
 
 
 @dataclass
@@ -53,6 +53,7 @@ class MGBAProblem:
     epsilon: float = 0.05
     penalty: float = 10.0
     _lower: np.ndarray = field(init=False, repr=False)
+    _row_nnz: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         m, n = self.matrix.shape
@@ -65,6 +66,7 @@ class MGBAProblem:
                 f"{len(self.gates)} gates do not match n={n} columns"
             )
         self._lower = self.rhs - self.epsilon * np.abs(self.s_pba)
+        self._row_nnz = np.diff(self.matrix.indptr).astype(np.int64)
 
     @property
     def num_paths(self) -> int:
@@ -94,8 +96,9 @@ class MGBAProblem:
 
     def objective(self, x: np.ndarray) -> float:
         """Penalized objective f(x) = ||Ax-b||^2 + w * ||violation||^2."""
-        res = self.residual(x)
-        vio = self.violation(x)
+        ax = self.matrix @ x
+        res = ax - self.rhs
+        vio = np.maximum(self._lower - ax, 0.0)
         return float(res @ res + self.penalty * (vio @ vio))
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
@@ -120,52 +123,39 @@ class MGBAProblem:
         Implementation note: this runs every SCG iteration, and CSR
         fancy-indexing (``self.matrix[rows]``) reallocates a submatrix
         each time.  Instead the selected rows' entries are gathered via
-        indptr/indices slices and reduced directly with ``np.add.at``,
-        whose unbuffered element-order accumulation reproduces scipy's
-        sequential matvec loops exactly (``np.add.reduceat`` would not:
-        it sums pairwise), so the result is bit-identical to the
+        indptr/indices slices (row lengths are computed once per
+        problem) and reduced directly with ``np.bincount``, whose
+        weighted loop adds each entry into its bin in element order —
+        the same in-order sums as ``np.add.at``, and as scipy's
+        sequential matvec loops (``np.add.reduceat`` would not match:
+        it sums pairwise) — so the result is bit-identical to the
         submatrix formulation (covered by the seeded solver tests and
         an explicit old-vs-new equivalence test).
         """
         rows = np.asarray(rows)
-        n_rows = len(rows)
-        indptr = self.matrix.indptr
-        starts = indptr[rows].astype(np.int64)
-        counts = (indptr[rows + 1] - indptr[rows]).astype(np.int64)
-        total = int(counts.sum())
-        seg = np.zeros(n_rows, dtype=np.int64)
-        if n_rows:
-            np.cumsum(counts[:-1], out=seg[1:])
-        flat = (
-            np.arange(total, dtype=np.int64)
-            - np.repeat(seg, counts)
-            + np.repeat(starts, counts)
+        flat, entry_row = segment_entries(
+            self.matrix.indptr[rows], self._row_nnz[rows]
         )
         cols = self.matrix.indices[flat]
         vals = self.matrix.data[flat]
         # ax = (sub @ x): per-row sequential sum in storage order (rows
         # with no entries stay exactly 0.0).
-        products = vals * x[cols]
-        ax = np.zeros(n_rows)
-        np.add.at(ax, np.repeat(np.arange(n_rows), counts), products)
+        ax = np.bincount(entry_row, vals * x[cols], len(rows))
         # grad = 2 (sub^T r): scatter in data order, like csc_matvec.
         residual = ax - self.rhs[rows]
-        acc = np.zeros(self.num_gates)
-        np.add.at(acc, cols, vals * np.repeat(residual, counts))
-        grad = 2.0 * acc
+        grad = 2.0 * np.bincount(
+            cols, vals * residual[entry_row], self.num_gates
+        )
         lower = self._lower[rows]
         vio_mask = ax < lower
-        if np.any(vio_mask):
-            vio = ax[vio_mask] - lower[vio_mask]
-            keep = np.repeat(vio_mask, counts)
-            acc_vio = np.zeros(self.num_gates)
-            np.add.at(
-                acc_vio, cols[keep],
-                vals[keep] * np.repeat(vio, counts[vio_mask]),
+        if np.count_nonzero(vio_mask):
+            keep = vio_mask[entry_row]
+            vio = ax - lower
+            grad += 2.0 * self.penalty * np.bincount(
+                cols[keep], vals[keep] * vio[entry_row[keep]],
+                self.num_gates,
             )
-            grad += 2.0 * self.penalty * acc_vio
-        scale = self.num_paths / max(n_rows, 1)
-        return np.asarray(grad).ravel() * scale
+        return grad * (self.num_paths / max(len(rows), 1))
 
     def row_norms_squared(self) -> np.ndarray:
         """||a_i||^2 per row — the Kaczmarz sampling distribution (Eq. 11)."""
@@ -202,39 +192,36 @@ def build_problem(
     """Assemble the sparse system from analyzed paths.
 
     Every path must have been through
-    :meth:`repro.pba.engine.PBAEngine.analyze_path` (it needs
+    :meth:`repro.pba.engine.PBAEngine.analyze` (it needs
     ``contributions`` and both slacks).  Columns are created for every
     gate that appears on at least one fitted path, in first-seen order
-    (deterministic given the path list).
+    (deterministic given the path list).  Paths analyzed as one batch
+    are read from the batch's arrays; hand-built contributions lists
+    take the same assembly.
     """
     if not paths:
         raise SolverError("cannot build an mGBA problem from zero paths")
-    gate_index: dict[str, int] = {}
-    gates: list[str] = []
-    rows: list[int] = []
-    cols: list[int] = []
-    data: list[float] = []
-    s_gba = np.empty(len(paths))
-    s_pba = np.empty(len(paths))
-    for i, path in enumerate(paths):
+    for path in paths:
         if not path.analyzed and not path.contributions:
             raise SolverError(
                 f"path to {path.endpoint_name} is unanalyzed; "
                 "run PBAEngine.analyze first"
             )
-        s_gba[i] = path.gba_slack
-        s_pba[i] = path.pba_slack
-        for gate, base_delay, gba_derate in path.contributions:
-            j = gate_index.get(gate)
-            if j is None:
-                j = len(gates)
-                gate_index[gate] = j
-                gates.append(gate)
-            rows.append(i)
-            cols.append(j)
-            data.append(base_delay * gba_derate)
+    m = len(paths)
+    s_gba = np.fromiter((p.gba_slack for p in paths), np.float64, count=m)
+    s_pba = np.fromiter((p.pba_slack for p in paths), np.float64, count=m)
+    counts, codes, names, delays, derates = _contribution_arrays(paths)
+    # Columns in first-seen order of the entries (row-major).
+    unique, first, inverse = np.unique(
+        codes, return_index=True, return_inverse=True
+    )
+    order = np.argsort(first, kind="stable")
+    rank = np.empty(len(unique), dtype=np.int64)
+    rank[order] = np.arange(len(unique), dtype=np.int64)
+    gates = [names[code] for code in unique[order].tolist()]
     matrix = sparse.coo_matrix(
-        (data, (rows, cols)), shape=(len(paths), len(gates))
+        (delays * derates, (np.repeat(np.arange(m), counts), rank[inverse])),
+        shape=(m, len(gates)),
     ).tocsr()
     matrix.sum_duplicates()
     return MGBAProblem(
@@ -245,4 +232,36 @@ def build_problem(
         gates=gates,
         epsilon=epsilon,
         penalty=penalty,
+    )
+
+
+def _contribution_arrays(paths: "list[TimingPath]"):
+    """``(counts, codes, names, delays, derates)`` of the paths' rows.
+
+    ``counts[i]`` entries per path, each a gate code (indexing
+    ``names``), a base delay and a GBA derate, in path order.
+    """
+    views = [p.contributions for p in paths]
+    batch = getattr(views[0], "batch", None)
+    if batch is not None and all(
+        type(v) is PathContributions and v.batch is batch for v in views
+    ):
+        rows = np.fromiter((v.row for v in views), np.int64, count=len(views))
+        counts, codes, delays, derates = batch.entries(rows)
+        return counts, codes, batch.gates, delays, derates
+    code_of: "dict[str, int]" = {}
+    counts = np.zeros(len(views), dtype=np.int64)
+    codes: "list[int]" = []
+    delays: "list[float]" = []
+    derates: "list[float]" = []
+    for i, rows_of_path in enumerate(views):
+        for gate, base_delay, gba_derate in rows_of_path:
+            codes.append(code_of.setdefault(gate, len(code_of)))
+            delays.append(base_delay)
+            derates.append(gba_derate)
+        counts[i] = len(rows_of_path)
+    return (
+        counts, np.asarray(codes, dtype=np.int64), list(code_of),
+        np.asarray(delays, dtype=np.float64),
+        np.asarray(derates, dtype=np.float64),
     )

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -52,9 +53,12 @@ def relative_change(current: np.ndarray, previous: np.ndarray,
 
     Both Algorithm 1 and Algorithm 2 stop on this quantity; at the very
     first steps ``x`` is still ~0 and the ratio is meaningless, so the
-    guard returns +inf until the iterate has any magnitude.
+    guard returns +inf until the iterate has any magnitude.  Norms are
+    ``sqrt(v @ v)``: what ``np.linalg.norm`` computes for a 1-D float64
+    vector, without its per-call overhead.
     """
-    denom = float(np.linalg.norm(previous))
+    denom = math.sqrt(previous @ previous)
     if denom < floor:
         return float("inf")
-    return float(np.linalg.norm(current - previous) / denom)
+    step = current - previous
+    return math.sqrt(step @ step) / denom

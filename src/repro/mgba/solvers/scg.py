@@ -19,6 +19,8 @@ theory of randomized Kaczmarz [15] actually requires for convergence.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.mgba.problem import MGBAProblem
@@ -98,10 +100,13 @@ def solve_scg(
     best_objective = problem.objective(x)
     best_x = x.copy()
     grad_norm_hist = histogram("scg.grad_norm")
+    # Bound methods: the loop runs ~10^4 times with microsecond bodies.
+    draw, sample = rng.random, cumulative.searchsorted
+    row_gradient = problem.row_gradient
     for iteration in range(1, max_iter + 1):
-        rows = np.searchsorted(cumulative, rng.random(k_rows), side="right")
-        grad = problem.row_gradient(x, rows)
-        norm = float(np.linalg.norm(grad))
+        rows = sample(draw(k_rows), side="right")
+        grad = row_gradient(x, rows)
+        norm = math.sqrt(grad @ grad)
         if norm == 0.0:
             converged = True
             break
@@ -112,8 +117,8 @@ def solve_scg(
             beta = max(beta, 0.0)  # PR+ restart keeps d a descent direction
         else:
             beta = 0.0
-        direction = -grad + beta * direction
-        direction_norm = float(np.linalg.norm(direction))
+        direction = beta * direction - grad
+        direction_norm = math.sqrt(direction @ direction)
         if direction_norm == 0.0:
             converged = True
             break

@@ -202,7 +202,6 @@ class Executor:
             backend=self.backend,
             workers=self.workers,
             items=len(materialized),
-            chunks=len(materialized),
         ) as region:
             if not materialized:
                 return []
@@ -237,11 +236,7 @@ class Executor:
             seconds_histogram.observe(outcome.seconds)
             region.children.append(Span(
                 name="parallel.chunk",
-                attrs={
-                    "chunk": outcome.index,
-                    "items": 0 if outcome.error is not None else 1,
-                    "backend": self.backend,
-                },
+                attrs={"chunk": outcome.index, "backend": self.backend},
                 start=outcome.start,
                 end=outcome.end,
                 cpu_start=0.0,

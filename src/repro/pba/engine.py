@@ -20,19 +20,38 @@ every path (property-tested) — PBA only ever removes pessimism.
 By default base arc delays come from the GBA propagation (paper model:
 "the delays of gates are constant"; only derating is path-specific);
 slew recalculation is the documented extension beyond that model.
+
+The analysis runs over a whole :class:`~repro.pba.paths.PathSet` at
+once (:meth:`PBAEngine.analyze_set`): arcs are classified by the
+graph's domain arrays (:func:`repro.timing.domains.graph_domains`),
+delays are summed left to right along the path axis, exactly as a
+per-path loop adds them, distance comes from min/max reductions over
+anchor coordinates (:func:`repro.timing.domains.path_distances`, shared
+with explain), and the AOCV derate is looked up once per (depth,
+distance), the required time once per endpoint and the CRPR credit once
+per (launch CK, capture CK) pair.  So every field equals what the
+per-path loop computes, bit for bit; ``tests/pba/`` keeps that loop as
+the oracle.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from repro.errors import TimingError
 from repro.netlist.core import PinRef
 from repro.obs.metrics import counter
 from repro.obs.trace import span
-from repro.timing.graph import EdgeKind
-from repro.timing.propagation import EdgeDomain, classify_edge, effective_late
-from repro.timing.slack import setup_required
+from repro.timing.domains import DOMAIN_DATA, graph_domains, path_distances
+from repro.timing.graph import EdgeKind, EndpointInfo
+from repro.timing.slack import endpoint_clock_map, setup_required
 from repro.timing.sta import STAEngine
-from repro.pba.paths import TimingPath
+from repro.pba.enumerate import (
+    PathMirrors,
+    enumerate_worst_paths,
+    path_mirrors,
+)
+from repro.pba.paths import PathBatch, PathSet, TimingPath, row_sums
 
 
 class PBAEngine:
@@ -70,194 +89,258 @@ class PBAEngine:
         #: above 1).  The one-sided gba<=pba invariant holds only for
         #: ``"table"``.
         self.variation = variation
-        from repro.timing.slack import endpoint_clock_map
-
         self._clock_map = endpoint_clock_map(sta.graph, sta.constraints)
+        self._mirrors: "PathMirrors | None" = None
+        self._mirrors_epoch = -1
 
     # ------------------------------------------------------------------
-    # Per-path ingredients
+    # Per-set ingredients
     # ------------------------------------------------------------------
-    def path_depth(self, path: TimingPath) -> int:
-        """PBA cell depth: combinational data cells on the path."""
-        graph = self.sta.graph
-        depth = 0
-        for edge_id in path.edges:
-            edge = graph.edge(edge_id)
-            if classify_edge(graph, edge) is EdgeDomain.DATA_CELL:
-                depth += 1
-        return depth
-
-    def path_distance(self, path: TimingPath) -> float:
-        """AOCV distance: bbox half-perimeter of the path's anchors (nm)."""
-        placement = self.sta.placement
-        if placement is None:
-            return 0.0
-        graph = self.sta.graph
-        anchors: list[str] = []
-        seen: set[str] = set()
-        for node_id in self._path_nodes(path):
-            ref = graph.node(node_id).ref
-            name = ref.gate if ref.gate is not None else ref.pin
-            if name not in seen and placement.has(name):
-                seen.add(name)
-                anchors.append(name)
-        if not anchors:
-            return 0.0
-        return placement.bbox_half_perimeter(anchors)
-
-    def _path_nodes(self, path: TimingPath) -> list[int]:
-        graph = self.sta.graph
-        nodes = [path.launch]
-        for edge_id in path.edges:
-            nodes.append(graph.edge(edge_id).dst)
-        return nodes
-
-    def launch_ck_node(self, path: TimingPath) -> int | None:
+    def _launch_ck(self, launch: int) -> int | None:
         """The launching flop's CK node (None for port-launched paths)."""
         graph = self.sta.graph
-        launch = graph.node(path.launch)
-        if launch.ref.gate is None:
+        gate = graph.node(launch).ref.gate
+        if gate is None:
             return None
-        cell = graph.netlist.cell_of(launch.ref.gate)
-        clock_pin = cell.clock_pin
+        clock_pin = graph.netlist.cell_of(gate).clock_pin
         if clock_pin is None:
             return None
-        return graph.node_of.get(PinRef(launch.ref.gate, clock_pin.name))
+        return graph.node_of.get(PinRef(gate, clock_pin.name))
 
-    def _path_base_delays(self, path: TimingPath) -> "list[float]":
-        """Per-edge *base* delays seen along this specific path.
+    def _recalc_base_delays(self, paths: PathSet) -> np.ndarray:
+        """Per-entry base delays with slews re-propagated along each path.
 
-        Default mode returns the GBA delay-calc results (worst-fanin
-        slews).  With ``recalc_slew`` the slew is re-propagated along
-        the path itself, so every arc sees its true path slew — always
-        <= the worst slew, hence always <= the GBA base delay (delay
-        tables are monotone in slew).
+        Every arc sees its true path slew — always <= the worst slew,
+        hence always <= the GBA base delay (delay tables are monotone in
+        slew).  A per-path walk: each arc's slew is the previous arc's.
         """
-        graph = self.sta.graph
-        if not self.recalc_slew:
-            return [graph.edge(e).delay for e in path.edges]
-        calc = self.sta.calc
-        slew = float(self.sta.state.slew[path.launch])
-        delays: list[float] = []
-        for edge_id in path.edges:
-            edge = graph.edge(edge_id)
-            if edge.kind is EdgeKind.CELL:
-                delay, out_slew = calc.cell_edge(graph, edge, slew)
-            else:
-                delay, out_slew = calc.net_edge(graph, edge, slew)
-            delays.append(min(delay, edge.delay))
-            slew = min(out_slew, edge.out_slew)
-        return delays
+        graph, calc = self.sta.graph, self.sta.calc
+        slews = self.sta.state.slew
+        delays: "list[float]" = []
+        ptr = paths.path_ptr.tolist()
+        edge_ids = paths.edge_ids.tolist()
+        for row, launch in enumerate(paths.launch.tolist()):
+            slew = float(slews[launch])
+            for edge_id in edge_ids[ptr[row]:ptr[row + 1]]:
+                edge = graph.edge(edge_id)
+                if edge.kind is EdgeKind.CELL:
+                    delay, out_slew = calc.cell_edge(graph, edge, slew)
+                else:
+                    delay, out_slew = calc.net_edge(graph, edge, slew)
+                delays.append(min(delay, edge.delay))
+                slew = min(out_slew, edge.out_slew)
+        return np.asarray(delays, dtype=np.float64)
 
     # ------------------------------------------------------------------
     # Analysis
     # ------------------------------------------------------------------
-    def analyze_path(self, path: TimingPath) -> TimingPath:
-        """Fill a path's GBA/PBA slacks and matrix contributions in place."""
-        graph = self.sta.graph
-        state = self.sta.state
-        info = graph.endpoints.get(path.endpoint)
-        if info is None:
-            raise TimingError(
-                f"path endpoint node {path.endpoint} is not an endpoint"
-            )
-        required_gba, _ = setup_required(
-            graph, state, info, self._clock_map[path.endpoint],
-            self.sta.constraints,
+    def analyze_set(self, paths: PathSet) -> PathBatch:
+        """Analyze every path of a set at once."""
+        sta = self.sta
+        graph, state = sta.graph, sta.state
+        domains = graph_domains(graph)
+        edge_ids = paths.edge_ids
+        is_data = domains.edge_domain[edge_ids] == DOMAIN_DATA
+        delay = np.fromiter(
+            (graph.edge(edge_id).delay for edge_id in edge_ids.tolist()),
+            dtype=np.float64, count=len(edge_ids),
         )
-        launch_arrival = float(state.arrival_late[path.launch])
-        gba_data_delay = 0.0
-        contributions: list[tuple[str, float, float]] = []
-        for edge_id in path.edges:
-            edge = graph.edge(edge_id)
-            gba_data_delay += effective_late(state, edge)
-            if classify_edge(graph, edge) is EdgeDomain.DATA_CELL:
-                assert edge.gate is not None
-                contributions.append((
-                    edge.gate,
-                    edge.delay,
-                    float(state.derate_late[edge.id]),
-                ))
-        path.gba_arrival = launch_arrival + gba_data_delay
-        path.gba_slack = required_gba - path.gba_arrival
-        path.depth = len(contributions)
-        path.distance = self.path_distance(path)
-        table = self.sta.config.derating_table
-        base_delays = self._path_base_delays(path)
-        if self.variation == "rss" and table is not None and path.depth > 0:
-            pba_data_delay = self._rss_data_delay(
-                path, base_delays, table
-            )
-        else:
-            if table is not None and path.depth > 0:
-                pba_derate = table.derate(path.depth, path.distance)
-            else:
-                pba_derate = self.sta.config.flat_derate_late
-            pba_data_delay = 0.0
-            for edge_id, base_delay in zip(path.edges, base_delays):
-                edge = graph.edge(edge_id)
-                if classify_edge(graph, edge) is EdgeDomain.DATA_CELL:
-                    pba_data_delay += base_delay * pba_derate
-                else:
-                    pba_data_delay += base_delay * float(
-                        state.derate_late[edge.id]
-                    )
-        credit = self.sta.crpr.credit(
-            self.launch_ck_node(path),
-            info.ck_node,
+        derate = state.derate_late[edge_ids]
+        infos = self._endpoint_infos(paths)
+        required = self._required_times(paths, infos)
+        launch_arrival = state.arrival_late[paths.launch]
+        gba_arrival = launch_arrival + row_sums(paths.path_ptr, delay * derate)
+        depth = np.bincount(paths.row_of_edge()[is_data], minlength=len(paths))
+        distance = path_distances(
+            graph, sta.placement, *paths.nodes(domains.edge_dst)
         )
-        path.crpr_credit = credit
-        path.pba_slack = (
-            required_gba + credit - (launch_arrival + pba_data_delay)
+        base = self._recalc_base_delays(paths) if self.recalc_slew else delay
+        pba_delay = self._pba_delays(
+            paths, is_data, base, derate, depth, distance
         )
-        path.contributions = contributions
-        constraints = self.sta.constraints
-        if constraints.has_exceptions():
-            launch = graph.node(path.launch).ref
-            launch_name = launch.gate if launch.gate is not None else launch.pin
-            capture_name = (
-                info.gate if info.gate is not None
-                else graph.node(path.endpoint).ref.pin
-            )
-            path.is_false = constraints.is_false_path(
-                launch_name, capture_name
-            )
-        path.analyzed = True
-        return path
+        crpr_credit = self._crpr_credits(paths, infos)
+        data_ptr = np.zeros(len(paths) + 1, dtype=np.int64)
+        np.cumsum(depth, out=data_ptr[1:])
+        return PathBatch(
+            gba_arrival=gba_arrival,
+            gba_slack=required - gba_arrival,
+            pba_slack=(
+                (required + crpr_credit) - (launch_arrival + pba_delay)
+            ),
+            depth=depth,
+            distance=distance,
+            crpr_credit=crpr_credit,
+            is_false=self._false_flags(paths),
+            data_ptr=data_ptr,
+            data_gate=domains.edge_gate[edge_ids[is_data]],
+            data_delay=delay[is_data],
+            data_derate=derate[is_data],
+            gates=domains.gates,
+        )
 
-    def _rss_data_delay(self, path: TimingPath,
-                        base_delays: "list[float]", table) -> float:
+    def _endpoint_infos(self, paths: PathSet) -> "dict[int, EndpointInfo]":
+        """Endpoint records by node, checked in first-seen order so a bad
+        endpoint is reported as the per-path loop would."""
+        infos = {}
+        for endpoint in dict.fromkeys(paths.endpoint.tolist()):
+            info = self.sta.graph.endpoints.get(endpoint)
+            if info is None:
+                raise TimingError(
+                    f"path endpoint node {endpoint} is not an endpoint"
+                )
+            infos[endpoint] = info
+        return infos
+
+    def _required_times(self, paths: PathSet,
+                        infos: "dict[int, EndpointInfo]") -> np.ndarray:
+        """GBA required time per path, computed once per endpoint."""
+        sta = self.sta
+        endpoints, inverse = np.unique(paths.endpoint, return_inverse=True)
+        return np.array([
+            setup_required(
+                sta.graph, sta.state, infos[endpoint],
+                self._clock_map[endpoint], sta.constraints,
+            )[0]
+            for endpoint in endpoints.tolist()
+        ], dtype=np.float64)[inverse]
+
+    def _pba_delays(self, paths: PathSet, is_data: np.ndarray,
+                    base: np.ndarray, derate: np.ndarray,
+                    depth: np.ndarray, distance: np.ndarray) -> np.ndarray:
+        """PBA data delay per path under the configured variation model.
+
+        Table model: data cells take the AOCV derate at (path depth,
+        path distance) — looked up once per distinct pair, flat without
+        a table or data cells — and other arcs keep their GBA derate.
+        """
+        sta = self.sta
+        table = sta.config.derating_table
+        aocv = depth > 0 if table is not None else np.zeros(len(paths), bool)
+        pba_derate = np.full(len(paths), sta.config.flat_derate_late)
+        by_point: "dict[tuple[int, float], float]" = {}
+        rows = np.flatnonzero(aocv)
+        for i, point in zip(rows.tolist(), zip(
+                depth[rows].tolist(), distance[rows].tolist())):
+            value = by_point.get(point)
+            if value is None:
+                value = by_point[point] = table.derate(*point)
+            pba_derate[i] = value
+        row = paths.row_of_edge()
+        delays = row_sums(
+            paths.path_ptr, base * np.where(is_data, pba_derate[row], derate)
+        )
+        if self.variation == "rss" and table is not None:
+            delays = self._rss_delays(
+                paths, aocv, distance, is_data, base, derate, delays
+            )
+        return delays
+
+    def _rss_delays(self, paths: PathSet, rss: np.ndarray,
+                    distance: np.ndarray, is_data: np.ndarray,
+                    base: np.ndarray, derate: np.ndarray,
+                    table_delay: np.ndarray) -> np.ndarray:
         """SSTA-lite path delay: mean + 3 * RSS of per-stage sigmas.
 
         Each data cell's sigma is ``sigma_frac * base_delay`` with
         ``sigma_frac = (derate(1, distance) - 1) / 3`` — the single-
         stage corner of the same table, so both variation models share
-        one characterization.
+        one characterization.  Paths without data cells keep
+        ``table_delay``.  The square and the root are Python float
+        ``**`` (libm ``pow``), the per-path loop's own operations:
+        numpy's ``**`` takes ``square``/``sqrt`` fast paths.
         """
-        graph, state = self.sta.graph, self.sta.state
-        sigma_frac = (table.derate(1, path.distance) - 1.0) / 3.0
-        mean = 0.0
-        variance = 0.0
-        for edge_id, base_delay in zip(path.edges, base_delays):
-            edge = graph.edge(edge_id)
-            if classify_edge(graph, edge) is EdgeDomain.DATA_CELL:
-                mean += base_delay
-                variance += (sigma_frac * base_delay) ** 2
-            else:
-                mean += base_delay * float(state.derate_late[edge.id])
-        return mean + 3.0 * variance ** 0.5
+        table = self.sta.config.derating_table
+        row = paths.row_of_edge()
+        sigma_of: "dict[float, float]" = {}
+        sigma_frac = np.zeros(len(paths))
+        for i in np.flatnonzero(rss).tolist():
+            x = float(distance[i])
+            value = sigma_of.get(x)
+            if value is None:
+                value = sigma_of[x] = (table.derate(1, x) - 1.0) / 3.0
+            sigma_frac[i] = value
+        mean = row_sums(paths.path_ptr, np.where(is_data, base, base * derate))
+        stage = is_data & rss[row]
+        squares = np.zeros(len(base))
+        squares[stage] = [
+            s ** 2 for s in (sigma_frac[row[stage]] * base[stage]).tolist()
+        ]
+        variance = row_sums(paths.path_ptr, squares).tolist()
+        out = table_delay.copy()
+        for i in np.flatnonzero(rss).tolist():
+            out[i] = mean[i] + 3.0 * variance[i] ** 0.5
+        return out
+
+    def _crpr_credits(self, paths: PathSet,
+                      infos: "dict[int, EndpointInfo]") -> np.ndarray:
+        """CRPR credit per path, once per (launch CK, capture CK) pair."""
+        launch_ck: "dict[int, int | None]" = {}
+        credits: "dict[tuple[int | None, int | None], float]" = {}
+        out = np.zeros(len(paths))
+        for i, (launch, endpoint) in enumerate(zip(
+                paths.launch.tolist(), paths.endpoint.tolist())):
+            if launch not in launch_ck:
+                launch_ck[launch] = self._launch_ck(launch)
+            pair = (launch_ck[launch], infos[endpoint].ck_node)
+            credit = credits.get(pair)
+            if credit is None:
+                credit = credits[pair] = self.sta.crpr.credit(*pair)
+            out[i] = credit
+        return out
+
+    def _false_flags(self, paths: PathSet) -> np.ndarray:
+        """``set_false_path`` verdict per path, once per launch/endpoint."""
+        out = np.zeros(len(paths), dtype=bool)
+        if not self.sta.constraints.has_exceptions():
+            return out
+        verdicts: "dict[tuple[int, int], bool]" = {}
+        for i, pair in enumerate(zip(
+                paths.launch.tolist(), paths.endpoint.tolist())):
+            verdict = verdicts.get(pair)
+            if verdict is None:
+                verdict = verdicts[pair] = self._is_false(*pair)
+            out[i] = verdict
+        return out
+
+    def _is_false(self, launch: int, endpoint: int) -> bool:
+        graph = self.sta.graph
+        launch_ref = graph.node(launch).ref
+        info = graph.endpoints[endpoint]
+        return self.sta.constraints.is_false_path(
+            launch_ref.gate if launch_ref.gate is not None else launch_ref.pin,
+            info.gate if info.gate is not None
+            else graph.node(endpoint).ref.pin,
+        )
+
+    def analyze_path(self, path: TimingPath) -> TimingPath:
+        """Fill one path's GBA/PBA slacks and matrix contributions in place."""
+        self.analyze_set(PathSet.from_paths([path])).fill([path])
+        return path
 
     def analyze(self, paths: "list[TimingPath]") -> "list[TimingPath]":
         """Analyze a batch of paths in place; returns the same list."""
         with span("pba.analyze", paths=len(paths)):
-            for path in paths:
-                self.analyze_path(path)
+            if paths:
+                self.analyze_set(PathSet.from_paths(paths)).fill(paths)
         counter("pba.paths_analyzed").inc(len(paths))
         return paths
 
     # ------------------------------------------------------------------
     # Convenience
     # ------------------------------------------------------------------
+    def path_mirrors(self) -> PathMirrors:
+        """The enumerator's mirrors of the engine's timing.
+
+        Built once per ``timing_epoch``: golden slacks asked one
+        endpoint at a time pay for their own walks only, not for a read
+        of the whole graph each.
+        """
+        sta = self.sta
+        if self._mirrors is None or self._mirrors_epoch != sta.timing_epoch:
+            self._mirrors = path_mirrors(sta.graph, sta.state)
+            self._mirrors_epoch = sta.timing_epoch
+        return self._mirrors
+
     def golden_endpoint_slack(self, endpoint: int, k: int = 64) -> float:
         """PBA endpoint slack: min PBA slack over the k worst paths.
 
@@ -267,18 +350,7 @@ class PBAEngine:
         honours ``set_false_path`` and GBA cannot); an endpoint whose
         every path is false is unconstrained — +inf.
         """
-        from repro.pba.enumerate import worst_paths_to_endpoint
-
-        paths = worst_paths_to_endpoint(
-            self.sta.graph, self.sta.state, endpoint, k
-        )
-        if not paths:
-            raise TimingError(f"endpoint {endpoint} has no data paths")
-        self.analyze(paths)
-        real = [p.pba_slack for p in paths if not p.is_false]
-        if not real:
-            return float("inf")
-        return min(real)
+        return self.golden_endpoint_slacks([endpoint], k)[endpoint]
 
     def golden_endpoint_slacks(
         self,
@@ -287,13 +359,25 @@ class PBAEngine:
     ) -> "dict[int, float]":
         """PBA endpoint slack for many endpoints, in endpoint order.
 
-        Each endpoint owns its k-worst enumeration (§3.2), so this is
-        :meth:`golden_endpoint_slack` once per endpoint.
+        Each endpoint owns its k-worst enumeration (§3.2); the paths of
+        every endpoint are analyzed as one set.
         """
         if endpoints is None:
             endpoints = self.sta.graph.endpoint_nodes()
         with span("pba.endpoint_slacks", endpoints=len(endpoints), k=k):
-            return {
-                endpoint: self.golden_endpoint_slack(endpoint, k)
-                for endpoint in endpoints
-            }
+            paths = enumerate_worst_paths(
+                self.sta.graph, self.sta.state, k, endpoints,
+                mirrors=self.path_mirrors(),
+            )
+            slacks = dict.fromkeys(endpoints, float("inf"))
+            reached = {path.endpoint for path in paths}
+            for endpoint in endpoints:
+                if endpoint not in reached:
+                    raise TimingError(
+                        f"endpoint {endpoint} has no data paths"
+                    )
+            self.analyze(paths)
+            for path in paths:
+                if not path.is_false and path.pba_slack < slacks[path.endpoint]:
+                    slacks[path.endpoint] = path.pba_slack
+            return slacks

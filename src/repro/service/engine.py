@@ -31,8 +31,8 @@ Queries arrive as :class:`Query` values (or the JSONL dicts of
 ``docs/service.md``), are **coalesced** (duplicate queries in one
 batch compute once), and run in input order, in process, on the live
 engines — so every answer reflects the edits :meth:`apply_change`
-mirrored, at any worker count.  Only the ``evaluate`` verb fans out,
-through :func:`~repro.service.suite.evaluate_suite`.
+mirrored, at any worker count; ``evaluate`` reports each live engine
+with :func:`~repro.service.suite.design_report`.
 
 Invalidation is key *rotation*, not deletion: a
 :class:`~repro.netlist.edit.ChangeRecord` fed to :meth:`apply_change`
@@ -81,7 +81,7 @@ from repro.opt.whatif import (
 from repro.service import keys as keymod
 from repro.service.registry import QUERY_OPS, VERBS, verb
 from repro.service.store import ArtifactCache
-from repro.service.suite import DesignReport
+from repro.service.suite import DesignReport, design_report
 from repro.timing.sta import STAEngine
 
 #: mgba_fit parameters that override the service context per query.
@@ -542,7 +542,7 @@ class TimingService:
 
     def evaluate(self, names: "list[str] | None" = None,
                  mgba: bool = False) -> "list[DesignReport]":
-        """Suite evaluation (uncached; internally fanned out)."""
+        """Suite evaluation of the live engines (uncached, in process)."""
         params: "tuple[tuple[str, Any], ...]" = (("mgba", mgba),)
         if names is not None:
             params += (("designs", tuple(names)),)
@@ -668,13 +668,20 @@ class TimingService:
 
     def _q_evaluate(self, query: Query) \
             -> "tuple[tuple[DesignReport, ...], bool]":
+        from repro.designs.suite import design_names
+
         names = query.param("designs")
-        reports = api.evaluate(
-            list(names) if names is not None else None,
-            mgba=bool(query.param("mgba", False)),
-            context=self.context,
+        # Each live engine, in process: the design as edited through
+        # apply_change or registered, not as generated from its name.
+        reports = tuple(
+            design_report(
+                self.engine(name), name,
+                mgba=bool(query.param("mgba", False)),
+                **self.context.suite_fit_knobs(),
+            )
+            for name in (list(names) if names is not None else design_names())
         )
-        return tuple(reports), False
+        return reports, False
 
     def _q_what_if(self, query: Query) -> "tuple[WhatIfResult, bool]":
         raw = query.param("candidates")

@@ -83,9 +83,9 @@ VERBS: "tuple[Verb, ...]" = (
     ),
     Verb(
         op="evaluate", kind="query", handler="_q_evaluate",
-        summary="Suite evaluation fan-out",
+        summary="Suite evaluation of the live engines",
         request_fields=("designs", "mgba"),
-        cache_key="(uncached: internally fanned out)",
+        cache_key="(uncached: live engines, in process)",
         artifact_class="",
         result_schema="list[DesignReport]",
     ),

@@ -30,6 +30,7 @@ from repro.parallel.executor import Executor, default_executor
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.context import RunContext
+    from repro.timing.sta import STAEngine
 
 
 @dataclass(frozen=True)
@@ -86,7 +87,7 @@ class DesignReport:
 
 def evaluate_design(name: str, mgba: bool = False, k_per_endpoint: int = 20,
                     solver: str = "scg+rs", seed: int = 0) -> DesignReport:
-    """Build one suite design, run STA (and optionally the mGBA fit).
+    """Build one suite design by name and report it (:func:`design_report`).
 
     Deterministic given (name, knobs): the design generator and every
     solver are seeded, so two runs — in one process or many — produce
@@ -101,7 +102,26 @@ def evaluate_design(name: str, mgba: bool = False, k_per_endpoint: int = 20,
         design.netlist, design.constraints,
         design.placement, design.sta_config,
     )
-    engine.update_timing()
+    return design_report(
+        engine, name, mgba=mgba, k_per_endpoint=k_per_endpoint,
+        solver=solver, seed=seed, start=start,
+    )
+
+
+def design_report(engine: "STAEngine", name: str, mgba: bool = False,
+                  k_per_endpoint: int = 20, solver: str = "scg+rs",
+                  seed: int = 0, start: "float | None" = None) \
+        -> DesignReport:
+    """One design's report from its engine: STA, optionally the mGBA fit.
+
+    The fit runs with ``apply=False``, since no report field depends on
+    installed weights; it still clears any weights the engine holds
+    (the fit is defined against plain GBA), so a weighted engine comes
+    back unweighted.  ``seconds`` counts from ``start`` (default: now).
+    """
+    if start is None:
+        start = time.perf_counter()
+    engine.ensure_timing()
     stats = engine.netlist.stats()
     summary = engine.summary()
     period = min(c.period for c in engine.constraints.clocks.values())
@@ -115,7 +135,7 @@ def evaluate_design(name: str, mgba: bool = False, k_per_endpoint: int = 20,
 
         result = MGBAFlow(MGBAConfig(
             k_per_endpoint=k_per_endpoint, solver=solver, seed=seed,
-        )).run(engine)
+        )).run(engine, apply=False)
         fields = {
             "mse_gba": result.mse_gba,
             "mse_mgba": result.mse_mgba,

@@ -20,11 +20,11 @@ Two contracts make the output trustworthy rather than descriptive:
   bit-identical to the engine's reported slack (gated in
   ``tests/timing/test_explain.py``).
 * **Kernel independence** — arcs are classified one way under both
-  kernels, from the timing graph
-  (:func:`~repro.timing.propagation.classify_edge` plus the engine's
-  GBA depths), and the arithmetic above is the one both kernels run,
-  so an explanation is identical (``==`` on the frozen records) under
-  either kernel.
+  kernels, from the timing graph (the domain arrays of
+  :func:`~repro.timing.domains.graph_domains` plus the engine's GBA
+  depths), and the arithmetic above is the one both kernels run, so an
+  explanation is identical (``==`` on the frozen records) under either
+  kernel.
 
 The per-stage pessimism model mirrors :class:`repro.pba.engine.PBAEngine`
 with its defaults (``variation="table"``, ``recalc_slew=False``): the
@@ -42,10 +42,13 @@ import hashlib
 from dataclasses import asdict, dataclass
 from typing import Any, Callable
 
+import numpy as np
+
 from repro.errors import TimingError
 from repro.obs.metrics import counter, gauge
 from repro.obs.trace import span
-from repro.timing.propagation import EdgeDomain, classify_edge
+from repro.timing.domains import DOMAINS, graph_domains, path_distances
+from repro.timing.propagation import EdgeDomain
 from repro.timing.report import trace_worst_path
 from repro.timing.slack import EndpointSlack
 from repro.timing.sta import STAEngine
@@ -150,14 +153,15 @@ def arc_classifier(engine: STAEngine) \
         -> "Callable[[Any], tuple[EdgeDomain, int, str | None]]":
     """``edge -> (domain, gba_depth, gate)`` from the timing graph.
 
-    The one classification under both kernels:
-    :func:`~repro.timing.propagation.classify_edge` plus the engine's
-    GBA depths, looked up per traced edge.
+    The one classification under both kernels: the graph's domain
+    arrays (:func:`~repro.timing.domains.graph_domains`) plus the
+    engine's GBA depths, looked up per traced edge.
     """
-    graph, depths = engine.graph, engine.gba_depths
+    depths = engine.gba_depths
+    edge_domain = graph_domains(engine.graph).edge_domain
 
     def classify(edge):
-        domain = classify_edge(graph, edge)
+        domain = DOMAINS[edge_domain[edge.id]]
         if domain is EdgeDomain.DATA_CELL:
             return domain, depths.get(edge.gate, 1), edge.gate
         return domain, 0, edge.gate
@@ -166,22 +170,13 @@ def arc_classifier(engine: STAEngine) \
 
 
 def _path_distance(engine: STAEngine, node_ids: "list[int]") -> float:
-    """AOCV distance of a traced path: bbox half-perimeter of its anchors."""
-    placement = engine.placement
-    if placement is None:
-        return 0.0
-    graph = engine.graph
-    anchors: "list[str]" = []
-    seen: "set[str]" = set()
-    for node_id in node_ids:
-        ref = graph.node(node_id).ref
-        name = ref.gate if ref.gate is not None else ref.pin
-        if name not in seen and placement.has(name):
-            seen.add(name)
-            anchors.append(name)
-    if not anchors:
-        return 0.0
-    return placement.bbox_half_perimeter(anchors)
+    """AOCV distance of a traced path: bbox half-perimeter of its anchors,
+    as PBA measures it (:func:`~repro.timing.domains.path_distances`)."""
+    distances = path_distances(
+        engine.graph, engine.placement,
+        np.array([0, len(node_ids)]), np.asarray(node_ids, dtype=np.int64),
+    )
+    return float(distances[0])
 
 
 def _resolve_endpoint(engine: STAEngine, endpoint: "int | str",
@@ -236,10 +231,11 @@ def _explain_resolved(engine: STAEngine,
     # passes through (None for port-launched paths); PBA's path-local
     # AOCV distance anchors at the launch flop, not the clock buffers,
     # so the data portion starts there too.
+    clock_tree = graph_domains(graph).node_is_clock_tree
     launch_ck = None
     launch_idx = 0
     for idx, node_id in enumerate(node_ids):
-        if graph.node(node_id).is_clock_tree:
+        if clock_tree[node_id]:
             launch_ck = node_id
             launch_idx = idx
 

@@ -134,6 +134,14 @@ class TimingGraph:
         #: change (resize / vt swap); invalidates the kernel's
         #: per-level LUT grouping but not the layout itself.
         self.arc_epoch: int = 0
+        #: Bumped by ``mark_clock_tree`` when the set of clock-tree
+        #: nodes changes (a re-mark of the same topology leaves it).
+        self.clock_epoch: int = 0
+        self._clock_nodes: list[int] = []
+        #: The :class:`repro.timing.domains.GraphDomains` of the
+        #: current ``(structure_version, arc_epoch, clock_epoch)``,
+        #: built lazily by :func:`repro.timing.domains.graph_domains`.
+        self.domain_cache = None
         #: Bounded journal of structural mutations: one
         #: ``(structure_version_after, node_ids, edge_ids)`` entry per
         #: mutation, newest last.  ``touched_since`` folds these into
@@ -451,18 +459,24 @@ class TimingGraph:
             if node_id is None:
                 raise TimingError(f"clock port {port} not in timing graph")
             queue.append(node_id)
+        marked: list[int] = []
         while queue:
             node_id = queue.popleft()
             node = self.node(node_id)
             if node.is_clock_tree:
                 continue
             node.is_clock_tree = True
+            marked.append(node_id)
             if node.is_clock_sink:
                 continue
             for edge_id in self.out_edges[node_id]:
                 edge = self.edges[edge_id]
                 assert edge is not None
                 queue.append(edge.dst)
+        marked.sort()
+        if marked != self._clock_nodes:
+            self._clock_nodes = marked
+            self.clock_epoch += 1
 
     def clock_sinks_by_port(self, clock_ports: "list[str]") -> dict[int, str]:
         """Map every clock-sink (CK) node to the port clocking it.

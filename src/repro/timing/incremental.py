@@ -272,8 +272,7 @@ def apply_change_incremental(engine: "STAEngine", change: ChangeRecord) -> int:
             refresh_gate_arcs(engine.graph, gate_name)
         seeds = _collect_seed_nodes(engine.graph, change)
         visited = _propagate(engine, seeds)
-        engine.crpr.invalidate()
-        engine._timing_fresh = True
+        engine._timing_updated()
         return visited
     old_derates = engine.state.derate_late.copy()
     structural = _mirror_structure(engine, change)
@@ -282,6 +281,5 @@ def apply_change_incremental(engine: "STAEngine", change: ChangeRecord) -> int:
     seeds = _collect_seed_nodes(engine.graph, change)
     _seed_derate_moves(engine, seeds, old_derates)
     visited = _propagate(engine, seeds)
-    engine.crpr.invalidate()
-    engine._timing_fresh = True
+    engine._timing_updated()
     return visited

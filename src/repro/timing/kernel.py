@@ -76,6 +76,12 @@ import numpy as np
 from repro.aocv.depth import derates_by_depth
 from repro.obs.metrics import counter, gauge, histogram
 from repro.obs.trace import span
+from repro.timing.domains import (
+    DOMAIN_CLOCK,
+    DOMAIN_DATA,
+    DOMAIN_PLAIN,
+    graph_domains,
+)
 from repro.timing.graph import EdgeKind, TimingGraph
 from repro.timing.propagation import (
     NEG_INF,
@@ -95,11 +101,6 @@ if TYPE_CHECKING:
 #: (:data:`repro.timing.incremental._EPS`); both kernels must agree on
 #: it or their post-edit states diverge.
 _EPS = 1e-9
-
-#: ``edge_domain`` codes (compact mirror of :class:`EdgeDomain`).
-DOMAIN_CLOCK = 0
-DOMAIN_DATA = 1
-DOMAIN_PLAIN = 2
 
 
 @dataclass
@@ -564,20 +565,26 @@ def _build_layout(
             out_dst_list.append(edge.dst)
         out_ptr[pos + 1] = len(out_edge_list)
 
-    # Per-edge-slot arrays + derate classification.
+    # Derate classification: the graph's per-structure domain arrays.
+    domains = graph_domains(graph)
+    clock_eids = np.flatnonzero(domains.edge_domain == DOMAIN_CLOCK)
+    plain_eids = np.flatnonzero(domains.edge_domain == DOMAIN_PLAIN)
+    data_eids = np.flatnonzero(domains.edge_domain == DOMAIN_DATA)
+    data_gate_cols = domains.edge_gate[data_eids]
+    gates = list(domains.gates)
+    gate_index = {gate: col for col, gate in enumerate(gates)}
+    depth_of_gate = np.asarray(
+        [depths.get(gate, 1) for gate in gates], dtype=np.int64
+    )
+    data_depths = depth_of_gate[data_gate_cols]
+
+    # Per-edge-slot arrays.
     edge_live = np.zeros(n_edge_slots, dtype=bool)
     edge_dst = np.zeros(n_edge_slots, dtype=np.int64)
     edge_src = np.zeros(n_edge_slots, dtype=np.int64)
     edge_is_net = np.zeros(n_edge_slots, dtype=bool)
     edge_delay = np.zeros(n_edge_slots)
     edge_out_slew = np.zeros(n_edge_slots)
-    clock_list: list[int] = []
-    plain_list: list[int] = []
-    data_list: list[int] = []
-    data_depth_list: list[int] = []
-    data_col_list: list[int] = []
-    gates: list[str] = []
-    gate_index: dict[str, int] = {}
     netlist = graph.netlist
     cell_nets: list[str] = []
     cell_net_index: dict[str, int] = {}
@@ -591,21 +598,6 @@ def _build_layout(
         edge_is_net[edge.id] = edge.kind is EdgeKind.NET
         edge_delay[edge.id] = edge.delay
         edge_out_slew[edge.id] = edge.out_slew
-        domain = classify_edge(graph, edge)
-        if domain is EdgeDomain.CLOCK:
-            clock_list.append(edge.id)
-        elif domain is EdgeDomain.DATA_CELL:
-            assert edge.gate is not None
-            col = gate_index.get(edge.gate)
-            if col is None:
-                col = len(gates)
-                gate_index[edge.gate] = col
-                gates.append(edge.gate)
-            data_list.append(edge.id)
-            data_depth_list.append(depths.get(edge.gate, 1))
-            data_col_list.append(col)
-        else:
-            plain_list.append(edge.id)
         if edge.kind is EdgeKind.CELL:
             dst_ref = graph.node(edge.dst).ref
             assert dst_ref.gate is not None
@@ -619,14 +611,13 @@ def _build_layout(
                 cell_edge_net[edge.id] = idx
 
     # Node metadata.
-    node_is_clock_tree = np.zeros(n_node_slots, dtype=bool)
+    node_is_clock_tree = domains.node_is_clock_tree.copy()
     node_gate_col = np.full(n_node_slots, -1, dtype=np.int64)
     node_gates: list[str] = []
     node_gate_index: dict[str, int] = {}
     for node in graph.nodes:
         if node is None:
             continue
-        node_is_clock_tree[node.id] = node.is_clock_tree
         gate = node.ref.gate
         if gate is not None:
             col = node_gate_index.get(gate)
@@ -687,11 +678,11 @@ def _build_layout(
         live_eids=np.flatnonzero(edge_live).astype(np.int64),
         edge_delay=edge_delay,
         edge_out_slew=edge_out_slew,
-        clock_eids=np.asarray(clock_list, dtype=np.int64),
-        plain_eids=np.asarray(plain_list, dtype=np.int64),
-        data_eids=np.asarray(data_list, dtype=np.int64),
-        data_depths=np.asarray(data_depth_list, dtype=np.int64),
-        data_gate_cols=np.asarray(data_col_list, dtype=np.int64),
+        clock_eids=clock_eids,
+        plain_eids=plain_eids,
+        data_eids=data_eids,
+        data_depths=data_depths,
+        data_gate_cols=data_gate_cols,
         gates=gates,
         gate_index=gate_index,
         node_is_clock_tree=node_is_clock_tree,

@@ -253,7 +253,5 @@ class ScenarioStack:
                 eng._layout.edge_delay[:] = edge_delay[:, i]
                 eng._layout.edge_out_slew[:] = edge_out_slew[:, i]
                 eng._layout._flow_key = None
-            eng.crpr.invalidate()
-            eng._setup_slack_cache = None
             eng._structure_dirty = False
-            eng._timing_fresh = True
+            eng._timing_updated()

@@ -140,6 +140,9 @@ class STAEngine:
         self._structure_dirty = True
         self._timing_fresh = False
         self._setup_slack_cache: list[EndpointSlack] | None = None
+        #: Moves each time new timing results land in ``state``, so a
+        #: cache of values read from it can tell it is stale.
+        self.timing_epoch = 0
 
     # ------------------------------------------------------------------
     # Configuration-derived values
@@ -252,11 +255,17 @@ class STAEngine:
                 propagate_full(
                     self.graph, self.calc, self.state, self.boundary()
                 )
-            self.crpr.invalidate()
-            self._setup_slack_cache = None
-            self._timing_fresh = True
+            self._timing_updated()
         counter("sta.full_updates").inc()
         histogram("sta.update_seconds").observe(update_span.duration)
+
+    def _timing_updated(self) -> None:
+        """Mark ``state`` as fresh results: drop what was read from the
+        old ones and move ``timing_epoch``."""
+        self.crpr.invalidate()
+        self._setup_slack_cache = None
+        self._timing_fresh = True
+        self.timing_epoch += 1
 
     def ensure_timing(self) -> None:
         """Run a full update if no valid timing is available."""

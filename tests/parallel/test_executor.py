@@ -138,10 +138,11 @@ class TestMap:
         assert region.attrs["workers"] == executor.workers
         assert region.attrs["items"] == 10
         assert region.attrs["label"] == "unit.square"
-        assert len(region.attrs["chunk_seconds"]) == region.attrs["chunks"]
+        assert len(region.attrs["chunk_seconds"]) == region.attrs["items"]
         chunks = [c for c in region.children if c.name == "parallel.chunk"]
-        assert len(chunks) == region.attrs["chunks"]
-        assert sum(c.attrs["items"] for c in chunks) == 10
+        assert len(chunks) == region.attrs["items"]
+        assert [c.attrs["chunk"] for c in chunks] == list(range(10))
+        assert all(c.error is None for c in chunks)
 
     def test_serial_executor_ignores_worker_count(self):
         assert SerialExecutor(8).workers == 1

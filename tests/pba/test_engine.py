@@ -4,9 +4,12 @@ paper's Eq. 2 numbers."""
 import pytest
 
 from repro.errors import TimingError
+from repro.designs.generator import generate_design
+from repro.netlist.edit import resize_gate
 from repro.pba.engine import PBAEngine
 from repro.pba.enumerate import enumerate_worst_paths, worst_paths_to_endpoint
 from repro.designs.paper_example import GBA_PATH_DELAY, PBA_PATH_DELAY
+from tests.conftest import SMALL_SPEC, engine_for
 
 
 @pytest.fixture()
@@ -119,3 +122,26 @@ class TestGoldenEndpointSlack:
         }[endpoint]
         golden = pba.golden_endpoint_slack(endpoint)
         assert gba_slack < 0 < golden
+
+    def test_mirrors_follow_the_timing(self):
+        """One read of the graph serves every endpoint of one timing; an
+        edit moves the engine's timing epoch and the next query re-reads."""
+        design = generate_design(SMALL_SPEC)
+        engine = engine_for(design)
+        pba = PBAEngine(engine)
+        endpoints = engine.graph.endpoint_nodes()
+        mirrors = pba.path_mirrors()
+        before = [pba.golden_endpoint_slack(e) for e in endpoints]
+        assert pba.path_mirrors() is mirrors
+        worst = min(engine.setup_slacks(), key=lambda s: s.slack).node
+        (path,) = PBAEngine(engine).analyze(
+            worst_paths_to_endpoint(engine.graph, engine.state, worst, 1)
+        )
+        changes = (resize_gate(design.netlist, g, up=True) for g in path.gates())
+        engine.apply_change(next(c for c in changes if c is not None))
+        assert pba.path_mirrors() is not mirrors
+        assert pba.path_mirrors().arrival == engine.state.arrival_late.tolist()
+        after = [pba.golden_endpoint_slack(e) for e in endpoints]
+        fresh = PBAEngine(engine)
+        assert after == [fresh.golden_endpoint_slack(e) for e in endpoints]
+        assert after != before

@@ -9,6 +9,7 @@ from repro.context import RunContext
 from repro.netlist.edit import resize_gate
 from repro.obs.metrics import default_registry
 from repro.service import Query, ServiceError, TimingService
+from repro.service.suite import design_report
 from repro.designs.generator import generate_design
 from tests.conftest import SMALL_SPEC
 
@@ -187,6 +188,35 @@ class TestBatching:
         warm = service.submit(TWO_DESIGNS)
         assert all(o.ok and o.cached for o in warm)
         assert maps.value == before
+
+
+class TestEvaluate:
+    def test_evaluate_answers_for_the_edited_design(self, tmp_path):
+        """``evaluate`` reads the live engine, as ``sta`` does."""
+        ctx = make_context(tmp_path)
+        service = TimingService(context=ctx)
+        before = service.evaluate(["D1"])[0]
+        change = resize_gate(
+            service.design("D1").netlist, "g_0_0_2", up=False
+        )
+        assert change is not None
+        service.apply_change(change, design="D1")
+        report = service.evaluate(["D1"])[0]
+        sta = service.sta("D1")
+        twin = api.load_design("D1")
+        resize_gate(twin.netlist, "g_0_0_2", up=False)
+        fresh = api.make_engine(twin).summary()
+        assert (report.wns, report.tns) == (sta.wns, sta.tns)
+        assert (report.wns, report.tns) == (fresh.wns, fresh.tns)
+        assert (report.wns, report.tns) != (before.wns, before.tns)
+
+        fitted = service.evaluate(["D1"], mgba=True)[0]
+        expected = design_report(
+            api.make_engine(twin), "D1", mgba=True,
+            k_per_endpoint=ctx.k_per_endpoint, solver=ctx.solver,
+            seed=ctx.seed,
+        )
+        assert fitted.comparable() == expected.comparable()
 
 
 class TestRegistration:
