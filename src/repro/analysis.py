@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from repro.errors import TimingError
 from repro.obs.metrics import counter
 from repro.pba.engine import PBAEngine
 from repro.timing.sta import STAEngine
@@ -72,20 +71,17 @@ def pessimism_report(engine: STAEngine,
     """
     engine.clear_gate_weights()
     engine.update_timing()
-    pba = PBAEngine(engine)
+    golden, pathless = PBAEngine(engine).golden_slacks(k=k_paths)
+    counter("pba.pathless_endpoints").inc(len(pathless))
     gba = {s.node: s for s in engine.setup_slacks()}
-    rows: list[EndpointPessimism] = []
-    for endpoint in engine.graph.endpoint_nodes():
-        try:
-            golden = pba.golden_endpoint_slack(endpoint, k=k_paths)
-        except TimingError:  # the endpoint has no data paths
-            counter("pba.pathless_endpoints").inc()
-            continue
-        rows.append(EndpointPessimism(
+    rows = [
+        EndpointPessimism(
             name=gba[endpoint].name,
             gba_slack=gba[endpoint].slack,
-            golden_slack=golden,
-        ))
+            golden_slack=slack,
+        )
+        for endpoint, slack in golden.items()
+    ]
     rows.sort(key=lambda r: r.gba_slack)
     return rows
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from typing import Any
 
 import numpy as np
 
@@ -34,6 +35,15 @@ def _as_axis(values, name: str) -> "tuple[np.ndarray, list]":
                 f"{name} axis must be strictly increasing: {points}"
             )
     return axis, points
+
+
+def _bilinear(u, t, v00, v01, v10, v11):
+    """The bilinear blend of one grid cell's corners at weights (u, t).
+
+    The one expression tree every batched lookup evaluates; it is the
+    scalar :meth:`LookupTable2D.lookup`'s, operation for operation.
+    """
+    return (1 - u) * ((1 - t) * v00 + t * v01) + u * ((1 - t) * v10 + t * v11)
 
 
 @dataclass(frozen=True)
@@ -169,13 +179,9 @@ class LookupTable2D:
             return (1 - u) * self.values[i, 0] + u * self.values[i + 1, 0]
         u = (r - self.rows[i]) / (self.rows[i + 1] - self.rows[i])
         t = (c - self.cols[j]) / (self.cols[j + 1] - self.cols[j])
-        v00 = self.values[i, j]
-        v01 = self.values[i, j + 1]
-        v10 = self.values[i + 1, j]
-        v11 = self.values[i + 1, j + 1]
-        return (
-            (1 - u) * ((1 - t) * v00 + t * v01)
-            + u * ((1 - t) * v10 + t * v11)
+        return _bilinear(
+            u, t, self.values[i, j], self.values[i, j + 1],
+            self.values[i + 1, j], self.values[i + 1, j + 1],
         )
 
     def scaled(self, factor: float) -> "LookupTable2D":
@@ -236,3 +242,167 @@ def lookup_pair_many(
             r, c, i, j
         )
     return first.lookup_many(slews, loads), second.lookup_many(slews, loads)
+
+
+class TableStack:
+    """(delay, output-slew) table pairs on one axis pair, stacked.
+
+    A batch of arcs whose tables share the stack's breakpoints (at
+    least two on each axis) is looked up with one clamp, one cell-index
+    search and one interpolation-weight computation, whichever pair
+    each arc uses.  The pairs' value grids are stacked and stored per
+    grid cell: ``_cells[(pair * rows_cells + i) * cols_cells + j]``
+    holds the delay and slew values at the cell's four corners, so one
+    gather fetches all eight.  Each value then evaluates
+    :func:`_bilinear` on the operands :meth:`LookupTable2D.lookup_many`
+    uses, so the results are bit-identical to it.
+    """
+
+    def __init__(self, pairs: "list[tuple[LookupTable2D, LookupTable2D]]"):
+        rows, cols = pairs[0][0].rows, pairs[0][0].cols
+        self.rows = rows
+        self.cols = cols
+        # Searching the inner breakpoints of a clamped query gives the
+        # clamped cell index ``min(max(searchsorted - 1, 0), n - 2)``.
+        self._rows_inner = rows[1:-1]
+        self._cols_inner = cols[1:-1]
+        self._rows_step = rows[1:] - rows[:-1]
+        self._cols_step = cols[1:] - cols[:-1]
+        #: Grid cells per pair: the offset of pair p is p * pair_cells.
+        self.pair_cells = (rows.size - 1) * (cols.size - 1)
+        self._cols_cells = cols.size - 1
+        delay = np.stack([first.values for first, _ in pairs])
+        slew = np.stack([second.values for _, second in pairs])
+        corners = np.stack([
+            delay[:, :-1, :-1], slew[:, :-1, :-1],
+            delay[:, :-1, 1:], slew[:, :-1, 1:],
+            delay[:, 1:, :-1], slew[:, 1:, :-1],
+            delay[:, 1:, 1:], slew[:, 1:, 1:],
+        ], axis=-1)
+        self._cells = corners.reshape(-1, 4, 2)
+
+    @staticmethod
+    def fits(first: LookupTable2D, second: LookupTable2D) -> bool:
+        """Whether a pair can be stacked: shared axes, no 1-point axis.
+
+        Compares the axes' list mirrors: per pair, a list compare is
+        cheaper than numpy's on these tiny axes.
+        """
+        rows, cols = first._rows_list, first._cols_list
+        return (
+            len(rows) > 1 and len(cols) > 1
+            and rows == second._rows_list and cols == second._cols_list
+        )
+
+    def lookup(self, offsets, slews, loads):
+        """(delays, slews) of pairs ``offsets // pair_cells`` at (slew, load).
+
+        ``slews`` is ``(k,)`` or ``(k, S)``, ``loads`` ``(k,)`` or
+        ``(k, 1)``, and ``offsets`` ``(k,)``: the usual broadcast.
+        """
+        rows = self.rows
+        cols = self.cols
+        r = np.minimum(np.maximum(slews, rows[0]), rows[-1])
+        c = np.minimum(np.maximum(loads, cols[0]), cols[-1])
+        i = self._rows_inner.searchsorted(r, side="right")
+        j = self._cols_inner.searchsorted(c, side="right")
+        u = (r - rows[i]) / self._rows_step[i]
+        t = (c - cols[j]) / self._cols_step[j]
+        if r.ndim > offsets.ndim:
+            offsets = offsets[:, None]
+        v = self._cells[offsets + i * self._cols_cells + j]
+        values = _bilinear(
+            u[..., None], t[..., None],
+            v[..., 0, :], v[..., 1, :], v[..., 2, :], v[..., 3, :],
+        )
+        return values[..., 0], values[..., 1]
+
+
+class ArcTables:
+    """The (delay, output-slew) tables of a batch of arcs, by axes.
+
+    ``segments`` cover the batch in order as ``(start, stop, tables,
+    offsets)``: arcs ``start:stop`` use a :class:`TableStack` at
+    ``offsets``, or one table pair that cannot be stacked, looked up by
+    :func:`lookup_pair_many`.
+    """
+
+    __slots__ = ("segments",)
+
+    def __init__(self, segments: "list[tuple[int, int, Any, Any]]"):
+        self.segments = segments
+
+    def lookup(self, slews, loads) -> "tuple[np.ndarray, np.ndarray]":
+        """(delays, output slews) of every arc of the batch."""
+        if len(self.segments) == 1:
+            return _segment_lookup(self.segments[0], slews, loads)
+        shape = np.broadcast_shapes(slews.shape, loads.shape)
+        delays = np.empty(shape)
+        out_slews = np.empty(shape)
+        for segment in self.segments:
+            start, stop = segment[0], segment[1]
+            delays[start:stop], out_slews[start:stop] = _segment_lookup(
+                segment, slews[start:stop], loads[start:stop]
+            )
+        return delays, out_slews
+
+
+def _segment_lookup(segment, slews, loads):
+    _, _, tables, offsets = segment
+    if isinstance(tables, TableStack):
+        return tables.lookup(offsets, slews, loads)
+    return lookup_pair_many(tables[0], tables[1], slews, loads)
+
+
+def group_table_pairs(
+    pairs: "list[tuple[LookupTable2D, LookupTable2D]]",
+) -> "tuple[list[Any], np.ndarray, np.ndarray]":
+    """Group table pairs by axes: ``(tables, group, offset)``.
+
+    ``tables[group[p]]`` serves pair ``p``: a :class:`TableStack` of
+    every stackable pair with its axes (``offset[p]`` its offset there),
+    or, for a pair :meth:`TableStack.fits` rejects, the pair itself
+    (``offset[p]`` is -1).
+    """
+    by_axes: "dict[tuple, list[int]]" = {}
+    tables: "list[Any]" = []
+    group = np.empty(len(pairs), dtype=np.int64)
+    offset = np.full(len(pairs), -1, dtype=np.int64)
+    for p, (first, second) in enumerate(pairs):
+        if TableStack.fits(first, second):
+            key = (tuple(first._rows_list), tuple(first._cols_list))
+            by_axes.setdefault(key, []).append(p)
+        else:
+            group[p] = len(tables)
+            tables.append((first, second))
+    for members in by_axes.values():
+        stack = TableStack([pairs[p] for p in members])
+        group[members] = len(tables)
+        offset[members] = np.arange(len(members)) * stack.pair_cells
+        tables.append(stack)
+    return tables, group, offset
+
+
+def batch_tables(
+    tables: "list[Any]", group: np.ndarray, offset: np.ndarray,
+    bounds: np.ndarray,
+) -> "list[ArcTables | None]":
+    """The :class:`ArcTables` of each batch ``bounds[b]:bounds[b + 1]``.
+
+    ``group`` and ``offset`` are per arc, as :func:`group_table_pairs`
+    returns them per pair, with each batch's arcs sorted by group; an
+    empty batch gets None.
+    """
+    # Segments run between batch starts and group changes; each lies
+    # in one batch.
+    cuts = np.union1d(bounds, np.flatnonzero(np.diff(group)) + 1)
+    starts = cuts[:-1]
+    segments: "list[list[tuple]]" = [[] for _ in range(len(bounds) - 1)]
+    for lo, hi, b, g in zip(
+        starts.tolist(), cuts[1:].tolist(),
+        (bounds.searchsorted(starts, side="right") - 1).tolist(),
+        group[starts].tolist(),
+    ):
+        base = int(bounds[b])
+        segments[b].append((lo - base, hi - base, tables[g], offset[lo:hi]))
+    return [ArcTables(batch) if batch else None for batch in segments]

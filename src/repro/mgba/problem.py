@@ -118,35 +118,51 @@ class MGBAProblem:
 
         Scaled by m/len(rows) so it is an unbiased estimate of the full
         gradient under uniform sampling (probability-weighted sampling
-        applies its own importance correction upstream).
+        applies its own importance correction upstream).  The one-sample
+        case of :meth:`gather_rows` + :meth:`sample_gradient`.
+        """
+        return self.sample_gradient(x, *self.gather_rows(rows))
 
-        Implementation note: this runs every SCG iteration, and CSR
-        fancy-indexing (``self.matrix[rows]``) reallocates a submatrix
-        each time.  Instead the selected rows' entries are gathered via
-        indptr/indices slices (row lengths are computed once per
-        problem) and reduced directly with ``np.bincount``, whose
-        weighted loop adds each entry into its bin in element order —
-        the same in-order sums as ``np.add.at``, and as scipy's
-        sequential matvec loops (``np.add.reduceat`` would not match:
-        it sums pairwise) — so the result is bit-identical to the
-        submatrix formulation (covered by the seeded solver tests and
-        an explicit old-vs-new equivalence test).
+    def gather_rows(self, rows: np.ndarray) -> "tuple[np.ndarray, ...]":
+        """``(cols, vals, entry_row, rhs, lower)`` of a row sample.
+
+        The x-independent part of :meth:`sample_gradient`: the selected
+        rows' entries, gathered via indptr/indices slices (CSR
+        fancy-indexing, ``self.matrix[rows]``, would reallocate a
+        submatrix), with ``entry_row[e]`` the position in ``rows`` of
+        entry ``e``'s row, and the rows' ``rhs`` and lower bounds.
         """
         rows = np.asarray(rows)
         flat, entry_row = segment_entries(
             self.matrix.indptr[rows], self._row_nnz[rows]
         )
-        cols = self.matrix.indices[flat]
-        vals = self.matrix.data[flat]
+        return (
+            self.matrix.indices[flat], self.matrix.data[flat], entry_row,
+            self.rhs[rows], self._lower[rows],
+        )
+
+    def sample_gradient(
+        self, x: np.ndarray, cols: np.ndarray, vals: np.ndarray,
+        entry_row: np.ndarray, rhs: np.ndarray, lower: np.ndarray,
+    ) -> np.ndarray:
+        """The gradient over a row sample gathered by :meth:`gather_rows`.
+
+        Sums go through ``np.bincount``, whose weighted loop adds each
+        entry into its bin in element order: the same in-order sums as
+        ``np.add.at`` and as scipy's sequential matvec loops
+        (``np.add.reduceat`` would not match: it sums pairwise), so the
+        result is bit-identical to the submatrix formulation (covered by
+        the seeded solver tests and ``tests/mgba/test_scg_oracle.py``).
+        """
+        n_rows = len(rhs)
         # ax = (sub @ x): per-row sequential sum in storage order (rows
         # with no entries stay exactly 0.0).
-        ax = np.bincount(entry_row, vals * x[cols], len(rows))
+        ax = np.bincount(entry_row, vals * x[cols], n_rows)
         # grad = 2 (sub^T r): scatter in data order, like csc_matvec.
-        residual = ax - self.rhs[rows]
+        residual = ax - rhs
         grad = 2.0 * np.bincount(
             cols, vals * residual[entry_row], self.num_gates
         )
-        lower = self._lower[rows]
         vio_mask = ax < lower
         if np.count_nonzero(vio_mask):
             keep = vio_mask[entry_row]
@@ -155,7 +171,7 @@ class MGBAProblem:
                 cols[keep], vals[keep] * vio[entry_row[keep]],
                 self.num_gates,
             )
-        return grad * (self.num_paths / max(len(rows), 1))
+        return grad * (self.num_paths / max(n_rows, 1))
 
     def row_norms_squared(self) -> np.ndarray:
         """||a_i||^2 per row — the Kaczmarz sampling distribution (Eq. 11)."""

@@ -15,6 +15,15 @@ fixed s cannot ever satisfy the relative-movement test when ||x*|| is
 small (the iterate keeps jittering by s), so the step decays
 harmonically (``s / (1 + decay*k)``) — the schedule the cited learning
 theory of randomized Kaczmarz [15] actually requires for convergence.
+
+The rows of :data:`ROW_BLOCK` iterations are drawn at once (one
+uniform draw and one ``searchsorted``) and their x-independent matrix
+data gathered once (:meth:`~repro.mgba.problem.MGBAProblem.gather_rows`);
+each iteration then reads its slice.  A draw of ``n`` uniforms reads the
+generator's stream exactly as ``n`` one-at-a-time draws would, and a run
+that stops inside a block rewinds the generator to the rows it used, so
+the stream a shared generator hands on, the iterates and the stopping
+decisions are those of a per-iteration draw, bit for bit.
 """
 
 from __future__ import annotations
@@ -28,6 +37,11 @@ from repro.mgba.solvers.base import SolverResult, Stopwatch, relative_change
 from repro.obs.metrics import counter, histogram
 from repro.obs.telemetry import IterationStats, iteration_callbacks
 from repro.utils.rng import make_rng
+
+#: Iterations whose rows are drawn and gathered at once.  Longer blocks
+#: gather rows a stopping run never uses; shorter ones pay the per-draw
+#: overhead the block exists to spread.
+ROW_BLOCK = 32
 
 
 def kaczmarz_probabilities(problem: MGBAProblem) -> np.ndarray:
@@ -102,10 +116,31 @@ def solve_scg(
     grad_norm_hist = histogram("scg.grad_norm")
     # Bound methods: the loop runs ~10^4 times with microsecond bodies.
     draw, sample = rng.random, cumulative.searchsorted
-    row_gradient = problem.row_gradient
+    gradient = problem.sample_gradient
+    block_first = block_last = 0  # iterations of the drawn block
     for iteration in range(1, max_iter + 1):
-        rows = sample(draw(k_rows), side="right")
-        grad = row_gradient(x, rows)
+        if iteration > block_last:
+            block_state = rng.bit_generator.state
+            block_first = iteration
+            block_last = min(iteration + ROW_BLOCK - 1, max_iter)
+            block = block_last - block_first + 1
+            cols, vals, entry_row, rhs, lower = problem.gather_rows(
+                sample(draw(block * k_rows), side="right")
+            )
+            # Entry range of each iteration, and each entry's row
+            # within its iteration's sample.
+            bounds = entry_row.searchsorted(
+                np.arange(0, (block + 1) * k_rows, k_rows)
+            ).tolist()
+            entry_row = entry_row % k_rows
+        b = iteration - block_first
+        lo, hi = bounds[b], bounds[b + 1]
+        first_row = b * k_rows
+        grad = gradient(
+            x, cols[lo:hi], vals[lo:hi], entry_row[lo:hi],
+            rhs[first_row:first_row + k_rows],
+            lower[first_row:first_row + k_rows],
+        )
         norm = math.sqrt(grad @ grad)
         if norm == 0.0:
             converged = True
@@ -161,6 +196,10 @@ def solve_scg(
                 break
         else:
             small_steps = 0
+    if iteration < block_last:
+        # Hand the generator on as if only the used rows were drawn.
+        rng.bit_generator.state = block_state
+        draw((iteration - block_first + 1) * k_rows)
     final = problem.objective(x)
     if final > best_objective:
         # Return the best sampled iterate, not wherever the jitter

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from repro.errors import TimingError
 from repro.obs.metrics import counter
 from repro.opt.closure import ClosureConfig, ClosureReport, TimingClosureOptimizer
 from repro.pba.engine import PBAEngine
@@ -36,16 +35,12 @@ def signoff_qor(engine: STAEngine, k_paths: int = 16) -> SignoffQoR:
     """
     engine.clear_gate_weights()
     engine.update_timing()
-    pba = PBAEngine(engine)
+    golden, pathless = PBAEngine(engine).golden_slacks(k=k_paths)
+    counter("pba.pathless_endpoints").inc(len(pathless))
     wns = 0.0
     tns = 0.0
     violations = 0
-    for endpoint in engine.graph.endpoint_nodes():
-        try:
-            slack = pba.golden_endpoint_slack(endpoint, k=k_paths)
-        except TimingError:  # the endpoint has no data paths
-            counter("pba.pathless_endpoints").inc()
-            continue
+    for slack in golden.values():
         wns = min(wns, slack)
         if slack < 0:
             tns += slack

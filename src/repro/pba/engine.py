@@ -360,7 +360,25 @@ class PBAEngine:
         """PBA endpoint slack for many endpoints, in endpoint order.
 
         Each endpoint owns its k-worst enumeration (§3.2); the paths of
-        every endpoint are analyzed as one set.
+        every endpoint are analyzed as one set.  An endpoint with no
+        data paths raises :class:`TimingError`.
+        """
+        slacks, pathless = self.golden_slacks(endpoints, k)
+        if pathless:
+            raise TimingError(f"endpoint {pathless[0]} has no data paths")
+        return slacks
+
+    def golden_slacks(
+        self,
+        endpoints: "list[int] | None" = None,
+        k: int = 64,
+    ) -> "tuple[dict[int, float], list[int]]":
+        """Golden slacks of the endpoints with data paths, and the rest.
+
+        Returns the PBA endpoint slack of every endpoint some data path
+        reaches, in endpoint order, and the endpoints none reaches, so a
+        whole-design report analyzes every endpoint as one set and
+        skips the pathless ones.
         """
         if endpoints is None:
             endpoints = self.sta.graph.endpoint_nodes()
@@ -369,15 +387,16 @@ class PBAEngine:
                 self.sta.graph, self.sta.state, k, endpoints,
                 mirrors=self.path_mirrors(),
             )
-            slacks = dict.fromkeys(endpoints, float("inf"))
             reached = {path.endpoint for path in paths}
-            for endpoint in endpoints:
-                if endpoint not in reached:
-                    raise TimingError(
-                        f"endpoint {endpoint} has no data paths"
-                    )
+            slacks = {
+                endpoint: float("inf")
+                for endpoint in endpoints if endpoint in reached
+            }
+            pathless = [
+                endpoint for endpoint in endpoints if endpoint not in reached
+            ]
             self.analyze(paths)
             for path in paths:
                 if not path.is_false and path.pba_slack < slacks[path.endpoint]:
                     slacks[path.endpoint] = path.pba_slack
-            return slacks
+            return slacks, pathless

@@ -13,11 +13,13 @@ net's total wire capacitance additionally loads the driving cell arc.
 Unplaced, unannotated objects contribute zero wire, so purely logical
 designs still time correctly with cell delays only.
 
-The vector kernel batches cell arcs that share one table pair through
-:meth:`DelayCalculator.compute_arcs_batch`: one engine's 1-D slews, or
-a scenario stack's ``(k, S)`` slews with an ``(S,)`` row of
-per-scenario delay scales, bit-identical per element to
-:meth:`DelayCalculator.cell_edge`.
+The vector kernel looks up each level's cell arcs in one
+:meth:`DelayCalculator.compute_arcs_batch` call: arcs whose tables share
+an axis pair interpolate together from stacked grids
+(:class:`repro.liberty.lut.TableStack`), the rest per table pair.  It
+takes one engine's 1-D slews, or a scenario stack's ``(k, S)`` slews
+with an ``(S,)`` row of per-scenario delay scales, and is bit-identical
+per element to :meth:`DelayCalculator.cell_edge`.
 """
 
 from __future__ import annotations
@@ -128,19 +130,18 @@ class DelayCalculator:
             edge.delay, edge.out_slew = self.net_edge(graph, edge, input_slew)
 
     # ------------------------------------------------------------------
-    # Batched (vector-kernel) entry points
+    # Batched (vector-kernel) entry point
     # ------------------------------------------------------------------
-    def compute_arcs_batch(self, delay_table, slew_table, input_slews,
-                           loads, scale=None) -> "tuple":
-        """(delays, output slews) of many cell arcs sharing one table pair.
+    def compute_arcs_batch(self, tables, input_slews, loads,
+                           scale=None) -> "tuple":
+        """(delays, output slews) of a batch of cell arcs.
 
-        One vectorized bilinear lookup per table — the batch analogue of
-        :meth:`cell_edge`, bit-identical per element because
-        ``lookup_many`` evaluates the same interpolation expression as
-        ``lookup`` and the corner scale multiplies the looked-up value
-        exactly as the scalar path does.  When the two tables share axes
-        (the usual library shape) the grid coordinates are computed once
-        via :func:`repro.liberty.lut.lookup_pair_many`.
+        The batch analogue of :meth:`cell_edge`: ``tables`` is the
+        batch's :class:`~repro.liberty.lut.ArcTables` (one level of the
+        vector kernel's sweep), whose lookup evaluates each arc's
+        interpolation as ``lookup`` does, and the corner scale
+        multiplies the looked-up values exactly as the scalar path
+        does, so every element is bit-identical to :meth:`cell_edge`.
 
         ``scale`` defaults to ``self.delay_scale``.  A scenario stack
         passes ``(k, S)`` slews, ``(k, 1)`` loads and an ``(S,)`` row of
@@ -148,54 +149,7 @@ class DelayCalculator:
         column ``s`` equals this method on a calculator whose
         ``delay_scale`` is ``scale[s]``, bit for bit.
         """
-        from repro.liberty.lut import lookup_pair_many
-
         if scale is None:
             scale = self.delay_scale
-        delays, out_slews = lookup_pair_many(
-            delay_table, slew_table, input_slews, loads
-        )
+        delays, out_slews = tables.lookup(input_slews, loads)
         return delays * scale, out_slews * scale
-
-    def compute_edges_batch(self, graph: TimingGraph,
-                            edges: "list[TimingEdge]",
-                            input_slews) -> None:
-        """Delay-calc a mixed batch of edges at per-edge input slews.
-
-        Cell arcs are grouped by their (delay, slew) table pair and run
-        through :meth:`compute_arcs_batch`; net arcs fall through to the
-        scalar :meth:`net_edge` (their delay is slew-independent wire
-        arithmetic, not a table lookup).  Results land on the edge
-        objects, exactly like a :meth:`compute_edge` loop would.
-        """
-        import numpy as np
-
-        by_table: dict[tuple[int, int], list[int]] = {}
-        for i, edge in enumerate(edges):
-            if edge.kind is not EdgeKind.CELL:
-                edge.delay, edge.out_slew = self.net_edge(
-                    graph, edge, float(input_slews[i])
-                )
-                continue
-            assert edge.arc is not None
-            by_table.setdefault(
-                (id(edge.arc.delay), id(edge.arc.output_slew)), []
-            ).append(i)
-        for members in by_table.values():
-            first = edges[members[0]]
-            assert first.arc is not None
-            slews = np.asarray([float(input_slews[i]) for i in members])
-            loads = np.empty(len(members))
-            for j, i in enumerate(members):
-                dst_ref = graph.node(edges[i].dst).ref
-                assert dst_ref.gate is not None
-                net = self.netlist.gate(dst_ref.gate).connections.get(
-                    dst_ref.pin
-                )
-                loads[j] = self.output_load(net) if net is not None else 0.0
-            delays, out_slews = self.compute_arcs_batch(
-                first.arc.delay, first.arc.output_slew, slews, loads
-            )
-            for j, i in enumerate(members):
-                edges[i].delay = float(delays[j])
-                edges[i].out_slew = float(out_slews[j])

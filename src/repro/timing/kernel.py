@@ -19,9 +19,11 @@ reductions:
   fanin slice, early arrivals ``np.minimum.reduceat``, worst-slew the
   max of the fanin arcs' out-slews — a handful of array ops per level
   instead of per-node Python loops;
-* delay calculation batches each level's fanout arcs through
+* delay calculation looks up each level's cell arcs in one
   :meth:`~repro.timing.delaycalc.DelayCalculator.compute_arcs_batch`
-  (one vectorized bilinear LUT interpolation per distinct table pair);
+  call: arcs whose tables share an axis pair interpolate together from
+  stacked grids, with one clamp and one weight computation per level
+  (see :meth:`LevelizedLayout.cell_groups`);
 * the AOCV/mGBA derate fill becomes a vectorized scatter: depth →
   derate via a per-depth table indexed by an integer depth array,
   multiplied by a per-gate weight vector.
@@ -74,6 +76,7 @@ from typing import TYPE_CHECKING, Any
 import numpy as np
 
 from repro.aocv.depth import derates_by_depth
+from repro.liberty.lut import ArcTables, batch_tables, group_table_pairs
 from repro.obs.metrics import counter, gauge, histogram
 from repro.obs.trace import span
 from repro.timing.domains import (
@@ -171,7 +174,7 @@ class LevelizedLayout:
     edge_is_net: np.ndarray          # bool, id-indexed
     # -- lazily (arc-epoch keyed) rebuilt LUT grouping ------------------
     _group_epoch: int = field(default=-1, repr=False)
-    _cell_groups: "list[list[tuple[Any, Any, np.ndarray, np.ndarray]]]" = field(
+    _cell_groups: "list[LevelArcs | None]" = field(
         default_factory=list, repr=False
     )
     #: Fingerprint of the last completed full vector pass.  Slews, base
@@ -190,44 +193,67 @@ class LevelizedLayout:
         return len(self.level_ptr) - 1
 
     # ------------------------------------------------------------------
-    def cell_groups(self, graph: TimingGraph):
-        """Per-level cell arcs grouped by (delay table, slew table).
+    def cell_groups(self, graph: TimingGraph) -> "list[LevelArcs | None]":
+        """Per-level cell arcs with their tables grouped by axes.
 
-        Rebuilt whenever ``graph.arc_epoch`` moves (a resize/vt-swap
-        re-binds arc tables without touching topology).
+        Level ``l``'s entry (None when it has no cell arcs) lists its
+        cell arcs with their source nodes and an
+        :class:`~repro.liberty.lut.ArcTables` that looks them all up in
+        one call: pairs sharing an axis pair are stacked
+        (:func:`repro.liberty.lut.group_table_pairs`), and within a
+        level the arcs run grouped by stack.  Rebuilt whenever
+        ``graph.arc_epoch`` moves (a resize/vt-swap re-binds arc tables
+        without touching topology).
         """
         if self._group_epoch == graph.arc_epoch:
             return self._cell_groups
-        groups: list[list[tuple[Any, Any, np.ndarray, np.ndarray]]] = []
-        for eids in self.cell_eids_by_level:
-            by_table: dict[tuple[int, int], list[int]] = {}
-            tables: dict[tuple[int, int], tuple[Any, Any]] = {}
-            for eid in eids.tolist():
-                edge = graph.edges[eid]
-                assert edge is not None and edge.arc is not None
-                key = (id(edge.arc.delay), id(edge.arc.output_slew))
-                tables[key] = (edge.arc.delay, edge.arc.output_slew)
-                by_table.setdefault(key, []).append(eid)
-            level_groups = []
-            for key, members in by_table.items():
-                arr = np.asarray(members, dtype=np.int64)
-                dtab, stab = tables[key]
-                level_groups.append(
-                    (dtab, stab, arr, self.edge_src_of(graph, arr))
-                )
-            groups.append(level_groups)
+        counts = [eids.size for eids in self.cell_eids_by_level]
+        eids = (
+            np.concatenate(self.cell_eids_by_level)
+            if counts else np.empty(0, dtype=np.int64)
+        )
+        # One attribute read per arc; everything else is per distinct
+        # arc or vectorized.
+        edges = graph.edges
+        arcs = [edges[eid].arc for eid in eids.tolist()]  # type: ignore[union-attr]
+        _, first, arc_of = np.unique(
+            np.fromiter(map(id, arcs), dtype=np.int64, count=len(arcs)),
+            return_index=True, return_inverse=True,
+        )
+        tables, group_of_arc, offset_of_arc = group_table_pairs([
+            (arcs[k].delay, arcs[k].output_slew) for k in first.tolist()
+        ])
+        group = group_of_arc[arc_of]
+        offsets = offset_of_arc[arc_of]
+        level_ptr = np.zeros(len(counts) + 1, dtype=np.int64)
+        np.cumsum(counts, out=level_ptr[1:])
+        if len(tables) > 1:
+            order = np.lexsort(
+                (group, np.repeat(np.arange(len(counts)), counts))
+            )
+            eids, group, offsets = eids[order], group[order], offsets[order]
+        srcs = self.edge_src[eids]
+        groups: "list[LevelArcs | None]" = []
+        for lv, tables_of_level in enumerate(
+            batch_tables(tables, group, offsets, level_ptr)
+        ):
+            s, e = level_ptr[lv], level_ptr[lv + 1]
+            groups.append(
+                None if tables_of_level is None
+                else LevelArcs(eids[s:e], srcs[s:e], tables_of_level)
+            )
         self._cell_groups = groups
         self._group_epoch = graph.arc_epoch
         return groups
 
-    def edge_src_of(self, graph: TimingGraph, eids: np.ndarray) -> np.ndarray:
-        """Source node ids of the given edges."""
-        srcs = []
-        for eid in eids.tolist():
-            edge = graph.edges[eid]
-            assert edge is not None
-            srcs.append(edge.src)
-        return np.asarray(srcs, dtype=np.int64)
+
+@dataclass(frozen=True)
+class LevelArcs:
+    """One level's cell arcs: edge ids, source nodes, their tables."""
+
+    eids: np.ndarray
+    srcs: np.ndarray
+    tables: ArcTables
 
 
 #: In-process LRU of built layouts, content-keyed.  Engines built from
@@ -1384,9 +1410,11 @@ def sweep_levels(
         net_eids = layout.net_eids_by_level[lv]
         if net_eids.size:
             edge_out_slew[net_eids] = slew[layout.net_srcs_by_level[lv]]
-        for dtab, stab, eids, srcs in groups[lv]:
+        arcs = groups[lv]
+        if arcs is not None:
+            eids = arcs.eids
             delays, out_slews = calc.compute_arcs_batch(
-                dtab, stab, slew[srcs], load_of_edge[eids], scale
+                arcs.tables, slew[arcs.srcs], load_of_edge[eids], scale
             )
             edge_delay[eids] = delays
             edge_out_slew[eids] = out_slews

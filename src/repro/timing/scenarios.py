@@ -11,7 +11,7 @@ itself is the kernel's :func:`~repro.timing.kernel.sweep_levels`, the
 same level loop a lone engine runs on its 1-D arrays: ``a[ids]``
 indexing and the segment reductions along axis 0 carry the column axis
 along, and one :meth:`~repro.timing.delaycalc.DelayCalculator.compute_arcs_batch`
-call per table group serves every scenario (``(k, S)`` slews,
+call per level serves every scenario (``(k, S)`` slews,
 ``(k, 1)`` loads, an ``(S,)`` row of delay scales), which is why the
 marginal cost per scenario is near zero compared to one update per
 corner.
@@ -254,4 +254,5 @@ class ScenarioStack:
                 eng._layout.edge_out_slew[:] = edge_out_slew[:, i]
                 eng._layout._flow_key = None
             eng._structure_dirty = False
+            eng._derates_dirty = False
             eng._timing_updated()

@@ -138,6 +138,9 @@ class STAEngine:
         self._layout: kernel_mod.LevelizedLayout | None = None
         self._boundary: BoundaryConditions | None = None
         self._structure_dirty = True
+        #: Weights moved since the derate fill: only the derate arrays
+        #: are stale (the topology-derived state is not).
+        self._derates_dirty = False
         self._timing_fresh = False
         self._setup_slack_cache: list[EndpointSlack] | None = None
         #: Moves each time new timing results land in ``state``, so a
@@ -223,9 +226,16 @@ class STAEngine:
         """Recompute everything that depends on graph topology."""
         self.graph.mark_clock_tree(self.clock_ports)
         self.gba_depths = compute_gba_depths(self.netlist)
-        # Clock marking is deterministic per topology, so a layout built
-        # for this structure_version stays valid across weight-only
-        # refreshes — the reuse that makes mGBA weight installs cheap.
+        self._refresh_derates()
+        self._structure_dirty = False
+
+    def _refresh_derates(self) -> None:
+        """Fill the derate arrays from the depths and the weights.
+
+        Clock marking is deterministic per topology, so a layout built
+        for this structure_version stays valid across weight-only
+        refreshes — the reuse that makes mGBA weight installs cheap.
+        """
         if self.kernel == "vector":
             kernel_mod.compute_edge_derates(
                 self._ensure_layout(), self.graph, self.state,
@@ -236,7 +246,7 @@ class STAEngine:
                 self.graph, self.state, self.derate_settings(),
                 self.gba_depths, self.weights,
             )
-        self._structure_dirty = False
+        self._derates_dirty = False
 
     def update_timing(self) -> None:
         """Full delay calculation + propagation over the whole design."""
@@ -246,6 +256,8 @@ class STAEngine:
         ) as update_span:
             if self._structure_dirty:
                 self._refresh_structure()
+            elif self._derates_dirty:
+                self._refresh_derates()
             if self.kernel == "vector":
                 kernel_mod.propagate_full(
                     self._ensure_layout(), self.graph, self.calc,
@@ -284,13 +296,13 @@ class STAEngine:
         self.weights = {
             gate: max(value, floor) for gate, value in weights.items()
         }
-        self._structure_dirty = True
+        self._derates_dirty = True
         self._timing_fresh = False
 
     def clear_gate_weights(self) -> None:
         """Return to plain GBA derating."""
         self.weights = {}
-        self._structure_dirty = True
+        self._derates_dirty = True
         self._timing_fresh = False
 
     def apply_change(self, change: ChangeRecord) -> None:

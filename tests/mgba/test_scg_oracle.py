@@ -16,6 +16,7 @@ from repro.designs.generator import generate_design
 from repro.designs.suite import DESIGN_SPECS
 from repro.mgba.problem import build_problem
 from repro.mgba.solvers import solve_scg, solve_with_row_sampling
+from repro.mgba.solvers.scg import ROW_BLOCK
 from repro.pba.engine import PBAEngine
 from repro.pba.enumerate import enumerate_worst_paths
 from tests.conftest import MEDIUM_SPEC, engine_for
@@ -87,3 +88,23 @@ def test_reference_problem_methods_agree(problems):
         assert problem.row_gradient(x, rows).tobytes() == \
             reference.row_gradient(x, rows).tobytes()
         assert problem.objective(x) == reference.objective(x)
+
+
+@pytest.mark.parametrize("name", ["medium", "D1", "D5"])
+@pytest.mark.parametrize("seed", SEEDS)
+def test_shared_generator_continues_like_reference(problems, name, seed):
+    """A run that stops inside a block of drawn rows hands a shared
+    generator on exactly where the per-iteration draws would have."""
+    import numpy as np
+
+    problem = problems[name]
+    kwargs = dict(objective_every=10, stall_checks=5, stall_tol=2e-3)
+    rng = np.random.default_rng(seed)
+    ref_rng = np.random.default_rng(seed)
+    got = solve_scg(problem, seed=rng, **kwargs)
+    want = reference_solve_scg(
+        ReferenceProblem.of(problem), seed=ref_rng, **kwargs
+    )
+    _same(got, want)
+    assert got.converged and got.iterations % ROW_BLOCK != 0
+    assert rng.random(5).tobytes() == ref_rng.random(5).tobytes()

@@ -2,12 +2,11 @@
 
 import pytest
 
-from repro.errors import TimingError
 from repro.obs import default_registry
 from repro.opt.closure import ClosureConfig
 from repro.opt.compare import run_flow_comparison, signoff_qor
 from repro.designs.generator import DesignSpec, generate_design
-from repro.pba.engine import PBAEngine
+from repro.pba import engine as pba_engine
 from tests.conftest import engine_for
 
 SPEC = DesignSpec(
@@ -48,14 +47,16 @@ class TestSignoff:
     def test_pathless_endpoint_skipped_and_counted(self, monkeypatch):
         engine = engine_for(generate_design(SPEC))
         reference = signoff_qor(engine)
-        real = PBAEngine.golden_endpoint_slack
+        dropped = engine.graph.endpoint_nodes()[0]
+        real = pba_engine.enumerate_worst_paths
 
-        def golden(pba, endpoint, k=64):
-            if endpoint == engine.graph.endpoint_nodes()[0]:
-                raise TimingError(f"endpoint {endpoint} has no data paths")
-            return real(pba, endpoint, k)
+        def enumerate_without(graph, state, k, endpoints=None, **kwargs):
+            paths = real(graph, state, k, endpoints, **kwargs)
+            return [path for path in paths if path.endpoint != dropped]
 
-        monkeypatch.setattr(PBAEngine, "golden_endpoint_slack", golden)
+        monkeypatch.setattr(
+            pba_engine, "enumerate_worst_paths", enumerate_without
+        )
         skips = default_registry().counter("pba.pathless_endpoints")
         before = skips.value
         skipped = signoff_qor(engine)
@@ -63,10 +64,10 @@ class TestSignoff:
         assert skipped.violations <= reference.violations
 
     def test_other_errors_propagate(self, monkeypatch):
-        def broken(pba, endpoint, k=64):
+        def broken(graph, state, k, endpoints=None, **kwargs):
             raise IndexError("injected PBA fault")
 
-        monkeypatch.setattr(PBAEngine, "golden_endpoint_slack", broken)
+        monkeypatch.setattr(pba_engine, "enumerate_worst_paths", broken)
         with pytest.raises(IndexError, match="injected PBA fault"):
             signoff_qor(engine_for(generate_design(SPEC)))
 

@@ -10,9 +10,8 @@ from repro.analysis import (
     pessimism_report,
     summarize_pessimism,
 )
-from repro.errors import TimingError
 from repro.obs import default_registry
-from repro.pba.engine import PBAEngine
+from repro.pba import engine as pba_engine
 from tests.conftest import engine_for
 
 
@@ -55,25 +54,28 @@ class TestGoldenFailures:
     ):
         engine = engine_for(small_design)
         skipped = engine.graph.endpoint_nodes()[0]
-        real = PBAEngine.golden_endpoint_slack
+        real = pba_engine.enumerate_worst_paths
 
-        def golden(pba, endpoint, k=64):
-            if endpoint == skipped:
-                raise TimingError(f"endpoint {endpoint} has no data paths")
-            return real(pba, endpoint, k)
+        def enumerate_without(graph, state, k, endpoints=None, **kwargs):
+            paths = real(graph, state, k, endpoints, **kwargs)
+            return [path for path in paths if path.endpoint != skipped]
 
-        monkeypatch.setattr(PBAEngine, "golden_endpoint_slack", golden)
+        monkeypatch.setattr(
+            pba_engine, "enumerate_worst_paths", enumerate_without
+        )
         skips = default_registry().counter("pba.pathless_endpoints")
         before = skips.value
         rows = pessimism_report(engine)
         assert len(rows) == len(engine.graph.endpoint_nodes()) - 1
+        name = {s.node: s.name for s in engine.setup_slacks()}[skipped]
+        assert name not in {row.name for row in rows}
         assert skips.value == before + 1
 
     def test_other_errors_propagate(self, small_design, monkeypatch):
-        def broken(pba, endpoint, k=64):
+        def broken(graph, state, k, endpoints=None, **kwargs):
             raise IndexError("injected PBA fault")
 
-        monkeypatch.setattr(PBAEngine, "golden_endpoint_slack", broken)
+        monkeypatch.setattr(pba_engine, "enumerate_worst_paths", broken)
         with pytest.raises(IndexError, match="injected PBA fault"):
             pessimism_report(engine_for(small_design))
 

@@ -119,13 +119,7 @@ class TestEdgeDelays:
 
 
 class TestBatchedDelayCalc:
-    """The vector kernel's batched entry points vs the scalar loop."""
-
-    def _timed_graph(self):
-        netlist = _fanout()
-        graph = TimingGraph(netlist)
-        calc = DelayCalculator(netlist, _placement(), R, C)
-        return netlist, graph, calc
+    """The vector kernel's per-level batch lookups vs the scalar path."""
 
     @staticmethod
     def _arc_load(calc, graph, edge):
@@ -134,31 +128,29 @@ class TestBatchedDelayCalc:
         return calc.output_load(net) if net is not None else 0.0
 
     def test_compute_arcs_batch_matches_cell_edge(self):
-        _, graph, calc = self._timed_graph()
-        cell_edges = [
-            e for e in graph.live_edges() if e.kind is EdgeKind.CELL
-        ]
+        """Each level's arcs in one call, with the layout's stacked
+        tables: 1-D slews, then one column per scenario."""
         import numpy as np
 
-        for edge in cell_edges:
-            for slew in (0.0, 13.7, 55.0, 400.0):
-                want = calc.cell_edge(graph, edge, slew)
-                load = self._arc_load(calc, graph, edge)
-                delays, slews_out = calc.compute_arcs_batch(
-                    edge.arc.delay, edge.arc.output_slew,
-                    np.array([slew]), np.array([load]),
-                )
-                assert (delays[0], slews_out[0]) == want
-
-        # Stacked form (one column per scenario): (k, S) slews, (k, 1)
-        # loads and an (S,) row of scales.  Column s must equal, bit for
-        # bit, cell_edge on a calculator built at delay_scale scales[s].
         from repro.designs.suite import build_design
+        from repro.timing.sta import STAEngine
 
         design = build_design("D1")
-        graph = TimingGraph(design.netlist)
-        config = design.sta_config
+        engine = STAEngine(
+            design.netlist, design.constraints, design.placement,
+            design.sta_config,
+        )
+        engine.update_timing()
+        graph, calc = engine.graph, engine.calc
+        levels = [
+            arcs for arcs in engine._layout.cell_groups(graph)
+            if arcs is not None
+        ]
+        assert levels
+        # (k, S) columns: column s must equal, bit for bit, cell_edge on
+        # a calculator built at delay_scale scales[s].
         scales = np.array([0.87, 1.0, 1.15])
+        config = design.sta_config
         calcs = [
             DelayCalculator(
                 design.netlist, design.placement, config.wire_r_per_nm,
@@ -166,53 +158,35 @@ class TestBatchedDelayCalc:
             )
             for scale in scales
         ]
-        arcs = [
-            e for e in graph.live_edges() if e.kind is EdgeKind.CELL
-        ][:200]
-        by_table = {}
-        for edge in arcs:
-            key = (id(edge.arc.delay), id(edge.arc.output_slew))
-            by_table.setdefault(key, []).append(edge)
         compared = 0
-        for members in by_table.values():
-            first = members[0].arc
-            loads = np.array(
-                [[self._arc_load(calcs[0], graph, e)] for e in members]
+        for arcs in levels:
+            edges = [graph.edges[eid] for eid in arcs.eids.tolist()]
+            loads = np.array([self._arc_load(calc, graph, e) for e in edges])
+            # Below, inside and above the slew axis.
+            slews = np.array([0.0, 13.7, 55.0, 400.0])[
+                np.arange(len(edges)) % 4
+            ]
+            delays, out_slews = calc.compute_arcs_batch(
+                arcs.tables, slews, loads
             )
-            for base in (7.5, 300.0):
-                slews = base * (
-                    1.0 + 0.01 * np.arange(len(members))[:, None]
-                    + 0.25 * np.arange(scales.size)[None, :]
-                )
-                delays, slews_out = calcs[0].compute_arcs_batch(
-                    first.delay, first.output_slew, slews, loads, scales
-                )
-                assert delays.shape == slews_out.shape == slews.shape
-                for j, edge in enumerate(members):
-                    for s, scenario_calc in enumerate(calcs):
-                        want = scenario_calc.cell_edge(
-                            graph, edge, float(slews[j, s])
-                        )
-                        assert (delays[j, s], slews_out[j, s]) == want
-                        compared += 1
-        assert compared == len(arcs) * 2 * scales.size
-
-    def test_compute_edges_batch_matches_scalar_loop(self):
-        import copy
-
-        import numpy as np
-
-        _, graph, calc = self._timed_graph()
-        edges = sorted(graph.live_edges(), key=lambda e: e.id)
-        slews = np.linspace(5.0, 60.0, len(edges))
-        reference = copy.deepcopy(
-            [(e.delay, e.out_slew) for e in edges]
+            for j, edge in enumerate(edges):
+                want = calc.cell_edge(graph, edge, float(slews[j]))
+                assert (delays[j], out_slews[j]) == want
+            stacked = slews[:, None] * (
+                1.0 + 0.25 * np.arange(scales.size)[None, :]
+            ) + 7.5
+            delays, out_slews = calc.compute_arcs_batch(
+                arcs.tables, stacked, loads[:, None], scales
+            )
+            assert delays.shape == out_slews.shape == stacked.shape
+            for j, edge in enumerate(edges):
+                for s, scenario_calc in enumerate(calcs):
+                    want = scenario_calc.cell_edge(
+                        graph, edge, float(stacked[j, s])
+                    )
+                    assert (delays[j, s], out_slews[j, s]) == want
+                    compared += 1
+        n_cell = sum(
+            1 for e in graph.live_edges() if e.kind is EdgeKind.CELL
         )
-        for edge, slew in zip(edges, slews):
-            calc.compute_edge(graph, edge, float(slew))
-        scalar_results = [(e.delay, e.out_slew) for e in edges]
-        for edge, (delay, out_slew) in zip(edges, reference):
-            edge.delay, edge.out_slew = delay, out_slew
-        calc.compute_edges_batch(graph, edges, slews)
-        batch_results = [(e.delay, e.out_slew) for e in edges]
-        assert batch_results == scalar_results
+        assert compared == n_cell * scales.size

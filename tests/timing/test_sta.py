@@ -1,5 +1,8 @@
 """Engine facade tests."""
 
+from dataclasses import replace
+
+import numpy as np
 import pytest
 
 from repro.timing.sta import STAConfig, STAEngine
@@ -26,6 +29,76 @@ class TestLifecycle:
         assert hold.kind is CheckKind.HOLD
         # Every generated design violates some setup endpoints by design.
         assert setup.violations > 0
+
+
+def _state_bytes(engine) -> tuple:
+    """Every timing array and edge value, as bytes."""
+    state = engine.state
+    edges = [e for e in engine.graph.edges if e is not None]
+    return (
+        state.arrival_late.tobytes(), state.arrival_early.tobytes(),
+        state.slew.tobytes(), state.derate_late.tobytes(),
+        state.derate_early.tobytes(),
+        np.asarray([(e.delay, e.out_slew) for e in edges]).tobytes(),
+    )
+
+
+@pytest.mark.parametrize("kernel", ["vector", "scalar"])
+class TestWeightInstall:
+    """A weight change re-derates only: no topology work."""
+
+    def _counted(self, monkeypatch):
+        from repro.timing import sta as sta_mod
+        from repro.timing.graph import TimingGraph
+
+        calls = []
+        depths = sta_mod.compute_gba_depths
+        mark = TimingGraph.mark_clock_tree
+
+        def counted_depths(netlist):
+            calls.append("compute_gba_depths")
+            return depths(netlist)
+
+        def counted_mark(graph, clock_ports):
+            calls.append("mark_clock_tree")
+            return mark(graph, clock_ports)
+
+        monkeypatch.setattr(sta_mod, "compute_gba_depths", counted_depths)
+        monkeypatch.setattr(TimingGraph, "mark_clock_tree", counted_mark)
+        return calls
+
+    def _engine(self, design, kernel):
+        return STAEngine(
+            design.netlist, design.constraints, design.placement,
+            replace(design.sta_config, kernel=kernel),
+        )
+
+    def test_set_and_clear_skip_topology_work(
+        self, small_design, kernel, monkeypatch
+    ):
+        engine = self._engine(small_design, kernel)
+        engine.update_timing()
+        weights = {
+            gate: 0.85 + 0.03 * (i % 5)
+            for i, gate in enumerate(sorted(small_design.netlist.gates))
+        }
+        calls = self._counted(monkeypatch)
+        engine.set_gate_weights(weights)
+        engine.update_timing()
+        assert calls == []
+        fresh = self._engine(small_design, kernel)
+        fresh.set_gate_weights(weights)
+        fresh.update_timing()
+        assert _state_bytes(engine) == _state_bytes(fresh)
+
+        calls.clear()
+        engine.clear_gate_weights()
+        engine.update_timing()
+        assert calls == []
+        monkeypatch.undo()
+        plain = self._engine(small_design, kernel)
+        plain.update_timing()
+        assert _state_bytes(engine) == _state_bytes(plain)
 
 
 class TestGbaDistance:
