@@ -1,13 +1,11 @@
-"""Explain-layer bench: pessimism accounting per design, trended.
+"""Explain-layer bench: pessimism accounting per design.
 
 Runs the slack-provenance layer over each bench design twice — on the
 clean GBA engine and again after a direct-solver mGBA fit — and prints
 the accounting (total pessimism, removed by the fit, residual).  The
 ``explain.pessimism_removed`` / ``explain.pessimism_residual`` gauges
-the run records flow through the per-bench metrics snapshot into
-``bench_metrics/history.jsonl``, so ``repro-sta bench-history`` trends
-*attribution* drift (a fit suddenly removing less pessimism) alongside
-runtime drift.
+the run records land in the per-bench ``BENCH_<name>.json`` metrics
+snapshot.
 """
 
 from __future__ import annotations
@@ -43,7 +41,7 @@ def test_bench_explain_accounting(name, design_cache, capsys):
     # A clean engine has nothing removed — bitwise, by construction.
     assert clean.summary.removed == 0.0
     # The fitted engine attributes its correction (how much is a QoR
-    # question for bench-history to trend, never a flaky gate here).
+    # question for the printed table, never a flaky gate here).
     assert fitted.summary.endpoints == clean.summary.endpoints
 
     with capsys.disabled():

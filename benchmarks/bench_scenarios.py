@@ -12,8 +12,8 @@ One multi-corner sweep, two ways:
 
 Equivalence is hard-asserted per corner (bit-identical state arrays
 and equal slack maps — the same contract tier-1 gates in
-``tests/timing/test_scenarios.py``); wall-clock speedups are logged
-and recorded to ``repro.obs.history``, never flaky-gated.
+``tests/timing/test_scenarios.py``); wall-clock speedups are logged,
+never flaky-gated.
 
 Also runnable as a script for the CI ``scenario-equivalence`` gate::
 

@@ -18,8 +18,7 @@ Two workloads per design, mirroring how the system actually calls
 
 Equivalence is hard-asserted (bit-identical arrivals/slews and equal
 slack maps, here and in the CI ``bench-smoke`` gate); wall-clock
-speedups are logged and recorded to ``repro.obs.history``, never
-flaky-gated.
+speedups are logged, never flaky-gated.
 
 Also runnable as a script for CI::
 
@@ -197,7 +196,7 @@ def test_sta_layout_cold_hydrate(benchmark):
 
     Observes ``kernel.layout_build_seconds`` (the throwaway warm build)
     and ``kernel.layout_hydrate_seconds`` so the conftest metrics
-    snapshot lands both in ``bench_metrics/history.jsonl``.
+    snapshot records both in its ``BENCH_<name>.json``.
     """
     largest = bench_design_names()[-1]
 

@@ -12,16 +12,12 @@ Environment knobs:
 * ``REPRO_BENCH_METRICS_DIR`` — where each bench's metrics snapshot is
   written as ``BENCH_<name>.json`` (default ``bench_metrics/``; set
   empty to disable).
-* ``REPRO_BENCH_HISTORY`` — the append-only bench time series every
-  run extends (default ``<metrics dir>/history.jsonl``; set empty to
-  disable).  Read it back with ``repro-sta bench-history``.
 """
 
 from __future__ import annotations
 
 import os
 import re
-import time
 from pathlib import Path
 
 import pytest
@@ -63,85 +59,29 @@ def _snapshot_filename(node_name: str) -> str:
     return f"BENCH_{base}__{seen + 1}.json"
 
 
-def bench_fingerprint() -> str:
-    """Digest of the *problem* a bench run measured.
-
-    Covers the design subset, the closure transform budget, and the
-    resolved worker count — the knobs that change what a bench's wall
-    time means.  ``repro-sta bench-history`` only ever compares runs
-    with the same fingerprint, so a ``D1``-only CI smoke run and a
-    full ten-design sweep live in different series.
-    """
-    from repro.parallel.executor import resolve_workers
-    from repro.service.keys import digest
-
-    return digest([
-        ",".join(bench_design_names()),
-        closure_budget(),
-        resolve_workers(None),
-    ])
-
-
-def _append_history(bench: str, seconds: float, snapshot: dict,
-                    metrics_dir: str) -> None:
-    """One history record per bench run (best-effort, never fatal)."""
-    default_path = str(Path(metrics_dir) / "history.jsonl") \
-        if metrics_dir else ""
-    path = os.environ.get("REPRO_BENCH_HISTORY", default_path)
-    if not path:
-        return
-    from repro.obs.history import (
-        BenchRecord,
-        append_record,
-        git_sha,
-        metrics_summary,
-        utc_now,
-    )
-
-    try:
-        append_record(path, BenchRecord(
-            sha=git_sha(),
-            bench=bench,
-            fingerprint=bench_fingerprint(),
-            seconds=round(seconds, 6),
-            when=utc_now(),
-            metrics=metrics_summary(snapshot),
-        ))
-    except OSError:
-        pass  # a read-only checkout must not fail the bench itself
-
-
 @pytest.fixture(autouse=True)
 def bench_metrics_snapshot(request):
     """Archive each bench's metrics as ``BENCH_<name>.json``.
 
     The process-wide registry is cleared before the bench and dumped
     after it, so every run of the suite leaves one JSON per bench —
-    solver iteration counts, timing-update histograms, etc. — tracking
-    the perf trajectory across PRs.  Work done lazily inside
+    solver iteration counts, timing-update histograms, etc.  Work done lazily inside
     session-scoped caches lands in the bench that first triggered it.
     Filenames are collision-safe: two benches whose sanitized names
-    coincide get distinct numbered snapshots.  Each run also appends
-    one record (wall seconds + scalar metric summary) to the bench
-    history time series.
+    coincide get distinct numbered snapshots.
     """
     directory = os.environ.get("REPRO_BENCH_METRICS_DIR", "bench_metrics")
-    if not directory and not os.environ.get("REPRO_BENCH_HISTORY"):
+    if not directory:
         yield
         return
     from repro.obs import default_registry
 
     registry = default_registry()
     registry.reset()
-    started = time.perf_counter()
     yield
-    seconds = time.perf_counter() - started
-    snapshot = registry.snapshot()
-    if directory:
-        out_dir = Path(directory)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        registry.save_json(out_dir / _snapshot_filename(request.node.name))
-    _append_history(request.node.name, seconds, snapshot, directory)
+    out_dir = Path(directory)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    registry.save_json(out_dir / _snapshot_filename(request.node.name))
 
 
 @pytest.fixture(scope="session")

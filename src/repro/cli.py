@@ -22,8 +22,6 @@ Subcommands
                registry or of a saved ``--metrics`` snapshot.
 ``slo-check``  judge a flight-recorder dump against an SLO spec
                (exit 1 on violation — the advisory CI gate).
-``bench-history`` list/compare the benchmark time series
-               (``bench_metrics/history.jsonl``) and flag regressions.
 ``cache``      inspect or manage the on-disk artifact store:
                ``stats`` (per-class entry/byte counts), ``warm DESIGN``
                (pre-build and persist the design's levelized layout so
@@ -241,52 +239,6 @@ def _cmd_obs_report(args) -> int:
             print(f"Flight {args.flight_file}:")
             print()
             print(format_flight(dump, top=args.top))
-    return 0
-
-
-def _cmd_bench_history(args) -> int:
-    from repro.obs.history import (
-        check,
-        compare,
-        format_compare,
-        format_list,
-        format_markdown,
-        load_history,
-    )
-
-    records = load_history(args.history_file)
-    if args.markdown:
-        print(format_markdown(records, tolerance=args.tolerance))
-        return 0
-    if args.check:
-        failures, warnings = check(
-            records, tolerance=args.tolerance, min_points=args.min_points
-        )
-        for verdict in warnings:
-            print(
-                f"bench-history: WARNING {verdict.bench}: "
-                f"{verdict.latest.seconds:.3f}s vs median "
-                f"{verdict.baseline_seconds:.3f}s "
-                f"({verdict.delta_percent:+.1f}%) — only "
-                f"{verdict.points} data point(s), advisory",
-                file=sys.stderr,
-            )
-        for verdict in failures:
-            print(
-                f"bench-history: REGRESSION {verdict.bench}: "
-                f"{verdict.latest.seconds:.3f}s vs median "
-                f"{verdict.baseline_seconds:.3f}s "
-                f"({verdict.delta_percent:+.1f}%, n={verdict.points})",
-                file=sys.stderr,
-            )
-        if not failures and not warnings:
-            print(f"bench-history: no regressions in {args.history_file} "
-                  f"(tolerance {args.tolerance:.0%})")
-        return 1 if failures else 0
-    if args.compare:
-        print(format_compare(compare(records, tolerance=args.tolerance)))
-        return 0
-    print(format_list(records))
     return 0
 
 
@@ -1082,41 +1034,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="truncate the breakdown (and profile table) to N rows",
     )
 
-    p_hist = sub.add_parser(
-        "bench-history",
-        help="list/compare the benchmark time series and flag "
-             "runtime regressions",
-    )
-    p_hist.add_argument(
-        "history_file", nargs="?",
-        default="bench_metrics/history.jsonl",
-        help="history JSONL file (default: bench_metrics/history.jsonl)",
-    )
-    p_hist.add_argument(
-        "--compare", action="store_true",
-        help="judge the latest run of every series against its "
-             "median baseline",
-    )
-    p_hist.add_argument(
-        "--check", action="store_true",
-        help="like --compare but exit 1 on a regression backed by at "
-             "least --min-points runs (younger series only warn)",
-    )
-    p_hist.add_argument(
-        "--markdown", action="store_true",
-        help="render the full trend report as markdown",
-    )
-    p_hist.add_argument(
-        "--tolerance", type=float, default=0.2, metavar="FRAC",
-        help="relative band around the baseline before a run is "
-             "flagged (default: 0.2 = ±20%%)",
-    )
-    p_hist.add_argument(
-        "--min-points", type=int, default=3, metavar="N",
-        help="runs a series needs before --check fails on it "
-             "(default: 3)",
-    )
-
     p_cache = sub.add_parser(
         "cache",
         help="inspect or manage the on-disk artifact store",
@@ -1161,7 +1078,6 @@ _COMMANDS = {
     "metrics-export": _cmd_metrics_export,
     "slo-check": _cmd_slo_check,
     "obs-report": _cmd_obs_report,
-    "bench-history": _cmd_bench_history,
     "cache": _cmd_cache,
 }
 

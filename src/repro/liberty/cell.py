@@ -190,10 +190,6 @@ class Cell:
         """All setup/hold constraint arcs."""
         return [a for a in self.arcs if a.kind in (ArcKind.SETUP, ArcKind.HOLD)]
 
-    def arcs_to(self, output_pin: str) -> list[TimingArc]:
-        """Delay arcs terminating at the given output pin."""
-        return [a for a in self.delay_arcs() if a.to_pin == output_pin]
-
     def arc_between(self, from_pin: str, to_pin: str) -> TimingArc | None:
         """The delay arc from ``from_pin`` to ``to_pin``, or None."""
         for arc in self.delay_arcs():

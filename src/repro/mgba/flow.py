@@ -158,13 +158,17 @@ class MGBAFlow:
         self.config = config
         self.solve_cache = solve_cache
 
-    def select_paths(self, engine: STAEngine) -> list[TimingPath]:
-        """Per-endpoint top-k' critical path selection."""
-        engine.ensure_timing()
+    def select_paths(self, pba: PBAEngine) -> list[TimingPath]:
+        """Per-endpoint top-k' critical path selection.
+
+        Walks ``pba``'s mirrors, so the golden analysis of the selected
+        paths reuses the same read of the graph.
+        """
         raw = enumerate_worst_paths(
-            engine.graph, engine.state,
+            pba.sta.graph, pba.sta.state,
             k_per_endpoint=self.config.k_per_endpoint,
             max_total=self.config.max_paths,
+            mirrors=pba.path_mirrors(),
         )
         return per_endpoint_topk(
             raw, self.config.k_per_endpoint, self.config.max_paths
@@ -185,8 +189,9 @@ class MGBAFlow:
 
         stages: dict[str, Span] = {}
         with span("mgba.run", solver=self.config.solver) as run_span:
+            pba = PBAEngine(engine, recalc_slew=self.config.recalc_slew)
             with span("mgba.select") as stages["select"]:
-                paths = self.select_paths(engine)
+                paths = self.select_paths(pba)
             stages["select"].set(paths=len(paths))
             counter("paths.selected").inc(len(paths))
             if not paths:
@@ -194,7 +199,6 @@ class MGBAFlow:
                     "no timing paths selected; is the design constrained?"
                 )
             with span("mgba.pba") as stages["pba"]:
-                pba = PBAEngine(engine, recalc_slew=self.config.recalc_slew)
                 pba.analyze(paths)
                 # Never fit against false paths: their "golden" slack is
                 # a fiction (the path cannot happen), and set_false_path

@@ -23,6 +23,7 @@ SPEF-lite grammar (a recognizable subset of IEEE 1481 SPEF)::
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -119,10 +120,27 @@ def write_spef(parasitics: Parasitics) -> str:
     return "\n".join(out)
 
 
+def _quantity(text: str, what: str, filename: str, lineno: int) -> float:
+    """A finite, non-negative value of ``text``, else a located error."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value >= 0.0):
+        raise ParseError(f"bad {what} {text!r}", filename, lineno)
+    return value
+
+
 def parse_spef(text: str, filename: str = "<string>") -> Parasitics:
-    """Parse SPEF-lite text."""
+    """Parse SPEF-lite text.
+
+    Capacitances and resistances must be finite and non-negative; every
+    malformed line, and a ``*D_NET`` left open at the end, is a
+    :class:`ParseError` at its line.
+    """
     parasitics = Parasitics()
     current_net: str | None = None
+    net_line = 0
     current_cap = 0.0
     current_res: float | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -147,21 +165,16 @@ def parse_spef(text: str, filename: str = "<string>") -> Parasitics:
                 raise ParseError(
                     "*D_NET expects: *D_NET <net> <cap>", filename, lineno
                 )
-            current_net = parts[1]
-            try:
-                current_cap = float(parts[2])
-            except ValueError:
-                raise ParseError(
-                    f"bad capacitance {parts[2]!r}", filename, lineno
-                ) from None
+            current_net, net_line = parts[1], lineno
+            current_cap = _quantity(parts[2], "capacitance", filename, lineno)
             current_res = None
         elif keyword == "*RES":
             if current_net is None:
                 raise ParseError("*RES outside *D_NET", filename, lineno)
-            try:
-                current_res = float(parts[1])
-            except (IndexError, ValueError):
-                raise ParseError("bad *RES line", filename, lineno) from None
+            current_res = _quantity(
+                parts[1] if len(parts) > 1 else "", "resistance",
+                filename, lineno,
+            )
         elif keyword == "*END":
             if current_net is None:
                 raise ParseError("*END outside *D_NET", filename, lineno)
@@ -175,7 +188,7 @@ def parse_spef(text: str, filename: str = "<string>") -> Parasitics:
             )
     if current_net is not None:
         raise ParseError(
-            f"*D_NET {current_net} not closed with *END", filename, 0
+            f"*D_NET {current_net} not closed with *END", filename, net_line
         )
     return parasitics
 

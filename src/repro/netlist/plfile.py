@@ -12,6 +12,7 @@ so a generated design round-trips through files with identical timing.
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 from repro.errors import ParseError
@@ -29,7 +30,8 @@ def write_placement(placement: Placement) -> str:
 
 
 def parse_placement(text: str, filename: str = "<string>") -> Placement:
-    """Parse .pl text into a :class:`Placement`."""
+    """Parse .pl text into a :class:`Placement`; coordinates must be
+    finite."""
     placement = Placement()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -42,11 +44,12 @@ def parse_placement(text: str, filename: str = "<string>") -> Placement:
             )
         name, x_text, y_text = parts
         try:
-            placement.place(name, float(x_text), float(y_text))
+            x, y = float(x_text), float(y_text)
         except ValueError:
-            raise ParseError(
-                f"bad coordinate in {line!r}", filename, lineno
-            ) from None
+            x = y = math.nan
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise ParseError(f"bad coordinate in {line!r}", filename, lineno)
+        placement.place(name, x, y)
     return placement
 
 

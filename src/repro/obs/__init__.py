@@ -10,8 +10,6 @@ is instrumented with (see ``docs/observability.md`` for the tour):
   of counters, gauges, and fixed-bucket histograms;
 * :mod:`repro.obs.telemetry` — per-iteration :class:`IterationStats`
   callbacks published by the mGBA solvers;
-* :mod:`repro.obs.history` — the append-only benchmark time series
-  behind ``repro-sta bench-history``;
 * :mod:`repro.obs.profile` — opt-in span-scoped cProfile
   (``repro-sta --profile``);
 * :mod:`repro.obs.flight` — the always-on bounded flight recorder
@@ -38,12 +36,6 @@ from repro.obs.flight import (
     default_flight_recorder,
     format_flight,
     load_flight,
-)
-from repro.obs.history import (
-    BenchRecord,
-    append_record,
-    compare,
-    load_history,
 )
 from repro.obs.metrics import (
     Counter,
@@ -127,8 +119,6 @@ __all__ = [
     # reports
     "load_trace", "stage_breakdown", "format_breakdown", "format_tracer",
     "load_metrics", "format_metrics",
-    # history
-    "BenchRecord", "append_record", "load_history", "compare",
     # profiling
     "DEFAULT_PROFILED_SPANS", "SpanProfiler", "profiling",
     "load_profile", "format_profile",

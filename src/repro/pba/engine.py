@@ -141,10 +141,7 @@ class PBAEngine:
         domains = graph_domains(graph)
         edge_ids = paths.edge_ids
         is_data = domains.edge_domain[edge_ids] == DOMAIN_DATA
-        delay = np.fromiter(
-            (graph.edge(edge_id).delay for edge_id in edge_ids.tolist()),
-            dtype=np.float64, count=len(edge_ids),
-        )
+        delay = self.path_mirrors().delay[edge_ids]
         derate = state.derate_late[edge_ids]
         infos = self._endpoint_infos(paths)
         required = self._required_times(paths, infos)
@@ -333,7 +330,8 @@ class PBAEngine:
 
         Built once per ``timing_epoch``: golden slacks asked one
         endpoint at a time pay for their own walks only, not for a read
-        of the whole graph each.
+        of the whole graph each, and an analysis gathers its path
+        entries' delays from the same read.
         """
         sta = self.sta
         if self._mirrors is None or self._mirrors_epoch != sta.timing_epoch:

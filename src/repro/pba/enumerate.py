@@ -47,8 +47,10 @@ from repro.timing.propagation import TimingState
 
 @dataclass(frozen=True)
 class PathMirrors:
-    """Id-indexed Python lists the walk reads, of one timing state."""
+    """Id-indexed Python lists the walk reads, of one timing state,
+    and the base edge delays PBA gathers its path entries from."""
 
+    delay: np.ndarray            # edge delay per id (0.0 for a free slot)
     late: "list[float]"          # edge_delay * derate_late
     arrival: "list[float]"       # late arrival per node
     in_edges: "list[list[int]]"  # the graph's own fanin lists
@@ -65,6 +67,7 @@ def path_mirrors(graph: TimingGraph, state: TimingState) -> PathMirrors:
         dtype=np.float64, count=len(graph.edges),
     )
     return PathMirrors(
+        delay=delays,
         late=(delays * state.derate_late[:len(delays)]).tolist(),
         arrival=state.arrival_late.tolist(),
         in_edges=graph.in_edges,

@@ -509,8 +509,3 @@ class TimingGraph:
     def endpoint_nodes(self) -> list[int]:
         """Ids of all endpoint nodes, in id order (deterministic)."""
         return sorted(self.endpoints)
-
-    def launch_node_of_endpoint(self, node_id: int) -> int | None:
-        """The CK node paired with an endpoint, or None for ports."""
-        info = self.endpoints.get(node_id)
-        return info.ck_node if info is not None else None

@@ -85,7 +85,7 @@ from repro.timing.domains import (
     DOMAIN_PLAIN,
     graph_domains,
 )
-from repro.timing.graph import EdgeKind, TimingGraph
+from repro.timing.graph import EdgeKind, TimingEdge, TimingGraph
 from repro.timing.propagation import (
     NEG_INF,
     POS_INF,
@@ -293,11 +293,6 @@ def set_layout_disk_store(store: "Any | None") -> None:
     _disk_store = store
 
 
-def layout_disk_store() -> "Any | None":
-    """The currently attached layout persistence store, if any."""
-    return _disk_store
-
-
 def clear_layout_cache() -> None:
     """Drop all cached layouts (test isolation hook)."""
     _layout_cache.clear()
@@ -342,19 +337,26 @@ def _clone_layout(cached: LevelizedLayout,
     graph, and the flow fingerprint must never certify a foreign
     engine's fixpoint.
     """
+    edge_delay, edge_out_slew = _edge_values(graph)
     clone = replace(
-        cached,
-        edge_delay=np.zeros(cached.n_edge_slots),
-        edge_out_slew=np.zeros(cached.n_edge_slots),
+        cached, edge_delay=edge_delay, edge_out_slew=edge_out_slew
     )
     clone._group_epoch = -1
     clone._cell_groups = []
     clone._flow_key = None
+    return clone
+
+
+def _edge_values(graph: TimingGraph) -> "tuple[np.ndarray, np.ndarray]":
+    """Fresh id-indexed ``(edge_delay, edge_out_slew)`` read from the
+    graph's edge objects (0.0 in free slots)."""
+    edge_delay = np.zeros(len(graph.edges))
+    edge_out_slew = np.zeros(len(graph.edges))
     for edge in graph.edges:
         if edge is not None:
-            clone.edge_delay[edge.id] = edge.delay
-            clone.edge_out_slew[edge.id] = edge.out_slew
-    return clone
+            edge_delay[edge.id] = edge.delay
+            edge_out_slew[edge.id] = edge.out_slew
+    return edge_delay, edge_out_slew
 
 
 #: Structural :class:`LevelizedLayout` fields persisted to disk, by
@@ -423,21 +425,16 @@ def layout_from_payload(
         kwargs[name] = [
             np.asarray(arr, dtype=np.int64) for arr in payload["levels"][name]
         ]
-    n_edge_slots = int(payload["n_edge_slots"])
-    layout = LevelizedLayout(
+    edge_delay, edge_out_slew = _edge_values(graph)
+    return LevelizedLayout(
         structure_version=graph.structure_version,
         n_node_slots=int(payload["n_node_slots"]),
-        n_edge_slots=n_edge_slots,
-        edge_delay=np.zeros(n_edge_slots),
-        edge_out_slew=np.zeros(n_edge_slots),
+        n_edge_slots=int(payload["n_edge_slots"]),
+        edge_delay=edge_delay,
+        edge_out_slew=edge_out_slew,
         gate_index={gate: col for col, gate in enumerate(kwargs["gates"])},
         **kwargs,
     )
-    for edge in graph.edges:
-        if edge is not None:
-            layout.edge_delay[edge.id] = edge.delay
-            layout.edge_out_slew[edge.id] = edge.out_slew
-    return layout
 
 
 def _layout_from_disk(
@@ -611,7 +608,6 @@ def _build_layout(
     edge_is_net = np.zeros(n_edge_slots, dtype=bool)
     edge_delay = np.zeros(n_edge_slots)
     edge_out_slew = np.zeros(n_edge_slots)
-    netlist = graph.netlist
     cell_nets: list[str] = []
     cell_net_index: dict[str, int] = {}
     cell_edge_net = np.full(n_edge_slots, -1, dtype=np.int64)
@@ -625,16 +621,9 @@ def _build_layout(
         edge_delay[edge.id] = edge.delay
         edge_out_slew[edge.id] = edge.out_slew
         if edge.kind is EdgeKind.CELL:
-            dst_ref = graph.node(edge.dst).ref
-            assert dst_ref.gate is not None
-            net = netlist.gate(dst_ref.gate).connections.get(dst_ref.pin)
-            if net is not None:
-                idx = cell_net_index.get(net)
-                if idx is None:
-                    idx = len(cell_nets)
-                    cell_net_index[net] = idx
-                    cell_nets.append(net)
-                cell_edge_net[edge.id] = idx
+            cell_edge_net[edge.id] = _cell_net_column(
+                graph, edge, cell_nets, cell_net_index
+            )
 
     # Node metadata.
     node_is_clock_tree = domains.node_is_clock_tree.copy()
@@ -664,27 +653,9 @@ def _build_layout(
         boundary_arrival[node_id] = arrival
         boundary_slew[node_id] = slew_value
 
-    # Per-level fanout split: net arcs (pass-through) vs cell arcs (LUT).
-    net_eids_by_level: list[np.ndarray] = []
-    net_srcs_by_level: list[np.ndarray] = []
-    cell_eids_by_level: list[np.ndarray] = []
-    for lv in range(n_levels):
-        s, e = out_ptr[level_ptr[lv]], out_ptr[level_ptr[lv + 1]]
-        net_e: list[int] = []
-        net_s: list[int] = []
-        cell_e: list[int] = []
-        for k in range(int(s), int(e)):
-            edge_id = out_edge_list[k]
-            edge = graph.edges[edge_id]
-            assert edge is not None
-            if edge.kind is EdgeKind.NET:
-                net_e.append(edge_id)
-                net_s.append(edge.src)
-            else:
-                cell_e.append(edge_id)
-        net_eids_by_level.append(np.asarray(net_e, dtype=np.int64))
-        net_srcs_by_level.append(np.asarray(net_s, dtype=np.int64))
-        cell_eids_by_level.append(np.asarray(cell_e, dtype=np.int64))
+    out_edge = np.asarray(out_edge_list, dtype=np.int64)
+    net_eids_by_level, net_srcs_by_level, cell_eids_by_level = \
+        _split_fanout(level_ptr, out_ptr, out_edge, edge_is_net, edge_src)
 
     return LevelizedLayout(
         structure_version=graph.structure_version,
@@ -697,7 +668,7 @@ def _build_layout(
         in_edge=np.asarray(in_edge_list, dtype=np.int64),
         in_src=np.asarray(in_src_list, dtype=np.int64),
         out_ptr=out_ptr,
-        out_edge=np.asarray(out_edge_list, dtype=np.int64),
+        out_edge=out_edge,
         out_dst=np.asarray(out_dst_list, dtype=np.int64),
         edge_live=edge_live,
         edge_dst=edge_dst,
@@ -726,6 +697,45 @@ def _build_layout(
         edge_src=edge_src,
         edge_is_net=edge_is_net,
     )
+
+
+def _cell_net_column(graph: TimingGraph, edge: TimingEdge,
+                     cell_nets: "list[str]",
+                     cell_net_index: "dict[str, int]") -> int:
+    """Index of the net a cell arc loads in ``cell_nets``, appended on
+    first use (-1 when the arc's output pin is unconnected)."""
+    dst_ref = graph.node(edge.dst).ref
+    assert dst_ref.gate is not None
+    net = graph.netlist.gate(dst_ref.gate).connections.get(dst_ref.pin)
+    if net is None:
+        return -1
+    idx = cell_net_index.get(net)
+    if idx is None:
+        idx = cell_net_index[net] = len(cell_nets)
+        cell_nets.append(net)
+    return idx
+
+
+def _split_fanout(
+    level_ptr: np.ndarray,
+    out_ptr: np.ndarray,
+    out_edge: np.ndarray,
+    edge_is_net: np.ndarray,
+    edge_src: np.ndarray,
+) -> "tuple[list[np.ndarray], list[np.ndarray], list[np.ndarray]]":
+    """Each level's fanout split into net arcs (pass-through, with their
+    sources) and cell arcs (LUT), in fanout CSR order."""
+    net_eids_by_level: list[np.ndarray] = []
+    net_srcs_by_level: list[np.ndarray] = []
+    cell_eids_by_level: list[np.ndarray] = []
+    for lv in range(len(level_ptr) - 1):
+        eids = out_edge[out_ptr[level_ptr[lv]]:out_ptr[level_ptr[lv + 1]]]
+        is_net = edge_is_net[eids]
+        net_eids = eids[is_net]
+        net_eids_by_level.append(net_eids)
+        net_srcs_by_level.append(edge_src[net_eids])
+        cell_eids_by_level.append(eids[~is_net])
+    return net_eids_by_level, net_srcs_by_level, cell_eids_by_level
 
 
 def _boundary_source_values(
@@ -963,7 +973,6 @@ def _patch_layout(
     plain_new: list[int] = []
     data_new: list[int] = []
     data_cols_new: list[int] = []
-    netlist = graph.netlist
     for edge_id in fresh_eids:
         edge = edges[edge_id]
         assert edge is not None
@@ -981,17 +990,9 @@ def _patch_layout(
             data_cols_new.append(col)
         else:
             plain_new.append(edge_id)
-        if edge.kind is EdgeKind.CELL:
-            dst_ref = graph.node(edge.dst).ref
-            assert dst_ref.gate is not None
-            net = netlist.gate(dst_ref.gate).connections.get(dst_ref.pin)
-            if net is not None:
-                idx = cell_net_index.get(net)
-                if idx is None:
-                    idx = len(cell_nets)
-                    cell_net_index[net] = idx
-                    cell_nets.append(net)
-                cell_edge_net[edge_id] = idx
+        cell_edge_net[edge_id] = _cell_net_column(
+            graph, edge, cell_nets, cell_net_index
+        ) if edge.kind is EdgeKind.CELL else -1
     # A removed buffer's output net leaves with its arcs (and the
     # netlist): keep only the nets live cell arcs still load, in the
     # builder's first-use order, so a full sweep never asks for a load
@@ -1119,19 +1120,8 @@ def _patch_layout(
         boundary_arrival[node_id] = arrival
         boundary_slew[node_id] = slew_value
 
-    # --- per-level fanout split -----------------------------------------
-    net_eids_by_level: list[np.ndarray] = []
-    net_srcs_by_level: list[np.ndarray] = []
-    cell_eids_by_level: list[np.ndarray] = []
-    for lv in range(n_levels):
-        s = int(out_ptr[level_ptr[lv]])
-        e = int(out_ptr[level_ptr[lv + 1]])
-        eids = out_edge[s:e]
-        is_net = edge_is_net[eids]
-        net_e = eids[is_net]
-        net_eids_by_level.append(net_e)
-        net_srcs_by_level.append(edge_src[net_e])
-        cell_eids_by_level.append(eids[~is_net])
+    net_eids_by_level, net_srcs_by_level, cell_eids_by_level = \
+        _split_fanout(level_ptr, out_ptr, out_edge, edge_is_net, edge_src)
 
     return LevelizedLayout(
         structure_version=graph.structure_version,

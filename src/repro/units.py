@@ -21,8 +21,6 @@ in other units (e.g. clock periods in ns from an SDC file).
 from __future__ import annotations
 
 PS_PER_NS = 1000.0
-NM_PER_UM = 1000.0
-FF_PER_PF = 1000.0
 
 
 def ns_to_ps(value_ns: float) -> float:
@@ -34,17 +32,3 @@ def ps_to_ns(value_ps: float) -> float:
     """Convert internal picoseconds to nanoseconds."""
     return value_ps / PS_PER_NS
 
-
-def um_to_nm(value_um: float) -> float:
-    """Convert micrometres to the internal nanometre unit."""
-    return value_um * NM_PER_UM
-
-
-def nm_to_um(value_nm: float) -> float:
-    """Convert internal nanometres to micrometres."""
-    return value_nm / NM_PER_UM
-
-
-def pf_to_ff(value_pf: float) -> float:
-    """Convert picofarads to the internal femtofarad unit."""
-    return value_pf * FF_PER_PF

@@ -362,59 +362,6 @@ class TestObsReportSortTop:
         capsys.readouterr()
 
 
-class TestBenchHistoryCommand:
-    @pytest.fixture()
-    def history(self, tmp_path):
-        from repro.obs.history import BenchRecord, append_record
-
-        path = tmp_path / "history.jsonl"
-        for seconds in (1.00, 1.02, 0.98, 1.35):  # injected +35% run
-            append_record(path, BenchRecord(
-                sha="abc123", bench="bench_smoke", fingerprint="fp",
-                seconds=seconds,
-            ))
-        return path
-
-    def test_list_default(self, history, capsys):
-        assert main(["bench-history", str(history)]) == 0
-        out = capsys.readouterr().out
-        assert "bench_smoke" in out and "runs" in out
-
-    def test_compare_flags_regression(self, history, capsys):
-        assert main(["bench-history", str(history), "--compare"]) == 0
-        out = capsys.readouterr().out
-        assert "regression" in out and "+35.0%" in out
-
-    def test_check_fails_on_mature_regression(self, history, capsys):
-        assert main(["bench-history", str(history), "--check"]) == 1
-        assert "REGRESSION bench_smoke" in capsys.readouterr().err
-
-    def test_check_only_warns_below_min_points(self, history, capsys):
-        code = main([
-            "bench-history", str(history), "--check", "--min-points", "9",
-        ])
-        assert code == 0
-        assert "WARNING bench_smoke" in capsys.readouterr().err
-
-    def test_check_clean_history(self, history, capsys):
-        code = main([
-            "bench-history", str(history), "--check", "--tolerance", "0.5",
-        ])
-        assert code == 0
-        assert "no regressions" in capsys.readouterr().out
-
-    def test_markdown(self, history, capsys):
-        assert main(["bench-history", str(history), "--markdown"]) == 0
-        out = capsys.readouterr().out
-        assert "# Benchmark history" in out and "| sha |" in out
-
-    def test_missing_history_is_empty(self, tmp_path, capsys):
-        assert main([
-            "bench-history", str(tmp_path / "absent.jsonl"),
-        ]) == 0
-        assert "(empty history)" in capsys.readouterr().out
-
-
 class TestObservabilityCommands:
     def _serve(self, monkeypatch, tmp_path, lines, extra=()):
         import io
