@@ -16,9 +16,10 @@ Two workloads per design, mirroring how the system actually calls
   arrival-only sweep — this is the speedup the paper's Fig. 5 loop
   feels.
 
-Equivalence is hard-asserted (bit-identical arrivals/slews and equal
-slack maps, here and in the CI ``bench-smoke`` gate); wall-clock
-speedups are logged, never flaky-gated.
+Equivalence is hard-asserted (bit-identical arrivals, slews, edge
+delays and out-slews on live edges, and equal slack maps, here and in
+the CI ``bench-smoke`` gate); wall-clock speedups are logged, never
+flaky-gated.
 
 Also runnable as a script for CI::
 
@@ -115,6 +116,14 @@ def _states_identical(scalar: STAEngine, vector: STAEngine) -> bool:
     for attr in ("arrival_late", "arrival_early", "slew"):
         a = getattr(scalar.state, attr)[ids]
         b = getattr(vector.state, attr)[ids]
+        if not np.array_equal(a, b):
+            return False
+    eids = sorted(e.id for e in scalar.graph.live_edges())
+    if eids != sorted(e.id for e in vector.graph.live_edges()):
+        return False
+    for attr in ("edge_delay", "edge_out_slew"):
+        a = getattr(scalar.state, attr)[eids]
+        b = getattr(vector.state, attr)[eids]
         if not np.array_equal(a, b):
             return False
     slacks_s = {s.name: s.slack for s in scalar.setup_slacks()}

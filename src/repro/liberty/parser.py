@@ -47,7 +47,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -350,9 +349,3 @@ def parse_liberty(text: str, filename: str = "<string>") -> Library:
         except LibertyError as exc:
             raise ParseError(str(exc), filename, cell_group.line) from exc
     return library
-
-
-def load_liberty(path) -> Library:
-    """Parse a Liberty-lite file from disk."""
-    path = Path(path)
-    return parse_liberty(path.read_text(), str(path))

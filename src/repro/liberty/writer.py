@@ -12,7 +12,6 @@ reproduces the text exactly.  Both are tested in
 from __future__ import annotations
 
 import math
-from pathlib import Path
 
 from repro.liberty.cell import ArcKind, Cell, TimingArc
 from repro.liberty.library import Library
@@ -111,8 +110,3 @@ def write_liberty(library: Library) -> str:
     out.append("}")
     out.append("")
     return "\n".join(out)
-
-
-def save_liberty(library: Library, path) -> None:
-    """Write a library to disk in Liberty-lite format."""
-    Path(path).write_text(write_liberty(library))

@@ -22,7 +22,8 @@ import numpy as np
 from scipy import sparse
 
 from repro.errors import SolverError
-from repro.pba.paths import PathContributions, TimingPath, segment_entries
+from repro.pba.paths import PathContributions, TimingPath
+from repro.timing.kernel import segment_entries
 
 
 @dataclass

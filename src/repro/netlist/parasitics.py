@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from repro.errors import ParseError
 from repro.netlist.core import Netlist
@@ -191,9 +190,3 @@ def parse_spef(text: str, filename: str = "<string>") -> Parasitics:
             f"*D_NET {current_net} not closed with *END", filename, net_line
         )
     return parasitics
-
-
-def load_spef(path) -> Parasitics:
-    """Parse an SPEF-lite file from disk."""
-    path = Path(path)
-    return parse_spef(path.read_text(), str(path))

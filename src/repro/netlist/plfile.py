@@ -13,7 +13,6 @@ so a generated design round-trips through files with identical timing.
 from __future__ import annotations
 
 import math
-from pathlib import Path
 
 from repro.errors import ParseError
 from repro.netlist.placement import Placement
@@ -51,14 +50,3 @@ def parse_placement(text: str, filename: str = "<string>") -> Placement:
             raise ParseError(f"bad coordinate in {line!r}", filename, lineno)
         placement.place(name, x, y)
     return placement
-
-
-def save_placement(placement: Placement, path) -> None:
-    """Write a placement file to disk."""
-    Path(path).write_text(write_placement(placement))
-
-
-def load_placement(path) -> Placement:
-    """Read a placement file from disk."""
-    path = Path(path)
-    return parse_placement(path.read_text(), str(path))

@@ -43,7 +43,7 @@ from repro.netlist.core import PinRef
 from repro.obs.metrics import counter
 from repro.obs.trace import span
 from repro.timing.domains import DOMAIN_DATA, graph_domains, path_distances
-from repro.timing.graph import EdgeKind, EndpointInfo
+from repro.timing.graph import EndpointInfo
 from repro.timing.slack import endpoint_clock_map, setup_required
 from repro.timing.sta import STAEngine
 from repro.pba.enumerate import (
@@ -107,28 +107,29 @@ class PBAEngine:
             return None
         return graph.node_of.get(PinRef(gate, clock_pin.name))
 
-    def _recalc_base_delays(self, paths: PathSet) -> np.ndarray:
+    def _recalc_base_delays(self, paths: PathSet,
+                            gba_delay: np.ndarray) -> np.ndarray:
         """Per-entry base delays with slews re-propagated along each path.
 
         Every arc sees its true path slew — always <= the worst slew,
-        hence always <= the GBA base delay (delay tables are monotone in
-        slew).  A per-path walk: each arc's slew is the previous arc's.
+        hence always <= the GBA base delay ``gba_delay`` (per entry;
+        delay tables are monotone in slew).  A per-path walk: each
+        arc's slew is the previous arc's.
         """
-        graph, calc = self.sta.graph, self.sta.calc
-        slews = self.sta.state.slew
+        graph, calc, state = self.sta.graph, self.sta.calc, self.sta.state
         delays: "list[float]" = []
         ptr = paths.path_ptr.tolist()
         edge_ids = paths.edge_ids.tolist()
+        gba_delays = gba_delay.tolist()
+        gba_slews = state.edge_out_slew[paths.edge_ids].tolist()
         for row, launch in enumerate(paths.launch.tolist()):
-            slew = float(slews[launch])
-            for edge_id in edge_ids[ptr[row]:ptr[row + 1]]:
-                edge = graph.edge(edge_id)
-                if edge.kind is EdgeKind.CELL:
-                    delay, out_slew = calc.cell_edge(graph, edge, slew)
-                else:
-                    delay, out_slew = calc.net_edge(graph, edge, slew)
-                delays.append(min(delay, edge.delay))
-                slew = min(out_slew, edge.out_slew)
+            slew = float(state.slew[launch])
+            for entry in range(ptr[row], ptr[row + 1]):
+                delay, out_slew = calc.compute_edge(
+                    graph, graph.edge(edge_ids[entry]), slew
+                )
+                delays.append(min(delay, gba_delays[entry]))
+                slew = min(out_slew, gba_slews[entry])
         return np.asarray(delays, dtype=np.float64)
 
     # ------------------------------------------------------------------
@@ -141,7 +142,7 @@ class PBAEngine:
         domains = graph_domains(graph)
         edge_ids = paths.edge_ids
         is_data = domains.edge_domain[edge_ids] == DOMAIN_DATA
-        delay = self.path_mirrors().delay[edge_ids]
+        delay = state.edge_delay[edge_ids]
         derate = state.derate_late[edge_ids]
         infos = self._endpoint_infos(paths)
         required = self._required_times(paths, infos)
@@ -151,7 +152,10 @@ class PBAEngine:
         distance = path_distances(
             graph, sta.placement, *paths.nodes(domains.edge_dst)
         )
-        base = self._recalc_base_delays(paths) if self.recalc_slew else delay
+        base = (
+            self._recalc_base_delays(paths, delay) if self.recalc_slew
+            else delay
+        )
         pba_delay = self._pba_delays(
             paths, is_data, base, derate, depth, distance
         )
@@ -213,7 +217,7 @@ class PBAEngine:
         sta = self.sta
         table = sta.config.derating_table
         aocv = depth > 0 if table is not None else np.zeros(len(paths), bool)
-        pba_derate = np.full(len(paths), sta.config.flat_derate_late)
+        pba_derate = np.full(len(paths), sta.constraints.flat_derate_late)
         by_point: "dict[tuple[int, float], float]" = {}
         rows = np.flatnonzero(aocv)
         for i, point in zip(rows.tolist(), zip(
@@ -330,8 +334,7 @@ class PBAEngine:
 
         Built once per ``timing_epoch``: golden slacks asked one
         endpoint at a time pay for their own walks only, not for a read
-        of the whole graph each, and an analysis gathers its path
-        entries' delays from the same read.
+        of the whole graph each.
         """
         sta = self.sta
         if self._mirrors is None or self._mirrors_epoch != sta.timing_epoch:

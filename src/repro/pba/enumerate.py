@@ -37,8 +37,6 @@ import heapq
 import itertools
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.pba.paths import TimingPath
 from repro.timing.domains import graph_domains
 from repro.timing.graph import TimingGraph
@@ -47,10 +45,8 @@ from repro.timing.propagation import TimingState
 
 @dataclass(frozen=True)
 class PathMirrors:
-    """Id-indexed Python lists the walk reads, of one timing state,
-    and the base edge delays PBA gathers its path entries from."""
+    """Id-indexed Python lists the walk reads, of one timing state."""
 
-    delay: np.ndarray            # edge delay per id (0.0 for a free slot)
     late: "list[float]"          # edge_delay * derate_late
     arrival: "list[float]"       # late arrival per node
     in_edges: "list[list[int]]"  # the graph's own fanin lists
@@ -62,13 +58,11 @@ class PathMirrors:
 def path_mirrors(graph: TimingGraph, state: TimingState) -> PathMirrors:
     """The walk's mirrors of ``state``; stale once the timing changes."""
     domains = graph_domains(graph)
-    delays = np.fromiter(
-        (0.0 if edge is None else edge.delay for edge in graph.edges),
-        dtype=np.float64, count=len(graph.edges),
-    )
+    n_edges = len(graph.edges)
     return PathMirrors(
-        delay=delays,
-        late=(delays * state.derate_late[:len(delays)]).tolist(),
+        late=(
+            state.edge_delay[:n_edges] * state.derate_late[:n_edges]
+        ).tolist(),
         arrival=state.arrival_late.tolist(),
         in_edges=graph.in_edges,
         src=domains.edge_src.tolist(),

@@ -18,6 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.timing.kernel import segment_entries
+
 
 @dataclass
 class TimingPath:
@@ -135,21 +137,6 @@ class PathSet:
             edge_dst[self.edge_ids], self.path_ptr[:-1], self.launch
         )
         return node_ptr, node_ids
-
-
-def segment_entries(starts: np.ndarray, counts: np.ndarray) \
-        -> "tuple[np.ndarray, np.ndarray]":
-    """``(flat, segment)`` of the index runs ``starts[i] + [0, counts[i])``.
-
-    ``flat`` concatenates the runs in order and ``segment[j]`` is the
-    run entry ``j`` belongs to: the rows of a CSR row subset.
-    """
-    segment = np.arange(len(counts)).repeat(counts)
-    flat = (
-        np.arange(len(segment))
-        + (starts - (counts.cumsum() - counts))[segment]
-    )
-    return flat, segment
 
 
 def row_sums(path_ptr: np.ndarray, values: np.ndarray) -> np.ndarray:

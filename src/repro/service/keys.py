@@ -102,7 +102,7 @@ def sta_config_hash(config: "STAConfig") -> str:
     for name in (
         "clock_derate_late", "clock_derate_early", "data_early_derate",
         "input_slew", "clock_slew", "wire_r_per_nm", "wire_c_per_nm",
-        "gba_distance", "flat_derate_late", "delay_scale",
+        "gba_distance", "delay_scale",
     ):
         parts.append(f"{name}={getattr(config, name)!r}")
     for table in (config.derating_table, config.early_derating_table):

@@ -122,12 +122,11 @@ class DelayCalculator:
         return delay, input_slew
 
     def compute_edge(self, graph: TimingGraph, edge: TimingEdge,
-                     input_slew: float) -> None:
-        """Fill in ``edge.delay`` and ``edge.out_slew``."""
+                     input_slew: float) -> tuple[float, float]:
+        """(delay, output slew) of any arc at the given input slew."""
         if edge.kind is EdgeKind.CELL:
-            edge.delay, edge.out_slew = self.cell_edge(graph, edge, input_slew)
-        else:
-            edge.delay, edge.out_slew = self.net_edge(graph, edge, input_slew)
+            return self.cell_edge(graph, edge, input_slew)
+        return self.net_edge(graph, edge, input_slew)
 
     # ------------------------------------------------------------------
     # Batched (vector-kernel) entry point

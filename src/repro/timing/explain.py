@@ -215,8 +215,7 @@ def explain_endpoint(engine: STAEngine,
 def _explain_resolved(engine: STAEngine,
                       target: EndpointSlack) -> PathExplanation:
     graph, state = engine.graph, engine.state
-    config = engine.config
-    table = config.derating_table
+    table = engine.config.derating_table
     settings = engine.derate_settings()
     classify = arc_classifier(engine)
     weights = engine.weights
@@ -248,7 +247,7 @@ def _explain_resolved(engine: STAEngine,
     if table is not None and depth > 0:
         pba_data_derate = table.derate(depth, distance)
     else:
-        pba_data_derate = config.flat_derate_late
+        pba_data_derate = engine.constraints.flat_derate_late
 
     # The exact CRPR credit on this path's launch/capture clock pair.
     info = graph.endpoints.get(target.node)
@@ -260,7 +259,7 @@ def _explain_resolved(engine: STAEngine,
     for eid in edge_ids:
         edge = graph.edge(eid)
         domain, gba_depth, gate = classify(edge)
-        base = float(edge.delay)
+        base = float(state.edge_delay[eid])
         derate = float(state.derate_late[eid])
         if domain is EdgeDomain.CLOCK:
             gba_derate = settings.clock_late

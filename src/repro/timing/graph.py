@@ -69,13 +69,11 @@ class TimingNode:
 
 @dataclass
 class TimingEdge:
-    """A delay arc in the timing graph.
+    """A delay arc in the timing graph: structure only.
 
-    ``delay`` is the *base* (underated) value filled in by the delay
-    calculator; AOCV/clock derating is applied on top by the propagation
-    engine so that re-derating never requires re-running delay
-    calculation.  ``out_slew`` is the slew this edge presents at its
-    destination (cell arcs: table lookup; net arcs: pass-through).
+    Its base delay and output slew live in the id-indexed arrays of
+    :class:`repro.timing.propagation.TimingState` (``edge_delay`` /
+    ``edge_out_slew``), which delay calculation fills.
     """
 
     id: int
@@ -85,8 +83,6 @@ class TimingEdge:
     gate: str | None = None        # CELL edges: owning gate
     arc: TimingArc | None = None   # CELL edges: characterized arc
     net: str | None = None         # NET edges: the net traversed
-    delay: float = 0.0
-    out_slew: float = 0.0
 
 
 @dataclass

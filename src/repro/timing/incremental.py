@@ -80,15 +80,19 @@ def _mirror_structure(engine: "STAEngine", change: ChangeRecord) -> bool:
 
     Returns True when topology changed (new/removed nodes or edges), in
     which case depths, clock marking, and derates must be refreshed.
+    Every edge it creates reads a delay and out-slew of 0.0 until delay
+    calculation writes them, even in a reused slot.
     """
     graph: TimingGraph = engine.graph
     netlist = engine.netlist
     structural = False
+    created: list[int] = []
     for gate_name in change.gates:
         in_netlist = gate_name in netlist.gates
         has_nodes = bool(graph.gate_nodes(gate_name))
         if in_netlist and not has_nodes:
-            graph.add_gate_nodes(gate_name)
+            for node_id in graph.add_gate_nodes(gate_name):
+                created.extend(graph.out_edges[node_id])
             structural = True
         elif not in_netlist and has_nodes:
             graph.remove_gate_nodes(gate_name)
@@ -99,10 +103,16 @@ def _mirror_structure(engine: "STAEngine", change: ChangeRecord) -> bool:
             refresh_gate_arcs(graph, gate_name)
     for net_name in change.nets:
         if net_name in netlist.nets:
-            graph.rebuild_net(net_name)
+            created.extend(graph.rebuild_net(net_name))
             structural = True
         elif graph.drop_net_edges(net_name):
             structural = True
+    state = engine.state
+    # Slots past the arrays' end grow as zeros.
+    reused = [edge_id for edge_id in created
+              if edge_id < state.edge_delay.size]
+    state.edge_delay[reused] = 0.0
+    state.edge_out_slew[reused] = 0.0
     return structural
 
 
@@ -179,12 +189,16 @@ def propagate_incremental(
         # values did not move, so always recompute and diff.
         edges_changed = False
         for edge_id in graph.out_edges[node_id]:
-            edge = graph.edge(edge_id)
-            old_delay, old_out_slew = edge.delay, edge.out_slew
-            calc.compute_edge(graph, edge, float(state.slew[node_id]))
+            old_delay = state.edge_delay.item(edge_id)
+            old_out_slew = state.edge_out_slew.item(edge_id)
+            delay, out_slew = calc.compute_edge(
+                graph, graph.edge(edge_id), float(state.slew[node_id])
+            )
+            state.edge_delay[edge_id] = delay
+            state.edge_out_slew[edge_id] = out_slew
             if (
-                abs(edge.delay - old_delay) > _EPS
-                or abs(edge.out_slew - old_out_slew) > _EPS
+                abs(delay - old_delay) > _EPS
+                or abs(out_slew - old_out_slew) > _EPS
             ):
                 edges_changed = True
         if node_changed or edges_changed:

@@ -34,12 +34,18 @@ one engine runs it on 1-D id-indexed arrays, and
 arrays with one trailing column per scenario — the same indexing and
 axis-0 reductions, with loads and delay scales broadcast.
 
+A layout holds structure only.  Every value a sweep reads or writes —
+arrivals, slews, derates, and each edge's base delay and out-slew —
+lives in the engine's :class:`~repro.timing.propagation.TimingState`,
+the one store the scalar oracle, PBA, explain and CRPR read too.
+
 **Bit-identity contract** (enforced by ``tests/timing/test_kernel.py``):
 every arithmetic expression evaluates the same IEEE-754 operations in
 the same association order as the scalar oracle, and ``max``/``min``
-reductions are order-independent, so arrivals, slews, slacks, and
-required times are *bit-identical* between kernels — full updates,
-weighted (mGBA) updates, and post-edit incremental states alike.
+reductions are order-independent, so arrivals, slews, edge delays and
+out-slews, slacks, and required times are *bit-identical* between
+kernels — full updates, weighted (mGBA) updates, and post-edit
+incremental states alike.
 
 Incremental updates reuse the layout: a per-level frontier seeded from
 the edit's cone advances through exactly the levels that contain dirty
@@ -87,7 +93,6 @@ from repro.timing.domains import (
 )
 from repro.timing.graph import EdgeKind, TimingEdge, TimingGraph
 from repro.timing.propagation import (
-    NEG_INF,
     POS_INF,
     BoundaryConditions,
     DerateSettings,
@@ -114,7 +119,9 @@ class LevelizedLayout:
     order, ties by node id) index the CSR structures; *node ids* index
     the :class:`TimingState` arrays, exactly like the scalar engine.
     ``order[pos]`` maps position → id and ``pos_of[id]`` maps back
-    (-1 for dead slots).
+    (-1 for dead slots).  Structure only: no array is written after the
+    build (a patch copies what it changes), so clones share them all,
+    and the values the sweeps compute live in the :class:`TimingState`.
     """
 
     structure_version: int
@@ -136,11 +143,6 @@ class LevelizedLayout:
     edge_live: np.ndarray         # bool
     edge_dst: np.ndarray          # int
     live_eids: np.ndarray         # ids of live edges, ascending
-    #: Working copies of ``TimingEdge.delay`` / ``.out_slew`` — the
-    #: kernel's store of record during a sweep, written back to the
-    #: edge objects afterwards so PBA/CRPR/reporting see fresh values.
-    edge_delay: np.ndarray
-    edge_out_slew: np.ndarray
     # -- derate classification -----------------------------------------
     clock_eids: np.ndarray
     plain_eids: np.ndarray
@@ -259,9 +261,8 @@ class LevelArcs:
 #: In-process LRU of built layouts, content-keyed.  Engines built from
 #: the *same design content* (the corner engines of one analysis,
 #: repeated cold bench runs in one process) share one flattening pass:
-#: the clone aliases every structural array — levelization, CSR, derate
-#: classification, boundary — and only the mutable edge-value arrays
-#: are allocated fresh per engine.  Bounded small: a layout references
+#: the clone aliases every array — levelization, CSR, derate
+#: classification, boundary.  Bounded small: a layout references
 #: a few |V|+|E| arrays, and anything beyond the working corner set of
 #: one process is dead weight.
 _LAYOUT_CACHE_MAX = 8
@@ -325,45 +326,20 @@ def _layout_cache_key(
     )
 
 
-def _clone_layout(cached: LevelizedLayout,
-                  graph: TimingGraph) -> LevelizedLayout:
-    """A cache hit's independently-mutable twin.
+def _clone_layout(cached: LevelizedLayout) -> LevelizedLayout:
+    """A cache hit's twin: every array shared with the cached build.
 
-    Shares every read-only structural array with the cached build but
-    owns fresh ``edge_delay``/``edge_out_slew`` refilled from the
-    *current* graph's edge objects (the cached copy may carry another
-    engine's sweep results), and resets the lazy per-graph fields —
-    cell groups hold table/edge references resolved against the builder
-    graph, and the flow fingerprint must never certify a foreign
-    engine's fixpoint.
+    Only the lazy per-graph fields are reset: cell groups hold table
+    references resolved against the builder graph, and the flow
+    fingerprint must never certify a foreign engine's fixpoint.
     """
-    edge_delay, edge_out_slew = _edge_values(graph)
-    clone = replace(
-        cached, edge_delay=edge_delay, edge_out_slew=edge_out_slew
-    )
-    clone._group_epoch = -1
-    clone._cell_groups = []
-    clone._flow_key = None
-    return clone
+    return replace(cached, _group_epoch=-1, _cell_groups=[], _flow_key=None)
 
 
-def _edge_values(graph: TimingGraph) -> "tuple[np.ndarray, np.ndarray]":
-    """Fresh id-indexed ``(edge_delay, edge_out_slew)`` read from the
-    graph's edge objects (0.0 in free slots)."""
-    edge_delay = np.zeros(len(graph.edges))
-    edge_out_slew = np.zeros(len(graph.edges))
-    for edge in graph.edges:
-        if edge is not None:
-            edge_delay[edge.id] = edge.delay
-            edge_out_slew[edge.id] = edge.out_slew
-    return edge_delay, edge_out_slew
-
-
-#: Structural :class:`LevelizedLayout` fields persisted to disk, by
-#: shape: id/position-indexed ndarrays, plain string lists, and
-#: per-level ndarray lists.  The working arrays
-#: (``edge_delay``/``edge_out_slew``) and lazy per-graph fields are
-#: deliberately absent: they are refilled from the hydrating graph.
+#: :class:`LevelizedLayout` fields persisted to disk, by shape:
+#: id/position-indexed ndarrays, plain string lists, and per-level
+#: ndarray lists.  The lazy per-graph fields are deliberately absent:
+#: the hydrating engine rebuilds them.
 _LAYOUT_ARRAY_FIELDS = (
     "order", "pos_of", "level_ptr", "in_ptr", "in_edge", "in_src",
     "out_ptr", "out_edge", "out_dst", "edge_live", "edge_dst",
@@ -425,13 +401,10 @@ def layout_from_payload(
         kwargs[name] = [
             np.asarray(arr, dtype=np.int64) for arr in payload["levels"][name]
         ]
-    edge_delay, edge_out_slew = _edge_values(graph)
     return LevelizedLayout(
         structure_version=graph.structure_version,
         n_node_slots=int(payload["n_node_slots"]),
         n_edge_slots=int(payload["n_edge_slots"]),
-        edge_delay=edge_delay,
-        edge_out_slew=edge_out_slew,
         gate_index={gate: col for col, gate in enumerate(kwargs["gates"])},
         **kwargs,
     )
@@ -506,7 +479,7 @@ def build_layout(
         ):
             _layout_cache.move_to_end(key)
             counter("kernel.layout_cache_hits").inc()
-            return _clone_layout(cached, graph)
+            return _clone_layout(cached)
         hydrated = _layout_from_disk(key, graph)
         if hydrated is not None:
             counter("kernel.layout_cache_misses").inc()
@@ -606,8 +579,6 @@ def _build_layout(
     edge_dst = np.zeros(n_edge_slots, dtype=np.int64)
     edge_src = np.zeros(n_edge_slots, dtype=np.int64)
     edge_is_net = np.zeros(n_edge_slots, dtype=bool)
-    edge_delay = np.zeros(n_edge_slots)
-    edge_out_slew = np.zeros(n_edge_slots)
     cell_nets: list[str] = []
     cell_net_index: dict[str, int] = {}
     cell_edge_net = np.full(n_edge_slots, -1, dtype=np.int64)
@@ -618,8 +589,6 @@ def _build_layout(
         edge_dst[edge.id] = edge.dst
         edge_src[edge.id] = edge.src
         edge_is_net[edge.id] = edge.kind is EdgeKind.NET
-        edge_delay[edge.id] = edge.delay
-        edge_out_slew[edge.id] = edge.out_slew
         if edge.kind is EdgeKind.CELL:
             cell_edge_net[edge.id] = _cell_net_column(
                 graph, edge, cell_nets, cell_net_index
@@ -673,8 +642,6 @@ def _build_layout(
         edge_live=edge_live,
         edge_dst=edge_dst,
         live_eids=np.flatnonzero(edge_live).astype(np.int64),
-        edge_delay=edge_delay,
-        edge_out_slew=edge_out_slew,
         clock_eids=clock_eids,
         plain_eids=plain_eids,
         data_eids=data_eids,
@@ -921,8 +888,6 @@ def _patch_layout(
     edge_dst = _padded(layout.edge_dst, n_edges, 0)
     edge_src = _padded(layout.edge_src, n_edges, 0)
     edge_is_net = _padded(layout.edge_is_net, n_edges, False)
-    edge_delay = _padded(layout.edge_delay, n_edges, 0.0)
-    edge_out_slew = _padded(layout.edge_out_slew, n_edges, 0.0)
     cell_edge_net = _padded(layout.cell_edge_net, n_edges, -1)
     stale_eid = np.zeros(n_edges, dtype=bool)
     fresh_eids: list[int] = []
@@ -937,8 +902,6 @@ def _patch_layout(
             edge_dst[edge_id] = edge.dst
             edge_src[edge_id] = edge.src
             edge_is_net[edge_id] = edge.kind is EdgeKind.NET
-            edge_delay[edge_id] = edge.delay
-            edge_out_slew[edge_id] = edge.out_slew
             fresh_eids.append(edge_id)
     live_eids = np.flatnonzero(edge_live).astype(np.int64)
 
@@ -1055,8 +1018,10 @@ def _patch_layout(
         counts = np.zeros(order.size, dtype=np.int64)
         old_position = old_pos[order]
         reuse = (old_position >= 0) & ~touched_mask[order]
-        rp = old_position[reuse]
-        counts[reuse] = old_ptr[rp + 1] - old_ptr[rp]
+        reuse_rows = np.flatnonzero(reuse)
+        rp = old_position[reuse_rows]
+        old_starts = old_ptr[rp]
+        counts[reuse_rows] = old_ptr[rp + 1] - old_starts
         fresh_rows = np.flatnonzero(~reuse)
         for row in fresh_rows.tolist():
             counts[row] = len(adjacency[order[row]])
@@ -1065,25 +1030,11 @@ def _patch_layout(
         total = int(ptr[-1])
         flat_edge = np.empty(total, dtype=np.int64)
         flat_other = np.empty(total, dtype=np.int64)
-        reuse_rows = np.flatnonzero(reuse)
-        if reuse_rows.size:
-            cnt = counts[reuse_rows]
-            has = cnt > 0
-            reuse_rows = reuse_rows[has]
-            cnt = cnt[has]
-            if reuse_rows.size:
-                src_start = old_ptr[old_pos[order[reuse_rows]]]
-                dst_start = ptr[reuse_rows]
-                seg = np.zeros(cnt.size, dtype=np.int64)
-                np.cumsum(cnt[:-1], out=seg[1:])
-                offsets = (
-                    np.arange(int(cnt.sum()), dtype=np.int64)
-                    - np.repeat(seg, cnt)
-                )
-                src_idx = np.repeat(src_start, cnt) + offsets
-                dst_idx = np.repeat(dst_start, cnt) + offsets
-                flat_edge[dst_idx] = old_flat_edge[src_idx]
-                flat_other[dst_idx] = old_flat_other[src_idx]
+        cnt = counts[reuse_rows]
+        src_idx, _ = segment_entries(old_starts, cnt)
+        dst_idx, _ = segment_entries(ptr[reuse_rows], cnt)
+        flat_edge[dst_idx] = old_flat_edge[src_idx]
+        flat_other[dst_idx] = old_flat_other[src_idx]
         for row in fresh_rows.tolist():
             cursor = int(ptr[row])
             for edge_id in adjacency[order[row]]:
@@ -1139,8 +1090,6 @@ def _patch_layout(
         edge_live=edge_live,
         edge_dst=edge_dst,
         live_eids=live_eids,
-        edge_delay=edge_delay,
-        edge_out_slew=edge_out_slew,
         clock_eids=clock_eids,
         plain_eids=plain_eids,
         data_eids=data_eids,
@@ -1231,15 +1180,15 @@ def _refresh_static_delays(
     layout: LevelizedLayout,
     graph: TimingGraph,
     calc: "DelayCalculator",
-    edge_delay: np.ndarray,
+    state: TimingState,
 ) -> np.ndarray:
     """Per-update delay-calc statics: net loads and net-arc delays.
 
-    Writes each net arc's delay into ``edge_delay`` — one engine's
-    ``(n_edges,)`` array, or every column of a scenario stack's
-    ``(n_edges, S)`` array (net arcs are never delay-scaled, so one
-    value serves every scenario) — and returns the per-edge load array
-    for cell arcs.  Loads and wire delays depend on pin caps /
+    Writes each net arc's delay into ``state.edge_delay`` — one
+    engine's ``(n_edges,)`` array, or every column of a scenario
+    stack's ``(n_edges, S)`` array (net arcs are never delay-scaled, so
+    one value serves every scenario) — and returns the per-edge load
+    array for cell arcs.  Loads and wire delays depend on pin caps /
     placement / parasitics — cheap to recompute per full update (one
     pass per *net* instead of the scalar engine's one pass per *edge*)
     and always fresh after a resize.
@@ -1251,6 +1200,7 @@ def _refresh_static_delays(
     covered = layout.cell_edge_net >= 0
     if covered.any():
         load_of_edge[covered] = net_loads[layout.cell_edge_net[covered]]
+    edge_delay = state.edge_delay
     for eids in layout.net_eids_by_level:
         for eid in eids.tolist():
             edge = graph.edges[eid]
@@ -1291,33 +1241,51 @@ def _flow_fingerprint(graph, calc, state, boundary) -> tuple:
 def _propagate_arrivals_only(layout, state) -> None:
     """Arrival sweep over a known slew/delay fixpoint.
 
-    Runs when ``_flow_key`` certifies that slews, base delays, and
-    out-slews are unchanged since the last full pass — the steady state
-    of the mGBA loop, where ``set_gate_weights`` only moves the derate
-    arrays.  The arrival expressions are the full sweep's, evaluated
-    over the identical (cached) delay arrays, so the resulting state is
-    bit-identical to a from-scratch update.
+    Runs when ``_flow_key`` certifies that the state's slews, base
+    delays, and out-slews are unchanged since the last full pass — the
+    steady state of the mGBA loop, where ``set_gate_weights`` only
+    moves the derate arrays.  The arrival expressions are the full
+    sweep's (:func:`_reduce_fanin`), evaluated over the identical
+    delay arrays, so the resulting state is bit-identical to a
+    from-scratch update.
     """
-    arrival_late = state.arrival_late
-    arrival_early = state.arrival_early
-    derate_late = state.derate_late
-    derate_early = state.derate_early
-    edge_delay = layout.edge_delay
     src_ids = layout.source_ids
-    arrival_late[src_ids] = layout.boundary_arrival[src_ids]
-    arrival_early[src_ids] = layout.boundary_arrival[src_ids]
+    state.arrival_late[src_ids] = layout.boundary_arrival[src_ids]
+    state.arrival_early[src_ids] = layout.boundary_arrival[src_ids]
     for lv in range(1, layout.levels):
         p0, p1 = int(layout.level_ptr[lv]), int(layout.level_ptr[lv + 1])
-        ids = layout.order[p0:p1]
         s, e = int(layout.in_ptr[p0]), int(layout.in_ptr[p1])
-        seg = layout.in_ptr[p0:p1] - s
-        eids = layout.in_edge[s:e]
-        srcs = layout.in_src[s:e]
-        delays = edge_delay[eids]
-        late_vals = arrival_late[srcs] + delays * derate_late[eids]
-        early_vals = arrival_early[srcs] + delays * derate_early[eids]
-        arrival_late[ids] = np.maximum.reduceat(late_vals, seg)
-        arrival_early[ids] = np.minimum.reduceat(early_vals, seg)
+        _reduce_fanin(
+            state, layout.order[p0:p1], layout.in_edge[s:e],
+            layout.in_src[s:e], layout.in_ptr[p0:p1] - s, slews=False,
+        )
+
+
+def _reduce_fanin(state: TimingState, ids: np.ndarray, eids: np.ndarray,
+                  srcs: np.ndarray, seg: np.ndarray,
+                  slews: bool = True) -> None:
+    """Relax nodes ``ids`` over their fanin entries, in place.
+
+    Node ``ids[i]``'s fanin arcs are ``eids``/``srcs`` entries
+    ``seg[i]`` up to the next start: late arrivals are the max of
+    ``arrival + delay * derate_late``, early arrivals the min with
+    ``derate_early``, and (with ``slews``) the slew the max of the arcs'
+    out-slews, floored at 0.0 — the scalar ``relax_node``'s
+    expressions.  Every state array is indexed along axis 0, so one
+    engine's 1-D arrays and a scenario stack's ``(n, S)`` arrays take
+    the same code.
+    """
+    delays = state.edge_delay[eids]
+    state.arrival_late[ids] = np.maximum.reduceat(
+        state.arrival_late[srcs] + delays * state.derate_late[eids], seg
+    )
+    state.arrival_early[ids] = np.minimum.reduceat(
+        state.arrival_early[srcs] + delays * state.derate_early[eids], seg
+    )
+    if slews:
+        state.slew[ids] = np.maximum(
+            np.maximum.reduceat(state.edge_out_slew[eids], seg), 0.0
+        )
 
 
 def _propagate_full(layout, graph, calc, state, boundary) -> None:
@@ -1330,15 +1298,11 @@ def _propagate_full(layout, graph, calc, state, boundary) -> None:
         _propagate_arrivals_only(layout, state)
         return
     layout._flow_key = None
-    load_of_edge = _refresh_static_delays(
-        layout, graph, calc, layout.edge_delay
-    )
+    load_of_edge = _refresh_static_delays(layout, graph, calc, state)
     sweep_levels(
-        layout, graph, calc, state, layout.edge_delay, layout.edge_out_slew,
-        layout.boundary_arrival, layout.boundary_slew, load_of_edge,
-        calc.delay_scale,
+        layout, graph, calc, state, layout.boundary_arrival,
+        layout.boundary_slew, load_of_edge, calc.delay_scale,
     )
-    write_edges(graph, layout.edge_delay, layout.edge_out_slew)
     layout._flow_key = flow_key
 
 
@@ -1347,8 +1311,6 @@ def sweep_levels(
     graph: TimingGraph,
     calc: "DelayCalculator",
     state: TimingState,
-    edge_delay: np.ndarray,
-    edge_out_slew: np.ndarray,
     boundary_arrival: np.ndarray,
     boundary_slew: np.ndarray,
     load_of_edge: np.ndarray,
@@ -1356,11 +1318,14 @@ def sweep_levels(
 ) -> None:
     """The level loop: boundary fill, fanin reductions, fanout delay calc.
 
-    The one forward sweep of the vector kernel.  Every array is indexed
-    by node or edge id along axis 0; a trailing axis, when present,
-    holds one column per scenario (:mod:`repro.timing.scenarios`), so
-    plain ``a[ids]`` indexing and ``reduceat`` along axis 0 serve one
-    engine's 1-D arrays and a scenario stack's ``(n, S)`` arrays alike.
+    The one forward sweep of the vector kernel; it writes the state's
+    arrivals, slews, and cell and net arcs' delays and out-slews (net
+    arc delays come from :func:`_refresh_static_delays`).  Every array
+    is indexed by node or edge id along axis 0; a trailing axis, when
+    present, holds one column per scenario
+    (:mod:`repro.timing.scenarios`), so plain ``a[ids]`` indexing and
+    ``reduceat`` along axis 0 serve one engine's 1-D arrays and a
+    scenario stack's ``(n, S)`` arrays alike.
     ``load_of_edge`` is ``(n_edges,)`` or ``(n_edges, 1)`` and ``scale``
     a float or an ``(S,)`` row, broadcast by
     :meth:`~repro.timing.delaycalc.DelayCalculator.compute_arcs_batch`.
@@ -1368,15 +1333,13 @@ def sweep_levels(
     engine evaluates for scenario ``s``.
     """
     groups = layout.cell_groups(graph)
-    arrival_late = state.arrival_late
-    arrival_early = state.arrival_early
     slew = state.slew
-    derate_late = state.derate_late
-    derate_early = state.derate_early
+    edge_delay = state.edge_delay
+    edge_out_slew = state.edge_out_slew
     # Boundary fill (level 0 = exactly the no-fanin nodes).
     src_ids = layout.source_ids
-    arrival_late[src_ids] = boundary_arrival[src_ids]
-    arrival_early[src_ids] = boundary_arrival[src_ids]
+    state.arrival_late[src_ids] = boundary_arrival[src_ids]
+    state.arrival_early[src_ids] = boundary_arrival[src_ids]
     slew[src_ids] = boundary_slew[src_ids]
     batch_hist = histogram("kernel.level_batch")
     for lv in range(layout.levels):
@@ -1385,16 +1348,9 @@ def sweep_levels(
         batch_hist.observe(ids.size)
         if lv > 0:
             s, e = int(layout.in_ptr[p0]), int(layout.in_ptr[p1])
-            seg = layout.in_ptr[p0:p1] - s
-            eids = layout.in_edge[s:e]
-            srcs = layout.in_src[s:e]
-            delays = edge_delay[eids]
-            late_vals = arrival_late[srcs] + delays * derate_late[eids]
-            early_vals = arrival_early[srcs] + delays * derate_early[eids]
-            arrival_late[ids] = np.maximum.reduceat(late_vals, seg)
-            arrival_early[ids] = np.minimum.reduceat(early_vals, seg)
-            slew[ids] = np.maximum(
-                np.maximum.reduceat(edge_out_slew[eids], seg), 0.0
+            _reduce_fanin(
+                state, ids, layout.in_edge[s:e], layout.in_src[s:e],
+                layout.in_ptr[p0:p1] - s,
             )
         # Fanout delay calc at the level's (now final) slews.
         net_eids = layout.net_eids_by_level[lv]
@@ -1408,18 +1364,6 @@ def sweep_levels(
             )
             edge_delay[eids] = delays
             edge_out_slew[eids] = out_slews
-
-
-def write_edges(
-    graph: TimingGraph, delays: np.ndarray, out_slews: np.ndarray
-) -> None:
-    """Copy id-indexed delay/out-slew arrays onto the TimingEdge objects."""
-    delay_list = delays.tolist()
-    out_slew_list = out_slews.tolist()
-    for edge in graph.edges:
-        if edge is not None:
-            edge.delay = delay_list[edge.id]
-            edge.out_slew = out_slew_list[edge.id]
 
 
 # ----------------------------------------------------------------------
@@ -1482,10 +1426,8 @@ def propagate_incremental(
     arrival_late = state.arrival_late
     arrival_early = state.arrival_early
     slew = state.slew
-    derate_late = state.derate_late
-    derate_early = state.derate_early
-    edge_delay = layout.edge_delay
-    edge_out_slew = layout.edge_out_slew
+    edge_delay = state.edge_delay
+    edge_out_slew = state.edge_out_slew
     while heap:
         lv = heapq.heappop(heap)
         # Ascending id within the level — the exact order the old
@@ -1504,23 +1446,10 @@ def propagate_incremental(
             positions = layout.pos_of[sel]
             starts = layout.in_ptr[positions]
             counts = layout.in_ptr[positions + 1] - starts
-            total = int(counts.sum())
-            seg = np.zeros(sel.size, dtype=np.int64)
-            np.cumsum(counts[:-1], out=seg[1:])
-            flat = (
-                np.arange(total, dtype=np.int64)
-                - np.repeat(seg, counts)
-                + np.repeat(starts, counts)
-            )
-            eids = layout.in_edge[flat]
-            srcs = layout.in_src[flat]
-            delays = edge_delay[eids]
-            late_vals = arrival_late[srcs] + delays * derate_late[eids]
-            early_vals = arrival_early[srcs] + delays * derate_early[eids]
-            arrival_late[sel] = np.maximum.reduceat(late_vals, seg)
-            arrival_early[sel] = np.minimum.reduceat(early_vals, seg)
-            slew[sel] = np.maximum(
-                np.maximum.reduceat(edge_out_slew[eids], seg), 0.0
+            flat, _ = segment_entries(starts, counts)
+            _reduce_fanin(
+                state, sel, layout.in_edge[flat], layout.in_src[flat],
+                counts.cumsum() - counts,
             )
         node_moved = (
             (np.abs(arrival_late[sel] - old_late) > _EPS)
@@ -1535,13 +1464,14 @@ def propagate_incremental(
             for edge_id in graph.out_edges[node_id]:
                 edge = graph.edges[edge_id]
                 assert edge is not None
-                old_delay, old_out = edge.delay, edge.out_slew
-                calc.compute_edge(graph, edge, node_slew)
-                edge_delay[edge_id] = edge.delay
-                edge_out_slew[edge_id] = edge.out_slew
+                old_delay = edge_delay.item(edge_id)
+                old_out = edge_out_slew.item(edge_id)
+                delay, out_slew = calc.compute_edge(graph, edge, node_slew)
+                edge_delay[edge_id] = delay
+                edge_out_slew[edge_id] = out_slew
                 if (
-                    abs(edge.delay - old_delay) > _EPS
-                    or abs(edge.out_slew - old_out) > _EPS
+                    abs(delay - old_delay) > _EPS
+                    or abs(out_slew - old_out) > _EPS
                 ):
                     edges_changed = True
             if moved or edges_changed:
@@ -1580,7 +1510,7 @@ def compute_required_times(
         )
         required[node_id] = value
     clock_node = layout.node_is_clock_tree
-    edge_delay = layout.edge_delay
+    edge_delay = state.edge_delay
     for lv in range(layout.levels - 1, -1, -1):
         p0, p1 = int(layout.level_ptr[lv]), int(layout.level_ptr[lv + 1])
         ids = layout.order[p0:p1]
@@ -1637,8 +1567,25 @@ def gate_worst_slacks(
 
 
 # ----------------------------------------------------------------------
-# Sanity checking on the flattened arrays
+# CSR row gathers and sanity checking on the flattened arrays
 # ----------------------------------------------------------------------
+def segment_entries(starts: np.ndarray, counts: np.ndarray) \
+        -> "tuple[np.ndarray, np.ndarray]":
+    """``(flat, segment)`` of the index runs ``starts[i] + [0, counts[i])``.
+
+    ``flat`` concatenates the runs in order and ``segment[j]`` is the
+    run entry ``j`` belongs to: the rows of a CSR row subset (the
+    frontier's fanin rows, a patch's reused rows, PBA's path rows, the
+    SCG's sampled matrix rows).
+    """
+    segment = np.arange(len(counts)).repeat(counts)
+    flat = (
+        np.arange(len(segment))
+        + (starts - (counts.cumsum() - counts))[segment]
+    )
+    return flat, segment
+
+
 def flatten_fanin(graph: TimingGraph):
     """(node_ids, seg_starts, edge_ids, src_ids) over live fanin nodes.
 

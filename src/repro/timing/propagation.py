@@ -54,10 +54,19 @@ def classify_edge(graph: TimingGraph, edge: TimingEdge) -> EdgeDomain:
 
 @dataclass
 class TimingState:
-    """Per-node propagation results and per-edge derate factors.
+    """Per-node propagation results and per-edge delays and derates.
 
     Arrays are indexed by node/edge id and resized on demand, so the
-    state survives surgical graph updates.
+    state survives surgical graph updates.  ``edge_delay`` is each
+    arc's *base* (underated) delay from delay calculation and
+    ``edge_out_slew`` the slew it presents at its destination (cell
+    arcs: table lookup; net arcs: pass-through); derating multiplies
+    the base delay at propagation, so re-derating never re-runs delay
+    calculation.  Both kernels, PBA, explain and CRPR read these arrays
+    and nothing else holds the values.  A slot reads 0.0 until delay
+    calculation writes it (a new edge's slot is zeroed when the edit
+    creates it); a freed slot keeps its last values, which nothing
+    reads.
     """
 
     arrival_late: np.ndarray = field(
@@ -69,6 +78,8 @@ class TimingState:
     slew: np.ndarray = field(default_factory=lambda: np.zeros(0))
     derate_late: np.ndarray = field(default_factory=lambda: np.ones(0))
     derate_early: np.ndarray = field(default_factory=lambda: np.ones(0))
+    edge_delay: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    edge_out_slew: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
     def ensure_capacity(self, node_count: int, edge_count: int) -> None:
         """Grow the arrays to cover the current graph size."""
@@ -86,6 +97,10 @@ class TimingState:
             self.derate_late = np.concatenate([self.derate_late, np.ones(grow)])
             self.derate_early = np.concatenate(
                 [self.derate_early, np.ones(grow)]
+            )
+            self.edge_delay = np.concatenate([self.edge_delay, np.zeros(grow)])
+            self.edge_out_slew = np.concatenate(
+                [self.edge_out_slew, np.zeros(grow)]
             )
 
 
@@ -161,12 +176,12 @@ def compute_edge_derates(
 
 def effective_late(state: TimingState, edge: TimingEdge) -> float:
     """Late (derated) delay of an edge."""
-    return edge.delay * state.derate_late[edge.id]
+    return state.edge_delay[edge.id] * state.derate_late[edge.id]
 
 
 def effective_early(state: TimingState, edge: TimingEdge) -> float:
     """Early (derated) delay of an edge."""
-    return edge.delay * state.derate_early[edge.id]
+    return state.edge_delay[edge.id] * state.derate_early[edge.id]
 
 
 @dataclass(frozen=True)
@@ -221,7 +236,7 @@ def relax_node(
         early = min(
             early, state.arrival_early[edge.src] + effective_early(state, edge)
         )
-        slew = max(slew, edge.out_slew)
+        slew = max(slew, state.edge_out_slew[edge_id])
     state.arrival_late[node_id] = late
     state.arrival_early[node_id] = early
     state.slew[node_id] = slew
@@ -234,7 +249,8 @@ def compute_out_edges(
     """Run delay calculation for a node's fanout arcs at its slew."""
     slew = float(state.slew[node_id])
     for edge_id in graph.out_edges[node_id]:
-        calc.compute_edge(graph, graph.edge(edge_id), slew)
+        state.edge_delay[edge_id], state.edge_out_slew[edge_id] = \
+            calc.compute_edge(graph, graph.edge(edge_id), slew)
 
 
 def propagate_full(
@@ -270,10 +286,9 @@ def check_propagation_sanity(graph: TimingGraph, state: TimingState) -> list[str
     node_ids, seg, edge_ids, src_ids = flatten_fanin(graph)
     if not node_ids.size:
         return []
-    delays = np.asarray([graph.edges[e].delay for e in edge_ids.tolist()])
     values = (
         state.arrival_late[src_ids]
-        + delays * state.derate_late[edge_ids]
+        + state.edge_delay[edge_ids] * state.derate_late[edge_ids]
     )
     expect = np.maximum.reduceat(values, seg)
     got = state.arrival_late[node_ids]

@@ -151,14 +151,11 @@ class ScenarioStack:
             scenarios=n_scen, levels=layout.levels,
             nodes=int(layout.order.size), edges=int(layout.live_eids.size),
         ):
-            state, edge_delay, edge_out_slew = self._propagate(layout)
-            self._scatter(layout, state, edge_delay, edge_out_slew)
+            self._scatter(layout, self._propagate(layout))
         counter("kernel.scenario_sweeps").inc()
         gauge("kernel.scenario_count").set(n_scen)
 
-    def _propagate(
-        self, layout: LevelizedLayout,
-    ) -> "tuple[TimingState, np.ndarray, np.ndarray]":
+    def _propagate(self, layout: LevelizedLayout) -> TimingState:
         """Fill per-scenario columns, then run the kernel's level loop."""
         base = self.engines[0]
         graph = self.graph
@@ -170,9 +167,9 @@ class ScenarioStack:
             slew=np.zeros(node_shape),
             derate_late=np.ones(edge_shape),
             derate_early=np.ones(edge_shape),
+            edge_delay=np.zeros(edge_shape),
+            edge_out_slew=np.zeros(edge_shape),
         )
-        edge_delay = np.zeros(edge_shape)
-        edge_out_slew = np.zeros(edge_shape)
         boundary_arrival = np.zeros(node_shape)
         boundary_slew = np.zeros(node_shape)
         base_boundary = base.boundary()
@@ -202,28 +199,21 @@ class ScenarioStack:
                 boundary_arrival[node_id, i] = arrival
                 boundary_slew[node_id, i] = slew
         load_of_edge = kernel_mod._refresh_static_delays(
-            layout, graph, base.calc, edge_delay
+            layout, graph, base.calc, state
         )
         kernel_mod.sweep_levels(
-            layout, graph, base.calc, state, edge_delay, edge_out_slew,
+            layout, graph, base.calc, state,
             boundary_arrival, boundary_slew, load_of_edge[:, None],
             np.asarray([eng.calc.delay_scale for eng in self.engines]),
         )
-        return state, edge_delay, edge_out_slew
+        return state
 
-    def _scatter(
-        self,
-        layout: LevelizedLayout,
-        state: TimingState,
-        edge_delay: np.ndarray,
-        edge_out_slew: np.ndarray,
-    ) -> None:
+    def _scatter(self, layout: LevelizedLayout, state: TimingState) -> None:
         """Install each scenario's column into its engine.
 
         Leaves every engine exactly as its own ``update_timing()``
-        would: state arrays filled, edge objects carrying the
-        scenario's delays/out-slews, layouts synced, caches dropped,
-        freshness flags set.
+        would: state arrays filled (edge delays and out-slews among
+        them), caches dropped, freshness flags set.
         """
         n_nodes = layout.n_node_slots
         n_edges = layout.n_edge_slots
@@ -237,21 +227,17 @@ class ScenarioStack:
             eng.state.slew[:n_nodes] = state.slew[:, i]
             eng.state.derate_late[:n_edges] = state.derate_late[:, i]
             eng.state.derate_early[:n_edges] = state.derate_early[:, i]
-            kernel_mod.write_edges(
-                eng.graph, edge_delay[:, i], edge_out_slew[:, i]
-            )
+            eng.state.edge_delay[:n_edges] = state.edge_delay[:, i]
+            eng.state.edge_out_slew[:n_edges] = state.edge_out_slew[:, i]
             if eng is not base:
                 if eng._structure_dirty:
                     eng.graph.mark_clock_tree(eng.clock_ports)
                 if not eng.gba_depths:
                     eng.gba_depths = dict(base.gba_depths)
             # Do NOT build layouts eagerly here (that would erase the
-            # stacking win); engines that already have one must see the
-            # scenario's edge values on their next backward pass, and
-            # must not take an arrival-only sweep over stale delays.
+            # stacking win); a layout an engine already has must not
+            # certify its last own sweep for the values written here.
             if eng._layout is not None:
-                eng._layout.edge_delay[:] = edge_delay[:, i]
-                eng._layout.edge_out_slew[:] = edge_out_slew[:, i]
                 eng._layout._flow_key = None
             eng._structure_dirty = False
             eng._derates_dirty = False

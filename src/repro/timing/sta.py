@@ -49,8 +49,9 @@ class STAConfig:
     Attributes
     ----------
     derating_table:
-        AOCV table for data cells; None disables AOCV (flat
-        ``flat_derate_late`` applies instead).
+        AOCV table for data cells; None disables AOCV (the SDC's flat
+        ``set_timing_derate -late``, ``Constraints.flat_derate_late``,
+        applies instead).
     clock_derate_late / clock_derate_early:
         Flat OCV derates on clock-network arcs; their gap is what CRPR
         credits back on common segments.
@@ -63,8 +64,6 @@ class STAConfig:
     gba_distance:
         AOCV distance used by GBA for every gate; None derives the
         conservative value (whole-design bounding-box half-perimeter).
-    flat_derate_late:
-        Data-cell late derate when no AOCV table is installed.
     """
 
     derating_table: DeratingTable | None = None
@@ -82,7 +81,6 @@ class STAConfig:
     wire_r_per_nm: float = 1e-6
     wire_c_per_nm: float = 2e-4
     gba_distance: float | None = None
-    flat_derate_late: float = 1.0
     #: Global process/voltage/temperature scale on every cell delay and
     #: slew (1.0 = typical; slow corners > 1, fast corners < 1).  Used
     #: by :mod:`repro.timing.corners` to derive corner engines from one
@@ -189,7 +187,7 @@ class STAEngine:
             clock_late=self.config.clock_derate_late,
             clock_early=self.config.clock_derate_early,
             data_early=self.config.data_early_derate,
-            flat_late=self.config.flat_derate_late,
+            flat_late=self.constraints.flat_derate_late,
         )
 
     # ------------------------------------------------------------------
@@ -426,9 +424,11 @@ class STAEngine:
 
     def late_edge_delay(self, edge_id: int) -> float:
         """Derated late delay of one edge."""
-        edge = self.graph.edge(edge_id)
-        return edge.delay * float(self.state.derate_late[edge_id])
+        return self.base_edge_delay(edge_id) * float(
+            self.state.derate_late[edge_id]
+        )
 
     def base_edge_delay(self, edge_id: int) -> float:
         """Underated base delay of one edge."""
-        return self.graph.edge(edge_id).delay
+        self.graph.edge(edge_id)  # raises on a removed edge
+        return float(self.state.edge_delay[edge_id])

@@ -99,9 +99,10 @@ def _launch_ck_node(sta, path):
 def _base_delays(pba, path) -> "list[float]":
     sta = pba.sta
     graph = sta.graph
+    state = sta.state
     if not pba.recalc_slew:
-        return [graph.edge(e).delay for e in path.edges]
-    slew = float(sta.state.slew[path.launch])
+        return [float(state.edge_delay[e]) for e in path.edges]
+    slew = float(state.slew[path.launch])
     delays: "list[float]" = []
     for edge_id in path.edges:
         edge = graph.edge(edge_id)
@@ -109,8 +110,8 @@ def _base_delays(pba, path) -> "list[float]":
             delay, out_slew = sta.calc.cell_edge(graph, edge, slew)
         else:
             delay, out_slew = sta.calc.net_edge(graph, edge, slew)
-        delays.append(min(delay, edge.delay))
-        slew = min(out_slew, edge.out_slew)
+        delays.append(min(delay, float(state.edge_delay[edge_id])))
+        slew = min(out_slew, float(state.edge_out_slew[edge_id]))
     return delays
 
 
@@ -145,7 +146,8 @@ def oracle_analyze_path(pba, path: TimingPath) -> TimingPath:
         gba_data_delay += effective_late(state, edge)
         if classify_edge(graph, edge) is EdgeDomain.DATA_CELL:
             contributions.append((
-                edge.gate, edge.delay, float(state.derate_late[edge.id]),
+                edge.gate, float(state.edge_delay[edge.id]),
+                float(state.derate_late[edge.id]),
             ))
     path.gba_arrival = launch_arrival + gba_data_delay
     path.gba_slack = required_gba - path.gba_arrival
@@ -159,7 +161,7 @@ def oracle_analyze_path(pba, path: TimingPath) -> TimingPath:
         if table is not None and path.depth > 0:
             pba_derate = table.derate(path.depth, path.distance)
         else:
-            pba_derate = sta.config.flat_derate_late
+            pba_derate = sta.constraints.flat_derate_late
         pba_data_delay = 0.0
         for edge_id, base_delay in zip(path.edges, base_delays):
             edge = graph.edge(edge_id)

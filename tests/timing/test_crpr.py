@@ -83,7 +83,7 @@ class TestCredit:
         root_arc = next(
             e for e in graph.live_edges() if e.gate == "root"
         )
-        expected_min = root_arc.delay * (1.10 - 0.90)
+        expected_min = state.edge_delay[root_arc.id] * (1.10 - 0.90)
         assert credit >= expected_min - 1e-9
 
     def test_deeper_sharing_gives_more_credit(self, engine):

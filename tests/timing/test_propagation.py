@@ -53,7 +53,7 @@ class TestPropagationIdentity:
             in_list = graph.in_edges[node.id]
             if not in_list:
                 continue
-            expected = max(graph.edge(e).out_slew for e in in_list)
+            expected = max(state.edge_out_slew[e] for e in in_list)
             assert state.slew[node.id] == pytest.approx(expected)
 
 

@@ -55,11 +55,12 @@ def _assert_engines_identical(a: STAEngine, b: STAEngine) -> None:
         assert np.array_equal(
             getattr(a.state, field)[:e], getattr(b.state, field)[:e]
         ), field
-    for ea, eb in zip(a.graph.edges, b.graph.edges):
-        if ea is None:
-            assert eb is None
-            continue
-        assert ea.delay == eb.delay and ea.out_slew == eb.out_slew
+    live = [edge.id for edge in a.graph.edges if edge is not None]
+    assert live == [edge.id for edge in b.graph.edges if edge is not None]
+    for field in ("edge_delay", "edge_out_slew"):
+        assert np.array_equal(
+            getattr(a.state, field)[live], getattr(b.state, field)[live]
+        ), field
     for kind in ("setup_slacks", "hold_slacks"):
         sa = [(s.name, s.slack) for s in getattr(a, kind)()]
         sb = [(s.name, s.slack) for s in getattr(b, kind)()]

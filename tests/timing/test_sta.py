@@ -2,7 +2,6 @@
 
 from dataclasses import replace
 
-import numpy as np
 import pytest
 
 from repro.timing.sta import STAConfig, STAEngine
@@ -32,14 +31,14 @@ class TestLifecycle:
 
 
 def _state_bytes(engine) -> tuple:
-    """Every timing array and edge value, as bytes."""
+    """Every timing array (edge values on live edge ids), as bytes."""
     state = engine.state
-    edges = [e for e in engine.graph.edges if e is not None]
+    live = [e.id for e in engine.graph.edges if e is not None]
     return (
         state.arrival_late.tobytes(), state.arrival_early.tobytes(),
         state.slew.tobytes(), state.derate_late.tobytes(),
-        state.derate_early.tobytes(),
-        np.asarray([(e.delay, e.out_slew) for e in edges]).tobytes(),
+        state.derate_early.tobytes(), state.edge_delay[live].tobytes(),
+        state.edge_out_slew[live].tobytes(),
     )
 
 
@@ -130,9 +129,9 @@ class TestPessimismKnobs:
         """Without the derating table, GBA arrivals shrink everywhere."""
         with_table = engine_for(small_design)
         flat = STAEngine(
-            small_design.netlist, small_design.constraints,
-            small_design.placement,
-            STAConfig(derating_table=None, flat_derate_late=1.0),
+            small_design.netlist,
+            replace(small_design.constraints, flat_derate_late=1.0),
+            small_design.placement, STAConfig(derating_table=None),
         )
         wns_aocv = with_table.summary().wns
         wns_flat = flat.summary().wns
@@ -140,15 +139,54 @@ class TestPessimismKnobs:
 
     def test_flat_derate_matches_table_free_scaling(self, fig2):
         flat_cfg = STAConfig(
-            derating_table=None, flat_derate_late=1.2,
+            derating_table=None,
             clock_derate_late=1.0, clock_derate_early=1.0,
             data_early_derate=1.0, wire_r_per_nm=0.0, wire_c_per_nm=0.0,
         )
-        engine = STAEngine(fig2.netlist, fig2.constraints, None, flat_cfg)
+        engine = STAEngine(
+            fig2.netlist, replace(fig2.constraints, flat_derate_late=1.2),
+            None, flat_cfg,
+        )
         engine.update_timing()
         d_node = engine.node_id("FF4", "D")
         # 6 gates x 100 ps x 1.2 flat derate.
         assert engine.state.arrival_late[d_node] == pytest.approx(720.0)
+
+
+@pytest.mark.parametrize("kernel", ["vector", "scalar"])
+def test_sdc_late_derate_reaches_timing_pba_and_explain(kernel):
+    """``set_timing_derate -late`` is the flat data-cell derate without
+    an AOCV table: GBA, PBA and explain all apply the SDC's 1.5."""
+    from repro.designs.generator import generate_design
+    from repro.designs.suite import DESIGN_SPECS
+    from repro.pba.engine import PBAEngine
+    from repro.pba.enumerate import enumerate_worst_paths
+    from repro.sdc.parser import parse_sdc
+    from repro.sdc.writer import write_sdc
+    from repro.timing.explain import explain_endpoint
+
+    design = generate_design(DESIGN_SPECS["D1"])
+    sdc = write_sdc(design.constraints) + "\nset_timing_derate -late 1.5\n"
+    engine = STAEngine(
+        design.netlist, parse_sdc(sdc), design.placement,
+        replace(design.sta_config, derating_table=None, kernel=kernel),
+    )
+    worst = min(engine.setup_slacks(), key=lambda s: s.slack)
+    assert worst.slack == pytest.approx(-509.97, abs=0.005)
+
+    rows = [
+        row for row in explain_endpoint(engine, worst.node).rows
+        if row.domain == "data_cell"
+    ]
+    assert rows
+    assert all(row.gba_derate == row.pba_derate == 1.5 for row in rows)
+
+    # GBA and PBA both derate data cells by 1.5, so only CRPR separates
+    # the two slacks.
+    path = enumerate_worst_paths(engine.graph, engine.state, 1, [worst.node])[0]
+    PBAEngine(engine).analyze([path])
+    assert path.depth > 0
+    assert path.pba_slack - path.gba_slack == pytest.approx(path.crpr_credit)
 
 
 class TestIntrospection:
