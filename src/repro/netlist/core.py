@@ -191,10 +191,18 @@ class Netlist:
         """Replace a gate's cell with a pin-compatible one (e.g. resize).
 
         Returns the previous cell name.  Raises when the new cell lacks
-        any currently connected pin.
+        any currently connected pin, or is sequential where the old one
+        is combinational (or the other way round): timing keeps a swapped
+        gate's graph, clock sinks, GBA depths and edge classes, which
+        all depend on that flag.
         """
         gate = self.gate(gate_name)
         new_cell = self.library.cell(new_cell_name)
+        if new_cell.is_sequential != self.cell_of(gate_name).is_sequential:
+            raise NetlistError(
+                f"cannot swap {gate_name} to {new_cell_name}: "
+                "sequential and combinational cells do not swap"
+            )
         for pin_name in gate.connections:
             if pin_name not in new_cell.pins:
                 raise NetlistError(

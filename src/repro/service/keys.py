@@ -15,10 +15,13 @@ netlist changes the design key, and every dependent artifact simply
 misses — stale entries can never be *served*, only evicted.  See
 ``docs/service.md`` for the full key schema.
 
-Hashing goes through the canonical text serializers (``write_verilog``,
-``write_liberty``, ``write_sdc``, ``write_placement``, ``write_aocv``)
-so the key covers exactly what a round-tripped design would contain;
-anything the writers don't capture can't affect timing either.
+Netlists, libraries and placements are hashed through their canonical
+text serializers (``write_verilog``, ``write_liberty``,
+``write_placement``), so the key covers exactly what a round-tripped
+design would contain.  Constraints and AOCV tables are hashed from
+their exact values instead (``repr`` of every field, the bytes of every
+table array): their writers print six significant digits, and two sets
+that differ past the sixth must not share a key.
 """
 
 from __future__ import annotations
@@ -74,10 +77,14 @@ def liberty_hash(library) -> str:
 
 
 def sdc_hash(constraints: "Constraints") -> str:
-    """Digest of the timing constraints (clocks, IO delays, exceptions)."""
-    from repro.sdc.writer import write_sdc
-
-    return digest([write_sdc(constraints)])
+    """Digest of the timing constraints (clocks, IO delays, exceptions,
+    the flat late derate), exact: ``repr`` of every field."""
+    return digest([
+        *map(repr, constraints.clocks.values()),
+        *map(repr, constraints.io_delays),
+        *map(repr, constraints.exceptions),
+        f"flat_derate_late={constraints.flat_derate_late!r}",
+    ])
 
 
 def placement_hash(placement: "Placement | None") -> str:
@@ -96,8 +103,6 @@ def sta_config_hash(config: "STAConfig") -> str:
     is exactly what distinguishes SS/TT/FF engines derived from one
     library, so two corners of the same design never share a key.
     """
-    from repro.aocv.table import write_aocv
-
     parts: "list[Any]" = []
     for name in (
         "clock_derate_late", "clock_derate_early", "data_early_derate",
@@ -106,7 +111,12 @@ def sta_config_hash(config: "STAConfig") -> str:
     ):
         parts.append(f"{name}={getattr(config, name)!r}")
     for table in (config.derating_table, config.early_derating_table):
-        parts.append(write_aocv(table) if table is not None else "none")
+        if table is None:
+            parts.append("none")
+        else:
+            # The shape fixes each array's byte length.
+            parts += [table.values.shape, table.depths.tobytes(),
+                      table.distances.tobytes(), table.values.tobytes()]
     return digest(parts)
 
 

@@ -38,6 +38,7 @@ multiplies it, and ``default`` for flat clock/plain/no-table factors.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import asdict, dataclass
 from typing import Any, Callable
@@ -149,6 +150,28 @@ def _table_tag(table) -> str:
     return hashlib.sha256(write_aocv(table).encode()).hexdigest()[:8]
 
 
+def _design_facts(engine: STAEngine) -> tuple:
+    """What explaining an endpoint reads that no endpoint changes.
+
+    ``(settings, classify, table_tag, gba_late)``, built once per
+    :func:`explain_endpoint` / :func:`explain_design` call: the derate
+    settings (the GBA distance is a bounding box over every placed
+    cell), the arc classifier, the table's provenance tag (a
+    serialization and a hash), and the GBA data derate by depth,
+    memoized as ``compute_edge_derates`` does.
+    """
+    table = engine.config.derating_table
+    settings = engine.derate_settings()
+    return (
+        settings,
+        arc_classifier(engine),
+        _table_tag(table) if table is not None else "",
+        functools.cache(
+            lambda depth: table.derate(depth, settings.gba_distance)
+        ),
+    )
+
+
 def arc_classifier(engine: STAEngine) \
         -> "Callable[[Any], tuple[EdgeDomain, int, str | None]]":
     """``edge -> (domain, gba_depth, gate)`` from the timing graph.
@@ -205,21 +228,21 @@ def explain_endpoint(engine: STAEngine,
     slacks = engine.setup_slacks()
     target = _resolve_endpoint(engine, endpoint, slacks)
     with span("explain.endpoint", endpoint=target.name) as exp_span:
-        explanation = _explain_resolved(engine, target)
+        explanation = _explain_resolved(
+            engine, target, _design_facts(engine)
+        )
         exp_span.set(arcs=len(explanation.rows))
     counter("explain.endpoints").inc()
     counter("explain.arcs").inc(len(explanation.rows))
     return explanation
 
 
-def _explain_resolved(engine: STAEngine,
-                      target: EndpointSlack) -> PathExplanation:
+def _explain_resolved(engine: STAEngine, target: EndpointSlack,
+                      facts: tuple) -> PathExplanation:
     graph, state = engine.graph, engine.state
     table = engine.config.derating_table
-    settings = engine.derate_settings()
-    classify = arc_classifier(engine)
+    settings, classify, table_tag, gba_late = facts
     weights = engine.weights
-    table_tag = _table_tag(table) if table is not None else ""
 
     edge_ids = trace_worst_path(graph, state, target.node)
     node_ids = [graph.edge(edge_ids[0]).src] if edge_ids else [target.node]
@@ -267,7 +290,7 @@ def _explain_resolved(engine: STAEngine,
             provenance = "default"
         elif domain is EdgeDomain.DATA_CELL:
             if table is not None:
-                gba_derate = table.derate(gba_depth, settings.gba_distance)
+                gba_derate = gba_late(gba_depth)
             else:
                 gba_derate = settings.flat_late
             pba_derate = pba_data_derate
@@ -344,7 +367,8 @@ def explain_design(engine: STAEngine, top_k: int = 10,
         )
         if endpoint is not None:
             slacks = [_resolve_endpoint(engine, endpoint, slacks)]
-        explanations = [_explain_resolved(engine, s) for s in slacks]
+        facts = _design_facts(engine)
+        explanations = [_explain_resolved(engine, s, facts) for s in slacks]
         total_arcs = sum(len(e.rows) for e in explanations)
         pessimism = sum(e.pessimism for e in explanations)
         removed = sum(e.removed for e in explanations)

@@ -33,7 +33,7 @@ from repro.netlist.core import Netlist, PinRef, PortDirection
 #: Cap on retained structure-journal entries.  Each node/edge mutation
 #: appends one entry; once the deque overflows, the floor version rises
 #: and ``touched_since`` answers ``None`` for anything older, forcing
-#: layout consumers back to a full rebuild.  512 covers hundreds of
+#: the layout patcher and the domain arrays back to a full rebuild.  512 covers hundreds of
 #: buffer insert/remove edits between timing queries — far beyond the
 #: one-or-two-edit window the what-if loop actually patches across.
 _JOURNAL_MAX = 512
@@ -134,15 +134,15 @@ class TimingGraph:
         #: nodes changes (a re-mark of the same topology leaves it).
         self.clock_epoch: int = 0
         self._clock_nodes: list[int] = []
-        #: The :class:`repro.timing.domains.GraphDomains` of the
-        #: current ``(structure_version, arc_epoch, clock_epoch)``,
-        #: built lazily by :func:`repro.timing.domains.graph_domains`.
+        #: The :class:`repro.timing.domains.GraphDomains` of the last
+        #: ``(structure_version, clock_epoch)`` asked for, patched or
+        #: rebuilt by :func:`repro.timing.domains.graph_domains`.
         self.domain_cache = None
         #: Bounded journal of structural mutations: one
         #: ``(structure_version_after, node_ids, edge_ids)`` entry per
         #: mutation, newest last.  ``touched_since`` folds these into
-        #: the touched node/edge sets the kernel's layout patcher needs
-        #: to splice an edit into an existing levelization.
+        #: the touched node/edge sets the kernel's layout patcher and the
+        #: domain arrays (:mod:`repro.timing.domains`) splice edits from.
         self._journal: deque[tuple[int, tuple[int, ...], tuple[int, ...]]] = (
             deque()
         )

@@ -19,19 +19,20 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.netlist.edit import ChangeRecord
+from repro.timing.domains import graph_domains
 from repro.timing.graph import TimingGraph
 from repro.timing.propagation import (
+    MOVE_EPS,
     BoundaryConditions,
     TimingState,
     relax_node,
+    update_out_edges,
 )
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.netlist.core import PinRef
     from repro.timing.delaycalc import DelayCalculator
     from repro.timing.sta import STAEngine
-
-_EPS = 1e-9
 
 
 def _collect_seed_nodes(graph: TimingGraph, change: ChangeRecord) -> set[int]:
@@ -180,27 +181,14 @@ def propagate_incremental(
         old_slew = state.slew[node_id]
         relax_node(graph, state, node_id, boundary)
         node_changed = (
-            abs(state.arrival_late[node_id] - old_late) > _EPS
-            or abs(state.arrival_early[node_id] - old_early) > _EPS
-            or abs(state.slew[node_id] - old_slew) > _EPS
+            abs(state.arrival_late[node_id] - old_late) > MOVE_EPS
+            or abs(state.arrival_early[node_id] - old_early) > MOVE_EPS
+            or abs(state.slew[node_id] - old_slew) > MOVE_EPS
         )
         # Out-edge delays depend on the node's slew and on downstream
         # loads; seeds may have stale edges even when the node's own
         # values did not move, so always recompute and diff.
-        edges_changed = False
-        for edge_id in graph.out_edges[node_id]:
-            old_delay = state.edge_delay.item(edge_id)
-            old_out_slew = state.edge_out_slew.item(edge_id)
-            delay, out_slew = calc.compute_edge(
-                graph, graph.edge(edge_id), float(state.slew[node_id])
-            )
-            state.edge_delay[edge_id] = delay
-            state.edge_out_slew[edge_id] = out_slew
-            if (
-                abs(delay - old_delay) > _EPS
-                or abs(out_slew - old_out_slew) > _EPS
-            ):
-                edges_changed = True
+        edges_changed = update_out_edges(graph, calc, state, node_id)
         if node_changed or edges_changed:
             for edge_id in graph.out_edges[node_id]:
                 dst = graph.edge(edge_id).dst
@@ -236,32 +224,19 @@ def _seed_derate_moves(engine: "STAEngine", seeds: set[int],
 
     A structural edit changes GBA depths — and therefore derates — on
     gates far from the edit site; those edges' destinations must be
-    re-relaxed too.  With a current levelized layout the diff is three
-    array ops; otherwise it falls back to the per-edge loop.
+    re-relaxed too.  Under both kernels the diff is three array ops over
+    the graph's domain arrays (edge liveness and destinations).
     """
+    domains = graph_domains(engine.graph)
+    live = np.flatnonzero(domains.edge_live)
     shared = min(old_derates.size, engine.state.derate_late.size)
-    layout = getattr(engine, "_layout", None)
-    if (
-        layout is not None
-        and layout.structure_version == engine.graph.structure_version
-    ):
-        live = layout.live_eids
-        old_part = live[live < shared]
-        moved = old_part[
-            np.abs(
-                engine.state.derate_late[old_part] - old_derates[old_part]
-            ) > _EPS
-        ]
-        seeds.update(layout.edge_dst[moved].tolist())
-        seeds.update(layout.edge_dst[live[live >= shared]].tolist())
-        return
-    for edge in engine.graph.live_edges():
-        if edge.id >= shared:
-            seeds.add(edge.dst)
-        elif abs(
-            engine.state.derate_late[edge.id] - old_derates[edge.id]
-        ) > _EPS:
-            seeds.add(edge.dst)
+    old_part = live[live < shared]
+    moved = old_part[
+        np.abs(engine.state.derate_late[old_part] - old_derates[old_part])
+        > MOVE_EPS
+    ]
+    seeds.update(domains.edge_dst[moved].tolist())
+    seeds.update(domains.edge_dst[live[live >= shared]].tolist())
 
 
 def apply_change_incremental(engine: "STAEngine", change: ChangeRecord) -> int:

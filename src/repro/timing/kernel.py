@@ -65,10 +65,13 @@ so serve restarts and repeated CLI runs never rebuild a known design.
 insert/remove) is spliced into the existing layout by
 :func:`patch_layout` using the graph's structure journal, falling back
 to a full rebuild whenever the edit's level impact is not provably
-local.  Both paths preserve the bit-identity contract: a hydrated or
-patched layout is structurally equal to a fresh build up to level
-assignment legality, which the sweeps' per-node reductions are
-insensitive to.
+local.  The patch re-levels and re-splices the CSR rows; edge
+endpoints, liveness, derate classes and the clock-tree mask it reads,
+as the build does, from the graph's domain arrays
+(:mod:`repro.timing.domains`), which the same journal patches.  Both
+paths preserve the bit-identity contract: a hydrated or patched layout
+is structurally equal to a fresh build up to level assignment
+legality, which the sweeps' per-node reductions are insensitive to.
 """
 
 from __future__ import annotations
@@ -89,27 +92,23 @@ from repro.timing.domains import (
     DOMAIN_CLOCK,
     DOMAIN_DATA,
     DOMAIN_PLAIN,
+    GraphDomains,
     graph_domains,
+    padded,
 )
-from repro.timing.graph import EdgeKind, TimingEdge, TimingGraph
+from repro.timing.graph import EdgeKind, TimingGraph
 from repro.timing.propagation import (
+    MOVE_EPS,
     POS_INF,
     BoundaryConditions,
     DerateSettings,
-    EdgeDomain,
     TimingState,
-    classify_edge,
+    update_out_edges,
 )
 
 if TYPE_CHECKING:
     from repro.sdc.constraints import Constraints
     from repro.timing.delaycalc import DelayCalculator
-
-#: Movement threshold shared with the scalar incremental worklist
-#: (:data:`repro.timing.incremental._EPS`); both kernels must agree on
-#: it or their post-edit states diverge.
-_EPS = 1e-9
-
 
 @dataclass
 class LevelizedLayout:
@@ -139,11 +138,8 @@ class LevelizedLayout:
     out_ptr: np.ndarray
     out_edge: np.ndarray
     out_dst: np.ndarray
-    # -- per-edge-slot arrays (edge-id indexed) ------------------------
-    edge_live: np.ndarray         # bool
-    edge_dst: np.ndarray          # int
+    # -- derate classification (the graph's domain arrays) -------------
     live_eids: np.ndarray         # ids of live edges, ascending
-    # -- derate classification -----------------------------------------
     clock_eids: np.ndarray
     plain_eids: np.ndarray
     data_eids: np.ndarray
@@ -170,9 +166,9 @@ class LevelizedLayout:
     cell_eids_by_level: list[np.ndarray]
     # -- id-indexed topology mirrors -----------------------------------
     #: Level per node id (-1 dead) — the frontier sweep buckets dirty
-    #: nodes by it, and the patcher's worklist updates it in place.
+    #: nodes by it, and the patcher's worklist raises it.
     node_level: np.ndarray
-    edge_src: np.ndarray             # id-indexed src node (dead slots stale)
+    edge_src: np.ndarray             # id-indexed src node (-1 dead)
     edge_is_net: np.ndarray          # bool, id-indexed
     # -- lazily (arc-epoch keyed) rebuilt LUT grouping ------------------
     _group_epoch: int = field(default=-1, repr=False)
@@ -271,7 +267,7 @@ _layout_cache: "OrderedDict[tuple, LevelizedLayout]" = OrderedDict()
 #: Version of the persisted layout payload.  Key material (a schema
 #: bump misses cleanly instead of needing a cache wipe) *and* a payload
 #: sanity field checked again on hydrate.
-LAYOUT_SCHEMA = 1
+LAYOUT_SCHEMA = 2
 
 #: Optional disk tier behind the in-process LRU: a
 #: :class:`repro.service.store.DiskStore` whose ``layout/`` class holds
@@ -342,11 +338,11 @@ def _clone_layout(cached: LevelizedLayout) -> LevelizedLayout:
 #: the hydrating engine rebuilds them.
 _LAYOUT_ARRAY_FIELDS = (
     "order", "pos_of", "level_ptr", "in_ptr", "in_edge", "in_src",
-    "out_ptr", "out_edge", "out_dst", "edge_live", "edge_dst",
-    "live_eids", "clock_eids", "plain_eids", "data_eids", "data_depths",
-    "data_gate_cols", "node_is_clock_tree", "node_gate_col",
-    "source_ids", "boundary_arrival", "boundary_slew", "cell_edge_net",
-    "node_level", "edge_src", "edge_is_net",
+    "out_ptr", "out_edge", "out_dst", "live_eids", "clock_eids",
+    "plain_eids", "data_eids", "data_depths", "data_gate_cols",
+    "node_is_clock_tree", "node_gate_col", "source_ids",
+    "boundary_arrival", "boundary_slew", "cell_edge_net", "node_level",
+    "edge_src", "edge_is_net",
 )
 _LAYOUT_LIST_FIELDS = ("gates", "node_gates", "cell_nets")
 _LAYOUT_LEVEL_FIELDS = (
@@ -540,76 +536,18 @@ def _build_layout(
     for node_id, lv in level.items():
         node_level[node_id] = lv
 
-    # Fanin / fanout CSR in position order.
-    in_ptr = np.zeros(order.size + 1, dtype=np.int64)
-    out_ptr = np.zeros(order.size + 1, dtype=np.int64)
-    in_edge_list: list[int] = []
-    in_src_list: list[int] = []
-    out_edge_list: list[int] = []
-    out_dst_list: list[int] = []
-    for pos, node_id in enumerate(order_list):
-        for edge_id in graph.in_edges[node_id]:
-            edge = graph.edges[edge_id]
-            assert edge is not None
-            in_edge_list.append(edge_id)
-            in_src_list.append(edge.src)
-        in_ptr[pos + 1] = len(in_edge_list)
-        for edge_id in graph.out_edges[node_id]:
-            edge = graph.edges[edge_id]
-            assert edge is not None
-            out_edge_list.append(edge_id)
-            out_dst_list.append(edge.dst)
-        out_ptr[pos + 1] = len(out_edge_list)
-
-    # Derate classification: the graph's per-structure domain arrays.
+    # Edge endpoints and liveness, derate classes, clock-tree mask: the
+    # graph's domain arrays.
     domains = graph_domains(graph)
-    clock_eids = np.flatnonzero(domains.edge_domain == DOMAIN_CLOCK)
-    plain_eids = np.flatnonzero(domains.edge_domain == DOMAIN_PLAIN)
-    data_eids = np.flatnonzero(domains.edge_domain == DOMAIN_DATA)
-    data_gate_cols = domains.edge_gate[data_eids]
-    gates = list(domains.gates)
-    gate_index = {gate: col for col, gate in enumerate(gates)}
-    depth_of_gate = np.asarray(
-        [depths.get(gate, 1) for gate in gates], dtype=np.int64
+
+    # Fanin / fanout CSR in position order.
+    in_ptr, in_edge = _csr(graph.in_edges, order_list)
+    out_ptr, out_edge = _csr(graph.out_edges, order_list)
+
+    # The per-slot fields the domain arrays lack.
+    slots = _slot_fields(
+        graph, None, list(range(n_node_slots)), list(range(n_edge_slots))
     )
-    data_depths = depth_of_gate[data_gate_cols]
-
-    # Per-edge-slot arrays.
-    edge_live = np.zeros(n_edge_slots, dtype=bool)
-    edge_dst = np.zeros(n_edge_slots, dtype=np.int64)
-    edge_src = np.zeros(n_edge_slots, dtype=np.int64)
-    edge_is_net = np.zeros(n_edge_slots, dtype=bool)
-    cell_nets: list[str] = []
-    cell_net_index: dict[str, int] = {}
-    cell_edge_net = np.full(n_edge_slots, -1, dtype=np.int64)
-    for edge in graph.edges:
-        if edge is None:
-            continue
-        edge_live[edge.id] = True
-        edge_dst[edge.id] = edge.dst
-        edge_src[edge.id] = edge.src
-        edge_is_net[edge.id] = edge.kind is EdgeKind.NET
-        if edge.kind is EdgeKind.CELL:
-            cell_edge_net[edge.id] = _cell_net_column(
-                graph, edge, cell_nets, cell_net_index
-            )
-
-    # Node metadata.
-    node_is_clock_tree = domains.node_is_clock_tree.copy()
-    node_gate_col = np.full(n_node_slots, -1, dtype=np.int64)
-    node_gates: list[str] = []
-    node_gate_index: dict[str, int] = {}
-    for node in graph.nodes:
-        if node is None:
-            continue
-        gate = node.ref.gate
-        if gate is not None:
-            col = node_gate_index.get(gate)
-            if col is None:
-                col = len(node_gates)
-                node_gate_index[gate] = col
-                node_gates.append(gate)
-            node_gate_col[node.id] = col
 
     # Boundary values for the (level-0) source nodes, mirroring
     # propagation.apply_boundary exactly.
@@ -622,9 +560,9 @@ def _build_layout(
         boundary_arrival[node_id] = arrival
         boundary_slew[node_id] = slew_value
 
-    out_edge = np.asarray(out_edge_list, dtype=np.int64)
-    net_eids_by_level, net_srcs_by_level, cell_eids_by_level = \
-        _split_fanout(level_ptr, out_ptr, out_edge, edge_is_net, edge_src)
+    net_eids_by_level, net_srcs_by_level, cell_eids_by_level = _split_fanout(
+        level_ptr, out_ptr, out_edge, slots["edge_is_net"], domains.edge_src
+    )
 
     return LevelizedLayout(
         structure_version=graph.structure_version,
@@ -634,53 +572,135 @@ def _build_layout(
         pos_of=pos_of,
         level_ptr=level_ptr,
         in_ptr=in_ptr,
-        in_edge=np.asarray(in_edge_list, dtype=np.int64),
-        in_src=np.asarray(in_src_list, dtype=np.int64),
+        in_edge=in_edge,
+        in_src=domains.edge_src[in_edge],
         out_ptr=out_ptr,
         out_edge=out_edge,
-        out_dst=np.asarray(out_dst_list, dtype=np.int64),
-        edge_live=edge_live,
-        edge_dst=edge_dst,
-        live_eids=np.flatnonzero(edge_live).astype(np.int64),
-        clock_eids=clock_eids,
-        plain_eids=plain_eids,
-        data_eids=data_eids,
-        data_depths=data_depths,
-        data_gate_cols=data_gate_cols,
-        gates=gates,
-        gate_index=gate_index,
-        node_is_clock_tree=node_is_clock_tree,
-        node_gate_col=node_gate_col,
-        node_gates=node_gates,
+        out_dst=domains.edge_dst[out_edge],
         source_ids=source_ids,
         boundary_arrival=boundary_arrival,
         boundary_slew=boundary_slew,
-        cell_nets=cell_nets,
-        cell_edge_net=cell_edge_net,
         net_eids_by_level=net_eids_by_level,
         net_srcs_by_level=net_srcs_by_level,
         cell_eids_by_level=cell_eids_by_level,
         node_level=node_level,
-        edge_src=edge_src,
-        edge_is_net=edge_is_net,
+        **slots,
+        **_domain_fields(domains, depths),
     )
 
 
-def _cell_net_column(graph: TimingGraph, edge: TimingEdge,
-                     cell_nets: "list[str]",
-                     cell_net_index: "dict[str, int]") -> int:
-    """Index of the net a cell arc loads in ``cell_nets``, appended on
-    first use (-1 when the arc's output pin is unconnected)."""
-    dst_ref = graph.node(edge.dst).ref
-    assert dst_ref.gate is not None
-    net = graph.netlist.gate(dst_ref.gate).connections.get(dst_ref.pin)
-    if net is None:
-        return -1
-    idx = cell_net_index.get(net)
-    if idx is None:
-        idx = cell_net_index[net] = len(cell_nets)
-        cell_nets.append(net)
-    return idx
+def _csr(adjacency: "list[list[int]]",
+         rows: "list[int]") -> "tuple[np.ndarray, np.ndarray]":
+    """``(ptr, edge ids)`` of the adjacency lists of ``rows``, in order."""
+    ptr = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum(
+        np.fromiter((len(adjacency[row]) for row in rows), dtype=np.int64,
+                    count=len(rows)),
+        out=ptr[1:],
+    )
+    flat = [edge_id for row in rows for edge_id in adjacency[row]]
+    return ptr, np.asarray(flat, dtype=np.int64)
+
+
+def _domain_fields(domains: GraphDomains,
+                   depths: "dict[str, int]") -> "dict[str, Any]":
+    """The layout fields read from the graph's domain arrays.
+
+    Live edges and edge sources, the clock/plain/data edge lists with
+    the data arcs' gate columns and GBA depths, and the clock-tree mask
+    (see :func:`repro.timing.domains.graph_domains`); the build and the
+    patch both take them from here.  The arrays are shared, never
+    written: a patch of the domains builds new ones.
+    """
+    edge_domain = domains.edge_domain
+    data_eids = np.flatnonzero(edge_domain == DOMAIN_DATA)
+    data_gate_cols = domains.edge_gate[data_eids]
+    gates = list(domains.gates)
+    depth_of_gate = np.asarray(
+        [depths.get(gate, 1) for gate in gates], dtype=np.int64
+    )
+    return {
+        "edge_src": domains.edge_src,
+        "live_eids": np.flatnonzero(domains.edge_live),
+        "clock_eids": np.flatnonzero(edge_domain == DOMAIN_CLOCK),
+        "plain_eids": np.flatnonzero(edge_domain == DOMAIN_PLAIN),
+        "data_eids": data_eids,
+        "data_depths": depth_of_gate[data_gate_cols],
+        "data_gate_cols": data_gate_cols,
+        "gates": gates,
+        "gate_index": domains.gate_index,
+        "node_is_clock_tree": domains.node_is_clock_tree,
+    }
+
+
+def _slot_fields(graph: TimingGraph, base: "LevelizedLayout | None",
+                 nids: "list[int]", eids: "list[int]") -> "dict[str, Any]":
+    """The per-slot layout fields the domain arrays lack, re-read for
+    node slots ``nids`` and edge slots ``eids`` over ``base``'s fields
+    (a build reads every slot over none).
+
+    Each node's column in ``node_gates``, each edge's net/cell split,
+    and the net a cell arc loads as its index in ``cell_nets``.  Both
+    name lists grow in first-use order; ``cell_nets`` then keeps only
+    the nets live cell arcs still load, ordered by the first arc that
+    loads each (a build's order), so a full sweep never asks for a load
+    on a net that is gone, such as a removed buffer's output.
+    """
+    n_nodes, n_edges = len(graph.nodes), len(graph.edges)
+    if base is None:
+        node_gate_col = np.full(n_nodes, -1, dtype=np.int64)
+        edge_is_net = np.zeros(n_edges, dtype=bool)
+        cell_edge_net = np.full(n_edges, -1, dtype=np.int64)
+        node_gates: "list[str]" = []
+        cell_nets: "list[str]" = []
+    else:
+        node_gate_col = padded(base.node_gate_col, n_nodes, -1)
+        edge_is_net = padded(base.edge_is_net, n_edges, False)
+        cell_edge_net = padded(base.cell_edge_net, n_edges, -1)
+        node_gates, cell_nets = list(base.node_gates), list(base.cell_nets)
+    gate_col = {gate: col for col, gate in enumerate(node_gates)}
+    cols: "list[int]" = []
+    for node_id in nids:
+        node = graph.nodes[node_id]
+        gate = None if node is None else node.ref.gate
+        cols.append(-1 if gate is None else _first_use(gate_col, node_gates, gate))
+    node_gate_col[nids] = cols
+    net_col = {net: idx for idx, net in enumerate(cell_nets)}
+    is_net: "list[bool]" = []
+    nets: "list[int]" = []
+    gate_of = graph.netlist.gate
+    for edge_id in eids:
+        edge = graph.edges[edge_id]
+        is_net.append(edge is not None and edge.kind is EdgeKind.NET)
+        net = None
+        if edge is not None and edge.kind is EdgeKind.CELL:
+            ref = graph.node(edge.dst).ref  # an output pin of the gate
+            net = gate_of(ref.gate).connections.get(ref.pin)
+        nets.append(-1 if net is None else _first_use(net_col, cell_nets, net))
+    edge_is_net[eids] = is_net
+    cell_edge_net[eids] = nets
+    loading = np.flatnonzero(cell_edge_net >= 0)
+    used, first = np.unique(cell_edge_net[loading], return_index=True)
+    kept = used[np.argsort(first)]
+    renumber = np.full(len(cell_nets), -1, dtype=np.int64)
+    renumber[kept] = np.arange(kept.size, dtype=np.int64)
+    cell_edge_net[loading] = renumber[cell_edge_net[loading]]
+    return {
+        "node_gate_col": node_gate_col,
+        "node_gates": node_gates,
+        "edge_is_net": edge_is_net,
+        "cell_edge_net": cell_edge_net,
+        "cell_nets": [cell_nets[idx] for idx in kept.tolist()],
+    }
+
+
+def _first_use(index: "dict[str, int]", names: "list[str]", name: str) -> int:
+    """``name``'s position in ``names``, appended on first use."""
+    col = index.get(name)
+    if col is None:
+        col = index[name] = len(names)
+        names.append(name)
+    return col
 
 
 def _split_fanout(
@@ -724,17 +744,6 @@ def _boundary_source_values(
 # ----------------------------------------------------------------------
 # Incremental level maintenance (layout patching)
 # ----------------------------------------------------------------------
-def _padded(arr: np.ndarray, size: int, fill: Any) -> np.ndarray:
-    """A fresh copy of ``arr`` grown to ``size`` slots.
-
-    Always copies, even at equal size: a patch must never mutate arrays
-    the content-keyed cache (and its clones) still share.
-    """
-    out = np.full(size, fill, dtype=arr.dtype)
-    out[: arr.shape[0]] = arr
-    return out
-
-
 def patch_layout(
     layout: LevelizedLayout,
     graph: TimingGraph,
@@ -745,12 +754,14 @@ def patch_layout(
 
     Uses the graph's structure journal to find the touched node/edge
     slots, re-levels only the affected region with a worklist, and
-    rebuilds the CSR/classification arrays around it — reusing every
-    untouched row via vectorized gathers.  Returns a **new** layout at
-    the graph's current ``structure_version``, or ``None`` when the
-    edit is not provably local (journal overflow, clock-network
-    movement, or any legality check failing), in which case the caller
-    must fall back to :func:`build_layout`.
+    rebuilds the CSR arrays around it — reusing every untouched row via
+    vectorized gathers.  Edge endpoints, liveness, derate classes and
+    the clock-tree mask come from the graph's domain arrays
+    (:func:`repro.timing.domains.graph_domains`, patched from the same
+    journal).  Returns a **new** layout at the graph's current
+    ``structure_version``, or ``None`` when the edit is not provably
+    local (journal overflow or any legality check failing), in which
+    case the caller must fall back to :func:`build_layout`.
 
     Bit-identity is preserved because the sweeps never depend on the
     *canonical* (longest-fanin-chain) level assignment — any legal
@@ -779,28 +790,22 @@ def _patch_layout(
     touched = graph.touched_since(layout.structure_version)
     if touched is None:
         return None
-    touched_nodes, touched_eids = touched
     nodes = graph.nodes
     edges = graph.edges
     n_nodes = len(nodes)
     n_edges = len(edges)
-
-    live_now = np.fromiter(
-        (node is not None for node in nodes), dtype=bool, count=n_nodes
-    )
-    clock_now = np.fromiter(
-        (node is not None and node.is_clock_tree for node in nodes),
-        dtype=bool, count=n_nodes,
-    )
-    old_live = np.zeros(n_nodes, dtype=bool)
-    old_live[: layout.n_node_slots] = layout.pos_of >= 0
-    # Clock-tree membership moving on a *surviving* node means edge
-    # domains (and so derate classes) of untouched edges went stale;
-    # only a full rebuild reclassifies those.
-    surviving = old_live & live_now
-    old_clock = _padded(layout.node_is_clock_tree, n_nodes, False)
-    if np.any(clock_now[surviving] != old_clock[surviving]):
-        return None
+    domains = graph_domains(graph)
+    classes = _domain_fields(domains, depths)
+    edge_src, edge_dst = domains.edge_src, domains.edge_dst
+    live_eids = classes["live_eids"]
+    # Only touched slots can change liveness (or be freed and reused).
+    fresh_nodes = sorted(touched[0])
+    touched_mask = np.zeros(n_nodes, dtype=bool)
+    touched_mask[fresh_nodes] = True
+    seeds = [node_id for node_id in fresh_nodes if nodes[node_id] is not None]
+    live_now = padded(layout.pos_of >= 0, n_nodes, False)
+    live_now[fresh_nodes] = False
+    live_now[seeds] = True
 
     # --- re-level the affected region (worklist) ------------------------
     # Releveling never touches adjacency — CSR rows of releveled nodes
@@ -809,14 +814,9 @@ def _patch_layout(
     # cheaper than the scalar fresh build.  The pop cap is a livelock
     # backstop (a cycle would spin the ready/requeue logic forever),
     # not a cone-size bound.
-    node_level = _padded(layout.node_level, n_nodes, -1)
+    node_level = padded(layout.node_level, n_nodes, -1)
     node_level[~live_now] = -1
-    n_live = int(np.count_nonzero(live_now))
-    pops_cap = 32 * n_live + 256
-    seeds = sorted(
-        node_id for node_id in touched_nodes
-        if 0 <= node_id < n_nodes and live_now[node_id]
-    )
+    pops_cap = 32 * graph.node_count() + 256
     pending: "deque[int]" = deque(seeds)
     queued = set(seeds)
     pops = 0
@@ -879,32 +879,6 @@ def _patch_layout(
     pos_of = np.full(n_nodes, -1, dtype=np.int64)
     pos_of[order] = np.arange(order.size, dtype=np.int64)
 
-    # --- per-edge-slot arrays ------------------------------------------
-    touched_mask = np.zeros(n_nodes, dtype=bool)
-    for node_id in touched_nodes:
-        if 0 <= node_id < n_nodes:
-            touched_mask[node_id] = True
-    edge_live = _padded(layout.edge_live, n_edges, False)
-    edge_dst = _padded(layout.edge_dst, n_edges, 0)
-    edge_src = _padded(layout.edge_src, n_edges, 0)
-    edge_is_net = _padded(layout.edge_is_net, n_edges, False)
-    cell_edge_net = _padded(layout.cell_edge_net, n_edges, -1)
-    stale_eid = np.zeros(n_edges, dtype=bool)
-    fresh_eids: list[int] = []
-    for edge_id in sorted(e for e in touched_eids if 0 <= e < n_edges):
-        stale_eid[edge_id] = True
-        edge = edges[edge_id]
-        if edge is None:
-            edge_live[edge_id] = False
-            cell_edge_net[edge_id] = -1
-        else:
-            edge_live[edge_id] = True
-            edge_dst[edge_id] = edge.dst
-            edge_src[edge_id] = edge.src
-            edge_is_net[edge_id] = edge.kind is EdgeKind.NET
-            fresh_eids.append(edge_id)
-    live_eids = np.flatnonzero(edge_live).astype(np.int64)
-
     # --- legality gate --------------------------------------------------
     if live_eids.size and not bool(
         np.all(
@@ -913,108 +887,17 @@ def _patch_layout(
     ):
         return None
 
-    # --- derate classification ------------------------------------------
-    def _keep(eids: np.ndarray) -> np.ndarray:
-        if not eids.size:
-            return eids
-        return eids[~stale_eid[eids]]
-
-    clock_list = _keep(layout.clock_eids)
-    plain_list = _keep(layout.plain_eids)
-    keep_data = (
-        ~stale_eid[layout.data_eids]
-        if layout.data_eids.size
-        else np.zeros(0, dtype=bool)
-    )
-    data_list = layout.data_eids[keep_data]
-    data_cols = layout.data_gate_cols[keep_data]
-    gates = list(layout.gates)
-    gate_index = dict(layout.gate_index)
-    cell_nets = list(layout.cell_nets)
-    cell_net_index = {net: idx for idx, net in enumerate(cell_nets)}
-    clock_new: list[int] = []
-    plain_new: list[int] = []
-    data_new: list[int] = []
-    data_cols_new: list[int] = []
-    for edge_id in fresh_eids:
-        edge = edges[edge_id]
-        assert edge is not None
-        domain = classify_edge(graph, edge)
-        if domain is EdgeDomain.CLOCK:
-            clock_new.append(edge_id)
-        elif domain is EdgeDomain.DATA_CELL:
-            assert edge.gate is not None
-            col = gate_index.get(edge.gate)
-            if col is None:
-                col = len(gates)
-                gate_index[edge.gate] = col
-                gates.append(edge.gate)
-            data_new.append(edge_id)
-            data_cols_new.append(col)
-        else:
-            plain_new.append(edge_id)
-        cell_edge_net[edge_id] = _cell_net_column(
-            graph, edge, cell_nets, cell_net_index
-        ) if edge.kind is EdgeKind.CELL else -1
-    # A removed buffer's output net leaves with its arcs (and the
-    # netlist): keep only the nets live cell arcs still load, in the
-    # builder's first-use order, so a full sweep never asks for a load
-    # on a net that is gone.
-    net_eids = live_eids[cell_edge_net[live_eids] >= 0]
-    used, first = np.unique(cell_edge_net[net_eids], return_index=True)
-    kept = used[np.argsort(first)]
-    renumber = np.full(len(cell_nets), -1, dtype=np.int64)
-    renumber[kept] = np.arange(kept.size, dtype=np.int64)
-    cell_edge_net[net_eids] = renumber[cell_edge_net[net_eids]]
-    cell_nets = [cell_nets[idx] for idx in kept.tolist()]
-    clock_eids = np.concatenate(
-        [clock_list, np.asarray(clock_new, dtype=np.int64)]
-    )
-    plain_eids = np.concatenate(
-        [plain_list, np.asarray(plain_new, dtype=np.int64)]
-    )
-    data_eids = np.concatenate([data_list, np.asarray(data_new, dtype=np.int64)])
-    data_gate_cols = np.concatenate(
-        [data_cols, np.asarray(data_cols_new, dtype=np.int64)]
-    )
-    # Depths are global (worst depth per gate over the whole graph), so
-    # a local edit can move *any* gate's depth: regenerate them all
-    # from the fresh depth map, exactly like the builder would.
-    if data_eids.size:
-        depth_of_gate = np.asarray(
-            [depths.get(gate, 1) for gate in gates], dtype=np.int64
-        )
-        data_depths = depth_of_gate[data_gate_cols]
-    else:
-        data_depths = np.zeros(0, dtype=np.int64)
-
-    # --- node metadata --------------------------------------------------
-    node_gate_col = _padded(layout.node_gate_col, n_nodes, -1)
-    node_gates = list(layout.node_gates)
-    node_gate_index = {gate: col for col, gate in enumerate(node_gates)}
-    for node_id in np.flatnonzero(live_now & ~old_live).tolist():
-        gate = graph.node(node_id).ref.gate
-        if gate is None:
-            node_gate_col[node_id] = -1
-            continue
-        col = node_gate_index.get(gate)
-        if col is None:
-            col = len(node_gates)
-            node_gate_index[gate] = col
-            node_gates.append(gate)
-        node_gate_col[node_id] = col
+    # --- the per-slot fields the domain arrays lack ---------------------
+    slots = _slot_fields(graph, layout, fresh_nodes, sorted(touched[1]))
 
     # --- fanin / fanout CSR ---------------------------------------------
-    old_pos = np.full(n_nodes, -1, dtype=np.int64)
-    old_pos[: layout.n_node_slots] = layout.pos_of
+    old_pos = padded(layout.pos_of, n_nodes, -1)
 
     def _rebuild_csr(
         old_ptr: np.ndarray,
         old_flat_edge: np.ndarray,
-        old_flat_other: np.ndarray,
         adjacency: "list[list[int]]",
-        other_of_edge: np.ndarray,
-    ) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
+    ) -> "tuple[np.ndarray, np.ndarray]":
         counts = np.zeros(order.size, dtype=np.int64)
         old_position = old_pos[order]
         reuse = (old_position >= 0) & ~touched_mask[order]
@@ -1022,35 +905,25 @@ def _patch_layout(
         rp = old_position[reuse_rows]
         old_starts = old_ptr[rp]
         counts[reuse_rows] = old_ptr[rp + 1] - old_starts
-        fresh_rows = np.flatnonzero(~reuse)
-        for row in fresh_rows.tolist():
+        fresh_rows = np.flatnonzero(~reuse).tolist()
+        for row in fresh_rows:
             counts[row] = len(adjacency[order[row]])
         ptr = np.zeros(order.size + 1, dtype=np.int64)
         np.cumsum(counts, out=ptr[1:])
-        total = int(ptr[-1])
-        flat_edge = np.empty(total, dtype=np.int64)
-        flat_other = np.empty(total, dtype=np.int64)
+        flat_edge = np.empty(int(ptr[-1]), dtype=np.int64)
         cnt = counts[reuse_rows]
         src_idx, _ = segment_entries(old_starts, cnt)
         dst_idx, _ = segment_entries(ptr[reuse_rows], cnt)
         flat_edge[dst_idx] = old_flat_edge[src_idx]
-        flat_other[dst_idx] = old_flat_other[src_idx]
-        for row in fresh_rows.tolist():
-            cursor = int(ptr[row])
-            for edge_id in adjacency[order[row]]:
-                flat_edge[cursor] = edge_id
-                flat_other[cursor] = other_of_edge[edge_id]
-                cursor += 1
-        return ptr, flat_edge, flat_other
+        for row in fresh_rows:
+            start = int(ptr[row])
+            flat_edge[start:start + int(counts[row])] = adjacency[order[row]]
+        return ptr, flat_edge
 
-    in_ptr, in_edge, in_src = _rebuild_csr(
-        layout.in_ptr, layout.in_edge, layout.in_src,
-        graph.in_edges, edge_src,
-    )
-    out_ptr, out_edge, out_dst = _rebuild_csr(
-        layout.out_ptr, layout.out_edge, layout.out_dst,
-        graph.out_edges, edge_dst,
-    )
+    in_ptr, in_edge = _rebuild_csr(layout.in_ptr, layout.in_edge,
+                                   graph.in_edges)
+    out_ptr, out_edge = _rebuild_csr(layout.out_ptr, layout.out_edge,
+                                     graph.out_edges)
     # Every live edge appears exactly once per CSR, or the splice is
     # inconsistent with the graph (e.g. a journal gap): rebuild.
     if int(in_ptr[-1]) != int(live_eids.size) or \
@@ -1058,21 +931,23 @@ def _patch_layout(
         return None
 
     # --- boundary (level-0) values --------------------------------------
-    boundary_arrival = _padded(layout.boundary_arrival, n_nodes, 0.0)
-    boundary_slew = _padded(layout.boundary_slew, n_nodes, 0.0)
+    boundary_arrival = padded(layout.boundary_arrival, n_nodes, 0.0)
+    boundary_slew = padded(layout.boundary_slew, n_nodes, 0.0)
+    # An untouched old source keeps its values: they are a pure function
+    # of its ref and the boundary.
     old_source = np.zeros(n_nodes, dtype=bool)
     old_source[layout.source_ids] = True
+    old_source[fresh_nodes] = False
     source_ids = order[level_ptr[0]:level_ptr[1]] if n_levels else \
         np.empty(0, dtype=np.int64)
-    for node_id in source_ids.tolist():
-        if old_source[node_id]:
-            continue  # values are a pure function of ref + boundary
+    for node_id in source_ids[~old_source[source_ids]].tolist():
         arrival, slew_value = _boundary_source_values(graph, boundary, node_id)
         boundary_arrival[node_id] = arrival
         boundary_slew[node_id] = slew_value
 
-    net_eids_by_level, net_srcs_by_level, cell_eids_by_level = \
-        _split_fanout(level_ptr, out_ptr, out_edge, edge_is_net, edge_src)
+    net_eids_by_level, net_srcs_by_level, cell_eids_by_level = _split_fanout(
+        level_ptr, out_ptr, out_edge, slots["edge_is_net"], edge_src
+    )
 
     return LevelizedLayout(
         structure_version=graph.structure_version,
@@ -1083,34 +958,19 @@ def _patch_layout(
         level_ptr=level_ptr,
         in_ptr=in_ptr,
         in_edge=in_edge,
-        in_src=in_src,
+        in_src=edge_src[in_edge],
         out_ptr=out_ptr,
         out_edge=out_edge,
-        out_dst=out_dst,
-        edge_live=edge_live,
-        edge_dst=edge_dst,
-        live_eids=live_eids,
-        clock_eids=clock_eids,
-        plain_eids=plain_eids,
-        data_eids=data_eids,
-        data_depths=data_depths,
-        data_gate_cols=data_gate_cols,
-        gates=gates,
-        gate_index=gate_index,
-        node_is_clock_tree=clock_now,
-        node_gate_col=node_gate_col,
-        node_gates=node_gates,
+        out_dst=edge_dst[out_edge],
         source_ids=source_ids,
         boundary_arrival=boundary_arrival,
         boundary_slew=boundary_slew,
-        cell_nets=cell_nets,
-        cell_edge_net=cell_edge_net,
         net_eids_by_level=net_eids_by_level,
         net_srcs_by_level=net_srcs_by_level,
         cell_eids_by_level=cell_eids_by_level,
         node_level=node_level,
-        edge_src=edge_src,
-        edge_is_net=edge_is_net,
+        **slots,
+        **classes,
     )
 
 
@@ -1426,8 +1286,6 @@ def propagate_incremental(
     arrival_late = state.arrival_late
     arrival_early = state.arrival_early
     slew = state.slew
-    edge_delay = state.edge_delay
-    edge_out_slew = state.edge_out_slew
     while heap:
         lv = heapq.heappop(heap)
         # Ascending id within the level — the exact order the old
@@ -1452,33 +1310,17 @@ def propagate_incremental(
                 counts.cumsum() - counts,
             )
         node_moved = (
-            (np.abs(arrival_late[sel] - old_late) > _EPS)
-            | (np.abs(arrival_early[sel] - old_early) > _EPS)
-            | (np.abs(slew[sel] - old_slew) > _EPS)
+            (np.abs(arrival_late[sel] - old_late) > MOVE_EPS)
+            | (np.abs(arrival_early[sel] - old_early) > MOVE_EPS)
+            | (np.abs(slew[sel] - old_slew) > MOVE_EPS)
         ).tolist()
         # Out-edge delay calc stays scalar here: cones are small and the
         # per-edge diff must match the worklist's exactly.
         for moved, node_id in zip(node_moved, sel.tolist()):
-            edges_changed = False
-            node_slew = float(slew[node_id])
-            for edge_id in graph.out_edges[node_id]:
-                edge = graph.edges[edge_id]
-                assert edge is not None
-                old_delay = edge_delay.item(edge_id)
-                old_out = edge_out_slew.item(edge_id)
-                delay, out_slew = calc.compute_edge(graph, edge, node_slew)
-                edge_delay[edge_id] = delay
-                edge_out_slew[edge_id] = out_slew
-                if (
-                    abs(delay - old_delay) > _EPS
-                    or abs(out_slew - old_out) > _EPS
-                ):
-                    edges_changed = True
-            if moved or edges_changed:
+            edges_moved = update_out_edges(graph, calc, state, node_id)
+            if moved or edges_moved:
                 for edge_id in graph.out_edges[node_id]:
-                    edge = graph.edges[edge_id]
-                    assert edge is not None
-                    mark(edge.dst)
+                    mark(graph.edges[edge_id].dst)  # type: ignore[union-attr]
     counter("kernel.incremental_sweeps").inc()
     histogram("kernel.frontier_levels").observe(levels_touched)
     return visited
@@ -1567,7 +1409,7 @@ def gate_worst_slacks(
 
 
 # ----------------------------------------------------------------------
-# CSR row gathers and sanity checking on the flattened arrays
+# CSR row gathers
 # ----------------------------------------------------------------------
 def segment_entries(starts: np.ndarray, counts: np.ndarray) \
         -> "tuple[np.ndarray, np.ndarray]":
@@ -1584,32 +1426,3 @@ def segment_entries(starts: np.ndarray, counts: np.ndarray) \
         + (starts - (counts.cumsum() - counts))[segment]
     )
     return flat, segment
-
-
-def flatten_fanin(graph: TimingGraph):
-    """(node_ids, seg_starts, edge_ids, src_ids) over live fanin nodes.
-
-    Lightweight one-off flattening (no levelization) for vectorized
-    whole-graph identities like ``check_propagation_sanity``; the node
-    order matches ``graph.live_nodes()``.
-    """
-    node_ids: list[int] = []
-    seg: list[int] = []
-    edge_ids: list[int] = []
-    src_ids: list[int] = []
-    for node in graph.nodes:
-        if node is None or not graph.in_edges[node.id]:
-            continue
-        node_ids.append(node.id)
-        seg.append(len(edge_ids))
-        for edge_id in graph.in_edges[node.id]:
-            edge = graph.edges[edge_id]
-            assert edge is not None
-            edge_ids.append(edge_id)
-            src_ids.append(edge.src)
-    return (
-        np.asarray(node_ids, dtype=np.int64),
-        np.asarray(seg, dtype=np.int64),
-        np.asarray(edge_ids, dtype=np.int64),
-        np.asarray(src_ids, dtype=np.int64),
-    )

@@ -30,6 +30,11 @@ from repro.timing.graph import EdgeKind, TimingEdge, TimingGraph
 NEG_INF = float("-inf")
 POS_INF = float("inf")
 
+#: Movement threshold of both kernels' incremental sweeps: a node's
+#: fanout is re-relaxed when its arrivals, its slew, or one of its
+#: out-arcs moved by more.  One value, or their post-edit states diverge.
+MOVE_EPS = 1e-9
+
 
 class EdgeDomain(enum.Enum):
     """Derating domain of a timing edge."""
@@ -253,6 +258,34 @@ def compute_out_edges(
             calc.compute_edge(graph, graph.edge(edge_id), slew)
 
 
+def update_out_edges(
+    graph: TimingGraph, calc: DelayCalculator, state: TimingState,
+    node_id: int,
+) -> bool:
+    """:func:`compute_out_edges`, reporting whether any arc moved.
+
+    True when an out-arc's delay or out-slew changed by more than
+    :data:`MOVE_EPS`.  Both kernels' incremental sweeps call it, so they
+    mark fanout dirty on the same test.
+    """
+    edge_delay = state.edge_delay
+    edge_out_slew = state.edge_out_slew
+    slew = float(state.slew[node_id])
+    moved = False
+    for edge_id in graph.out_edges[node_id]:
+        old_delay = edge_delay.item(edge_id)
+        old_out_slew = edge_out_slew.item(edge_id)
+        delay, out_slew = calc.compute_edge(graph, graph.edge(edge_id), slew)
+        edge_delay[edge_id] = delay
+        edge_out_slew[edge_id] = out_slew
+        if (
+            abs(delay - old_delay) > MOVE_EPS
+            or abs(out_slew - old_out_slew) > MOVE_EPS
+        ):
+            moved = True
+    return moved
+
+
 def propagate_full(
     graph: TimingGraph,
     calc: DelayCalculator,
@@ -276,18 +309,23 @@ def check_propagation_sanity(graph: TimingGraph, state: TimingState) -> list[str
     Returns human-readable violations (empty list = consistent); used by
     tests and by the incremental engine's self-check mode.
 
-    Runs as one segment-max over the flattened fanin arrays (see
-    :func:`repro.timing.kernel.flatten_fanin`); the tolerance hand-codes
-    ``math.isclose(rel_tol=1e-9, abs_tol=1e-9)`` element-wise (with an
-    exact-equality guard so ``inf == inf`` passes, as it does there).
+    Runs as one segment-max over the live edges grouped by destination,
+    read from the graph's domain arrays
+    (:func:`repro.timing.domains.graph_domains`); the tolerance
+    hand-codes ``math.isclose(rel_tol=1e-9, abs_tol=1e-9)`` element-wise
+    (with an exact-equality guard so ``inf == inf`` passes, as it does
+    there).
     """
-    from repro.timing.kernel import flatten_fanin
+    from repro.timing.domains import graph_domains
 
-    node_ids, seg, edge_ids, src_ids = flatten_fanin(graph)
-    if not node_ids.size:
+    domains = graph_domains(graph)
+    live = np.flatnonzero(domains.edge_live)
+    if not live.size:
         return []
+    edge_ids = live[np.argsort(domains.edge_dst[live], kind="stable")]
+    node_ids, seg = np.unique(domains.edge_dst[edge_ids], return_index=True)
     values = (
-        state.arrival_late[src_ids]
+        state.arrival_late[domains.edge_src[edge_ids]]
         + state.edge_delay[edge_ids] * state.derate_late[edge_ids]
     )
     expect = np.maximum.reduceat(values, seg)

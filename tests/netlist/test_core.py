@@ -5,6 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import NetlistError, ReproError
 from repro.liberty.builder import make_default_library
+from repro.liberty.cell import Cell, Pin, PinDirection
+from repro.liberty.library import Library
 from repro.netlist.core import Netlist, PinRef, PortDirection
 
 LIB = make_default_library()
@@ -136,6 +138,27 @@ class TestEditing:
         # Swapping INV (connected pins A, Z) to DFF (D, CK, Q) fails on A.
         with pytest.raises(NetlistError):
             n.swap_cell("inv1", "DFF_X1")
+
+    def test_swap_cell_keeps_sequential_flag(self):
+        # Pins A/Z on both cells, so only the sequential flag differs.
+        library = Library("seq_swap")
+        for name, sequential in (("BUFC", False), ("LATCHZ", True)):
+            cell = Cell(name, area=1.0, leakage=1.0,
+                        is_sequential=sequential)
+            cell.add_pin(Pin("A", PinDirection.INPUT, capacitance=1.0))
+            cell.add_pin(Pin("Z", PinDirection.OUTPUT))
+            library.add_cell(cell)
+        n = Netlist("t", library)
+        n.add_port("in0", PortDirection.INPUT)
+        n.add_port("out0", PortDirection.OUTPUT)
+        n.add_gate("b", "BUFC", {"A": "in0", "Z": "w"})
+        n.add_gate("q", "LATCHZ", {"A": "w", "Z": "out0"})
+        with pytest.raises(NetlistError, match="sequential"):
+            n.swap_cell("b", "LATCHZ")
+        with pytest.raises(NetlistError, match="sequential"):
+            n.swap_cell("q", "BUFC")
+        assert n.gate("b").cell_name == "BUFC"
+        assert n.gate("q").cell_name == "LATCHZ"
 
 
 class TestAggregates:

@@ -40,6 +40,40 @@ class TestComponentHashes:
         assert (keys.sta_config_hash(design.sta_config)
                 != keys.sta_config_hash(fast))
 
+    def test_flat_derate_past_sixth_digit_moves_key(self):
+        a = generate_design(SMALL_SPEC)
+        b = generate_design(SMALL_SPEC)
+        a.constraints.flat_derate_late = 1.5000001
+        b.constraints.flat_derate_late = 1.5000004
+        assert keys.sdc_hash(a.constraints) != keys.sdc_hash(b.constraints)
+
+    def test_clock_period_past_sixth_digit_moves_key(self):
+        a = generate_design(SMALL_SPEC)
+        b = generate_design(SMALL_SPEC)
+        # 1.234561 ns and 1.234562 ns: equal at six significant digits.
+        a.constraints.primary_clock().period = 1234.561
+        b.constraints.primary_clock().period = 1234.562
+        ka = keys.design_key(a.netlist, a.constraints, a.placement,
+                             a.sta_config)
+        kb = keys.design_key(b.netlist, b.constraints, b.placement,
+                             b.sta_config)
+        assert ka.sdc != kb.sdc and ka.token != kb.token
+
+    def test_derate_value_past_sixth_digit_moves_key(self):
+        from repro.aocv.table import DeratingTable
+
+        def config(corner_value):
+            table = DeratingTable(
+                [1, 2], [0.0, 100.0], [[1.2, corner_value], [1.3, 1.1]]
+            )
+            return dataclasses.replace(
+                generate_design(SMALL_SPEC).sta_config,
+                derating_table=table,
+            )
+
+        assert (keys.sta_config_hash(config(1.2345671))
+                != keys.sta_config_hash(config(1.2345672)))
+
     def test_digest_separator(self):
         # ("ab", "c") must not collide with ("a", "bc").
         assert keys.digest(["ab", "c"]) != keys.digest(["a", "bc"])
