@@ -150,19 +150,3 @@ def compute_gba_depths(netlist: Netlist) -> dict[str, int]:
     fwd = _min_depths(order, preds, boundary_fanin)
     bwd = _min_depths(reversed(order), succs, boundary_fanout)
     return {g: fwd[g] + bwd[g] - 1 for g in fwd}
-
-
-def derates_by_depth(table, depths, distance: float) -> dict[int, float]:
-    """Derate factor per distinct depth at one (GBA) distance.
-
-    GBA evaluates every gate at a single conservative distance, so the
-    table lookup depends only on the integer depth; the vector kernel
-    precomputes this table once and fills a whole edge array by
-    indexing it with the per-edge depth array.  Values are exactly
-    ``table.derate(depth, distance)`` — the same call the scalar fill
-    memoizes — so both kernels read identical factors.
-    """
-    return {
-        int(depth): table.derate(int(depth), distance)
-        for depth in set(depths)
-    }

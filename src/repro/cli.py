@@ -68,7 +68,7 @@ from pathlib import Path
 from repro import api
 from repro.aocv.table import write_aocv
 from repro.designs import build_design, design_names
-from repro.errors import ReproError, TimingError
+from repro.errors import ReproError
 from repro.netlist.verilog import save_verilog
 from repro.sdc.writer import save_sdc
 from repro.timing.report import report_summary, report_timing
@@ -127,13 +127,9 @@ def _cmd_explain(args) -> int:
         engine.set_gate_weights(
             load_weights(args.weights, engine.netlist)
         )
-    try:
-        explanation = explain_design(
-            engine, top_k=args.top_k, endpoint=args.endpoint
-        )
-    except TimingError as exc:
-        print(f"repro-sta: {exc}", file=sys.stderr)
-        return 2
+    explanation = explain_design(
+        engine, top_k=args.top_k, endpoint=args.endpoint
+    )
     if args.format == "json":
         print(json.dumps(explanation.to_dict(), indent=2))
     else:
@@ -611,15 +607,11 @@ def _cmd_what_if(args) -> int:
         print("what-if: no candidates (give --candidates FILE "
               "and/or --eco FILE)", file=sys.stderr)
         return 2
-    try:
-        # Parsed here, each ECO file names itself in a bad line's error.
-        candidates.extend(
-            parse_eco_candidate(text, path) for path, text in eco_texts
-        )
-        result = api.what_if(args.design, candidates)
-    except ReproError as exc:  # a malformed candidate or ECO line
-        print(f"what-if: {exc}", file=sys.stderr)
-        return 2
+    # Parsed here, each ECO file names itself in a bad line's error.
+    candidates.extend(
+        parse_eco_candidate(text, path) for path, text in eco_texts
+    )
+    result = api.what_if(args.design, candidates)
     if args.json:
         print(json.dumps(result.to_dict(), indent=2))
         return 0
@@ -665,16 +657,10 @@ def _cmd_min_period(args) -> int:
                   file=sys.stderr)
             return 2
         corner = pairs[0]
-    from repro.opt.whatif import WhatIfError
-
-    try:
-        result = api.min_period(
-            args.design, clock=args.clock, tolerance=args.tolerance,
-            max_iter=args.max_iter, corner=corner,
-        )
-    except WhatIfError as exc:
-        print(f"min-period: {exc}", file=sys.stderr)
-        return 2
+    result = api.min_period(
+        args.design, clock=args.clock, tolerance=args.tolerance,
+        max_iter=args.max_iter, corner=corner,
+    )
     if args.json:
         print(json.dumps(result.to_dict(), indent=2))
         return 0
@@ -1122,6 +1108,9 @@ def main(argv: "list[str] | None" = None) -> int:
         set_span_profiler(profiler)
     try:
         return _COMMANDS[args.command](args)
+    except ReproError as exc:  # bad input, named: no traceback
+        print(f"repro-sta: {exc}", file=sys.stderr)
+        return 2
     finally:
         if args.workers is not None:
             from repro.parallel import set_default_workers

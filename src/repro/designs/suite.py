@@ -17,6 +17,7 @@ from __future__ import annotations
 import os
 
 from repro.designs.generator import Design, DesignSpec, generate_design, scaled_spec
+from repro.errors import ReproError
 
 #: The suite.  Depth ranges widen and violation quantiles drop down the
 #: list, echoing the paper's D8/D9-style designs where GBA correlation
@@ -76,7 +77,7 @@ def build_design(name: str) -> Design:
     try:
         spec = DESIGN_SPECS[name]
     except KeyError:
-        raise KeyError(
+        raise ReproError(
             f"unknown design {name!r}; choose from {design_names()}"
         ) from None
     scale = suite_scale()

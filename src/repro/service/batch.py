@@ -33,7 +33,10 @@ consuming a timing query:
 
 A malformed line or failed query produces an error record
 (``"ok": false`` plus ``"error"``) instead of aborting the stream —
-a batch file with one typo still computes the other N-1 queries.
+a batch file with one typo still computes the other N-1 queries.  A
+line that fails before reaching the service names itself: its error
+starts ``line N:`` (1-based, blank lines counted), under both entry
+points.
 
 ``run_batch`` reads the whole input and submits it as **one** batch,
 so duplicates coalesce; ``serve`` answers line-by-line (flushing
@@ -231,7 +234,7 @@ def serve(service: TimingService, in_stream: TextIO,
         return str(flight_dump)
 
     try:
-        for line in in_stream:
+        for lineno, line in enumerate(in_stream, start=1):
             text = line.strip()
             if not text:
                 continue
@@ -248,12 +251,13 @@ def serve(service: TimingService, in_stream: TextIO,
                     response = _response(record.get("id"), outcome)
             except Exception as exc:
                 # Echo the request id when the line parsed far enough
-                # to have one, so clients can correlate the failure.
+                # to have one, and name the line, as run_batch does, so
+                # clients can correlate the failure either way.
                 line_id = (
                     record.get("id") if isinstance(record, dict) else None
                 )
                 response = _error_record(
-                    line_id, f"{type(exc).__name__}: {exc}"
+                    line_id, f"line {lineno}: {type(exc).__name__}: {exc}"
                 )
                 default_flight_recorder().record_error(
                     kind=type(exc).__name__, message=str(exc),

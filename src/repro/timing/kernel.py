@@ -55,23 +55,25 @@ the scalar worklist would (value or out-edge movement beyond the shared
 epsilon) — O(cone), not O(levels) — so ``closure.run``'s thousands of
 ECO updates ride the same arrays.
 
-Two cold-path amortizations complete the picture.  **Persistence**: a
-pristine graph's structural arrays are content-addressed and, when a
-:class:`~repro.service.store.DiskStore` is attached via
-:func:`set_layout_disk_store`, serialized under its ``layout/`` class —
-a process-level cache miss hydrates from disk instead of re-flattening,
-so serve restarts and repeated CLI runs never rebuild a known design.
-**Patching**: a bounded structural edit (the what-if loop's buffer
-insert/remove) is spliced into the existing layout by
-:func:`patch_layout` using the graph's structure journal, falling back
-to a full rebuild whenever the edit's level impact is not provably
-local.  The patch re-levels and re-splices the CSR rows; edge
-endpoints, liveness, derate classes and the clock-tree mask it reads,
-as the build does, from the graph's domain arrays
-(:mod:`repro.timing.domains`), which the same journal patches.  Both
-paths preserve the bit-identity contract: a hydrated or patched layout
-is structurally equal to a fresh build up to level assignment
-legality, which the sweeps' per-node reductions are insensitive to.
+One function assembles every layout: :func:`_splice` re-reads the
+given node and edge slots from the graph over a base layout, levels
+them with a raise-only worklist, and gathers every other CSR row from
+the base.  A fresh build is that splice over every slot of no base,
+seeded in topological order, so each node lands at its longest fanin
+chain; :func:`patch_layout` is the same splice over the slots the
+graph's structure journal names since the layout's version (the
+what-if loop's buffer insert/remove), falling back to a build whenever
+the edit's level impact is not provably local.  Edge endpoints,
+liveness, derate classes and the clock-tree mask come, for both, from
+the graph's domain arrays (:mod:`repro.timing.domains`), which the
+same journal patches.  A patched layout equals a fresh build up to
+level assignment legality, which the sweeps' per-node reductions are
+insensitive to.  **Persistence**: a pristine graph's layout is
+content-addressed and, when a :class:`~repro.service.store.DiskStore`
+is attached via :func:`set_layout_disk_store`, serialized under its
+``layout/`` class; a process-level cache miss hydrates from disk
+instead of re-flattening, so serve restarts and repeated CLI runs never
+rebuild a known design.
 """
 
 from __future__ import annotations
@@ -80,11 +82,11 @@ import heapq
 import time
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field, replace
+from itertools import chain
 from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
-from repro.aocv.depth import derates_by_depth
 from repro.liberty.lut import ArcTables, batch_tables, group_table_pairs
 from repro.obs.metrics import counter, gauge, histogram
 from repro.obs.trace import span
@@ -107,6 +109,7 @@ from repro.timing.propagation import (
 )
 
 if TYPE_CHECKING:
+    from repro.aocv.table import DeratingTable
     from repro.sdc.constraints import Constraints
     from repro.timing.delaycalc import DelayCalculator
 
@@ -504,102 +507,15 @@ def _build_layout(
     boundary: BoundaryConditions,
     depths: "dict[str, int]",
 ) -> LevelizedLayout:
-    n_node_slots = len(graph.nodes)
-    n_edge_slots = len(graph.edges)
-    topo = graph.topological_order()
-    # Longest-fanin-chain level per node: level-l inputs are final once
-    # levels < l have run, which is what makes level sweeps legal.
-    level: dict[int, int] = {}
-    for node_id in topo:
-        best = 0
-        for edge_id in graph.in_edges[node_id]:
-            edge = graph.edges[edge_id]
-            assert edge is not None
-            lv = level[edge.src] + 1
-            if lv > best:
-                best = lv
-        level[node_id] = best
-    n_levels = (max(level.values()) + 1) if level else 0
-    buckets: list[list[int]] = [[] for _ in range(n_levels)]
-    for node_id, lv in level.items():
-        buckets[lv].append(node_id)
-    order_list: list[int] = []
-    level_ptr = np.zeros(n_levels + 1, dtype=np.int64)
-    for lv, members in enumerate(buckets):
-        members.sort()
-        order_list.extend(members)
-        level_ptr[lv + 1] = len(order_list)
-    order = np.asarray(order_list, dtype=np.int64)
-    pos_of = np.full(n_node_slots, -1, dtype=np.int64)
-    pos_of[order] = np.arange(order.size, dtype=np.int64)
-    node_level = np.full(n_node_slots, -1, dtype=np.int64)
-    for node_id, lv in level.items():
-        node_level[node_id] = lv
-
-    # Edge endpoints and liveness, derate classes, clock-tree mask: the
-    # graph's domain arrays.
-    domains = graph_domains(graph)
-
-    # Fanin / fanout CSR in position order.
-    in_ptr, in_edge = _csr(graph.in_edges, order_list)
-    out_ptr, out_edge = _csr(graph.out_edges, order_list)
-
-    # The per-slot fields the domain arrays lack.
-    slots = _slot_fields(
-        graph, None, list(range(n_node_slots)), list(range(n_edge_slots))
+    # A build is the patch's splice of every slot over no layout, seeded
+    # in topological order: each node pops once, after its whole fanin,
+    # at its longest-fanin-chain level.
+    layout = _splice(
+        None, graph, boundary, depths, np.arange(len(graph.nodes)),
+        np.arange(len(graph.edges)), graph.topological_order(),
     )
-
-    # Boundary values for the (level-0) source nodes, mirroring
-    # propagation.apply_boundary exactly.
-    boundary_arrival = np.zeros(n_node_slots)
-    boundary_slew = np.zeros(n_node_slots)
-    source_ids = order[level_ptr[0]:level_ptr[1]] if n_levels else \
-        np.empty(0, dtype=np.int64)
-    for node_id in source_ids.tolist():
-        arrival, slew_value = _boundary_source_values(graph, boundary, node_id)
-        boundary_arrival[node_id] = arrival
-        boundary_slew[node_id] = slew_value
-
-    net_eids_by_level, net_srcs_by_level, cell_eids_by_level = _split_fanout(
-        level_ptr, out_ptr, out_edge, slots["edge_is_net"], domains.edge_src
-    )
-
-    return LevelizedLayout(
-        structure_version=graph.structure_version,
-        n_node_slots=n_node_slots,
-        n_edge_slots=n_edge_slots,
-        order=order,
-        pos_of=pos_of,
-        level_ptr=level_ptr,
-        in_ptr=in_ptr,
-        in_edge=in_edge,
-        in_src=domains.edge_src[in_edge],
-        out_ptr=out_ptr,
-        out_edge=out_edge,
-        out_dst=domains.edge_dst[out_edge],
-        source_ids=source_ids,
-        boundary_arrival=boundary_arrival,
-        boundary_slew=boundary_slew,
-        net_eids_by_level=net_eids_by_level,
-        net_srcs_by_level=net_srcs_by_level,
-        cell_eids_by_level=cell_eids_by_level,
-        node_level=node_level,
-        **slots,
-        **_domain_fields(domains, depths),
-    )
-
-
-def _csr(adjacency: "list[list[int]]",
-         rows: "list[int]") -> "tuple[np.ndarray, np.ndarray]":
-    """``(ptr, edge ids)`` of the adjacency lists of ``rows``, in order."""
-    ptr = np.zeros(len(rows) + 1, dtype=np.int64)
-    np.cumsum(
-        np.fromiter((len(adjacency[row]) for row in rows), dtype=np.int64,
-                    count=len(rows)),
-        out=ptr[1:],
-    )
-    flat = [edge_id for row in rows for edge_id in adjacency[row]]
-    return ptr, np.asarray(flat, dtype=np.int64)
+    assert layout is not None  # a build's levels are legal by construction
+    return layout
 
 
 def _domain_fields(domains: GraphDomains,
@@ -634,7 +550,7 @@ def _domain_fields(domains: GraphDomains,
 
 
 def _slot_fields(graph: TimingGraph, base: "LevelizedLayout | None",
-                 nids: "list[int]", eids: "list[int]") -> "dict[str, Any]":
+                 nids: np.ndarray, eids: np.ndarray) -> "dict[str, Any]":
     """The per-slot layout fields the domain arrays lack, re-read for
     node slots ``nids`` and edge slots ``eids`` over ``base``'s fields
     (a build reads every slot over none).
@@ -660,7 +576,7 @@ def _slot_fields(graph: TimingGraph, base: "LevelizedLayout | None",
         node_gates, cell_nets = list(base.node_gates), list(base.cell_nets)
     gate_col = {gate: col for col, gate in enumerate(node_gates)}
     cols: "list[int]" = []
-    for node_id in nids:
+    for node_id in nids.tolist():
         node = graph.nodes[node_id]
         gate = None if node is None else node.ref.gate
         cols.append(-1 if gate is None else _first_use(gate_col, node_gates, gate))
@@ -669,7 +585,7 @@ def _slot_fields(graph: TimingGraph, base: "LevelizedLayout | None",
     is_net: "list[bool]" = []
     nets: "list[int]" = []
     gate_of = graph.netlist.gate
-    for edge_id in eids:
+    for edge_id in eids.tolist():
         edge = graph.edges[edge_id]
         is_net.append(edge is not None and edge.kind is EdgeKind.NET)
         net = None
@@ -731,8 +647,7 @@ def _boundary_source_values(
     node_id: int,
 ) -> "tuple[float, float]":
     """(arrival, slew) of one level-0 source, mirroring
-    ``propagation.apply_boundary`` exactly (build and patch paths must
-    agree bit-for-bit)."""
+    ``propagation.apply_boundary`` exactly."""
     node = graph.node(node_id)
     if node.ref.is_port and node.ref.pin in boundary.clock_ports:
         return 0.0, boundary.clock_slew
@@ -742,7 +657,7 @@ def _boundary_source_values(
 
 
 # ----------------------------------------------------------------------
-# Incremental level maintenance (layout patching)
+# Incremental level maintenance: the one layout splice
 # ----------------------------------------------------------------------
 def patch_layout(
     layout: LevelizedLayout,
@@ -752,16 +667,14 @@ def patch_layout(
 ) -> "LevelizedLayout | None":
     """Splice a bounded structural edit into an existing layout.
 
-    Uses the graph's structure journal to find the touched node/edge
-    slots, re-levels only the affected region with a worklist, and
-    rebuilds the CSR arrays around it — reusing every untouched row via
-    vectorized gathers.  Edge endpoints, liveness, derate classes and
-    the clock-tree mask come from the graph's domain arrays
-    (:func:`repro.timing.domains.graph_domains`, patched from the same
-    journal).  Returns a **new** layout at the graph's current
-    ``structure_version``, or ``None`` when the edit is not provably
-    local (journal overflow or any legality check failing), in which
-    case the caller must fall back to :func:`build_layout`.
+    Reads the touched node/edge slots from the graph's structure
+    journal and hands them to :func:`_splice`, the code a build runs
+    over every slot: it re-levels the affected region with a worklist
+    and gathers every untouched CSR row from ``layout``.  Returns a
+    **new** layout at the graph's current ``structure_version``, or
+    ``None`` when the edit is not provably local (journal overflow or
+    any legality check failing), in which case the caller must fall
+    back to :func:`build_layout`.
 
     Bit-identity is preserved because the sweeps never depend on the
     *canonical* (longest-fanin-chain) level assignment — any legal
@@ -790,169 +703,123 @@ def _patch_layout(
     touched = graph.touched_since(layout.structure_version)
     if touched is None:
         return None
+    nids, eids = (np.fromiter(sorted(ids), dtype=np.int64) for ids in touched)
     nodes = graph.nodes
-    edges = graph.edges
-    n_nodes = len(nodes)
-    n_edges = len(edges)
+    return _splice(
+        layout, graph, boundary, depths, nids, eids,
+        [node_id for node_id in nids.tolist() if nodes[node_id] is not None],
+    )
+
+
+def _splice(
+    base: "LevelizedLayout | None",
+    graph: TimingGraph,
+    boundary: BoundaryConditions,
+    depths: "dict[str, int]",
+    nids: np.ndarray,
+    eids: np.ndarray,
+    seeds: "list[int]",
+) -> "LevelizedLayout | None":
+    """``base`` with node slots ``nids`` and edge slots ``eids`` re-read
+    from the graph, or None when the result fails a legality check.
+
+    The one code that assembles a :class:`LevelizedLayout`: a build is
+    the same call over every slot of no base (:func:`_build_layout`), a
+    patch over the slots the structure journal names.  ``seeds`` are
+    the live nodes among ``nids``, where the level worklist starts.
+    Every other node keeps its base level (raised when a fanin rises),
+    CSR rows and boundary values, and every other slot its per-slot
+    fields; edge endpoints, liveness, derate classes and the clock-tree
+    mask come from the graph's domain arrays.
+    """
+    n_nodes = len(graph.nodes)
     domains = graph_domains(graph)
     classes = _domain_fields(domains, depths)
     edge_src, edge_dst = domains.edge_src, domains.edge_dst
     live_eids = classes["live_eids"]
-    # Only touched slots can change liveness (or be freed and reused).
-    fresh_nodes = sorted(touched[0])
-    touched_mask = np.zeros(n_nodes, dtype=bool)
-    touched_mask[fresh_nodes] = True
-    seeds = [node_id for node_id in fresh_nodes if nodes[node_id] is not None]
-    live_now = padded(layout.pos_of >= 0, n_nodes, False)
-    live_now[fresh_nodes] = False
-    live_now[seeds] = True
+    reread = np.zeros(n_nodes, dtype=bool)
+    reread[nids] = True
+    # Only a re-read slot can change liveness (or be freed and reused).
+    live = (
+        np.zeros(n_nodes, dtype=bool) if base is None
+        else padded(base.pos_of >= 0, n_nodes, False)
+    )
+    live[nids] = False
+    live[seeds] = True
+    levels = (
+        [-1] * n_nodes if base is None
+        else np.where(live, padded(base.node_level, n_nodes, -1), -1).tolist()
+    )
+    if not _raise_levels(graph, edge_src.tolist(), seeds, levels):
+        return None
+    node_level = np.asarray(levels, dtype=np.int64)
 
-    # --- re-level the affected region (worklist) ------------------------
-    # Releveling never touches adjacency — CSR rows of releveled nodes
-    # are reused verbatim and the order/level_ptr/grouping rebuilds
-    # below are vectorized — so even a whole-cone cascade is far
-    # cheaper than the scalar fresh build.  The pop cap is a livelock
-    # backstop (a cycle would spin the ready/requeue logic forever),
-    # not a cone-size bound.
-    node_level = padded(layout.node_level, n_nodes, -1)
-    node_level[~live_now] = -1
-    pops_cap = 32 * graph.node_count() + 256
-    pending: "deque[int]" = deque(seeds)
-    queued = set(seeds)
-    pops = 0
-    while pending:
-        node_id = pending.popleft()
-        queued.discard(node_id)
-        pops += 1
-        if pops > pops_cap:
-            return None
-        best = 0
-        ready = True
-        for edge_id in graph.in_edges[node_id]:
-            edge = edges[edge_id]
-            assert edge is not None
-            src_level = int(node_level[edge.src])
-            if src_level < 0:
-                # Fanin not leveled yet (a new node): settle it first.
-                if edge.src not in queued:
-                    pending.append(edge.src)
-                    queued.add(edge.src)
-                ready = False
-            elif src_level + 1 > best:
-                best = src_level + 1
-        if not ready:
-            if node_id not in queued:
-                pending.append(node_id)
-                queued.add(node_id)
-            continue
-        # Raise-only relaxation: a node moves up just far enough for
-        # legality and never back down.  The sweeps only need legality,
-        # not canonical (longest-chain) levels (see :func:`patch_layout`),
-        # which pays off on the revert half of a what-if: the raised
-        # levels stay legal after the buffer comes back out, so
-        # re-editing the same site cascades zero nodes.
-        if best > int(node_level[node_id]):
-            node_level[node_id] = best
-            for edge_id in graph.out_edges[node_id]:
-                dst = edges[edge_id].dst  # type: ignore[union-attr]
-                if dst not in queued:
-                    pending.append(dst)
-                    queued.add(dst)
-
-    live_ids = np.flatnonzero(live_now)
+    # --- order / level_ptr / pos_of, gated on legality ------------------
+    live_ids = np.flatnonzero(live)
     level_of_live = node_level[live_ids]
-    if live_ids.size and int(level_of_live.min()) < 0:
-        return None  # a live node escaped leveling: not patchable
-
-    # --- order / level_ptr / pos_of ------------------------------------
-    # live_ids ascends, the sort is stable: ties stay in id order,
-    # exactly like the fresh build's sorted per-level buckets.
-    sorter = np.argsort(level_of_live, kind="stable")
-    order = live_ids[sorter]
-    n_levels = int(level_of_live.max()) + 1 if order.size else 0
+    if level_of_live.min(initial=0) < 0 or not np.all(
+        node_level[edge_src[live_eids]] < node_level[edge_dst[live_eids]]
+    ):
+        return None
+    # live_ids ascends and the sort is stable: each level lists its
+    # nodes in id order.
+    order = live_ids[np.argsort(level_of_live, kind="stable")]
+    n_levels = int(level_of_live.max(initial=-1)) + 1
     level_ptr = np.zeros(n_levels + 1, dtype=np.int64)
-    if order.size:
-        np.cumsum(
-            np.bincount(level_of_live, minlength=n_levels),
-            out=level_ptr[1:],
-        )
+    np.cumsum(np.bincount(level_of_live, minlength=n_levels),
+              out=level_ptr[1:])
     pos_of = np.full(n_nodes, -1, dtype=np.int64)
     pos_of[order] = np.arange(order.size, dtype=np.int64)
 
-    # --- legality gate --------------------------------------------------
-    if live_eids.size and not bool(
-        np.all(
-            node_level[edge_src[live_eids]] < node_level[edge_dst[live_eids]]
-        )
-    ):
-        return None
-
-    # --- the per-slot fields the domain arrays lack ---------------------
-    slots = _slot_fields(graph, layout, fresh_nodes, sorted(touched[1]))
-
     # --- fanin / fanout CSR ---------------------------------------------
-    old_pos = padded(layout.pos_of, n_nodes, -1)
-
-    def _rebuild_csr(
-        old_ptr: np.ndarray,
-        old_flat_edge: np.ndarray,
-        adjacency: "list[list[int]]",
-    ) -> "tuple[np.ndarray, np.ndarray]":
-        counts = np.zeros(order.size, dtype=np.int64)
-        old_position = old_pos[order]
-        reuse = (old_position >= 0) & ~touched_mask[order]
-        reuse_rows = np.flatnonzero(reuse)
-        rp = old_position[reuse_rows]
-        old_starts = old_ptr[rp]
-        counts[reuse_rows] = old_ptr[rp + 1] - old_starts
-        fresh_rows = np.flatnonzero(~reuse).tolist()
-        for row in fresh_rows:
-            counts[row] = len(adjacency[order[row]])
-        ptr = np.zeros(order.size + 1, dtype=np.int64)
-        np.cumsum(counts, out=ptr[1:])
-        flat_edge = np.empty(int(ptr[-1]), dtype=np.int64)
-        cnt = counts[reuse_rows]
-        src_idx, _ = segment_entries(old_starts, cnt)
-        dst_idx, _ = segment_entries(ptr[reuse_rows], cnt)
-        flat_edge[dst_idx] = old_flat_edge[src_idx]
-        for row in fresh_rows:
-            start = int(ptr[row])
-            flat_edge[start:start + int(counts[row])] = adjacency[order[row]]
-        return ptr, flat_edge
-
-    in_ptr, in_edge = _rebuild_csr(layout.in_ptr, layout.in_edge,
-                                   graph.in_edges)
-    out_ptr, out_edge = _rebuild_csr(layout.out_ptr, layout.out_edge,
-                                     graph.out_edges)
+    # An untouched node's rows are gathered from the base; a re-read
+    # node's rows come from the graph's adjacency lists.
+    fresh = reread[order]
+    fresh_ids = order[fresh].tolist()
+    if base is None:  # every row is fresh
+        old_rows = np.empty(0, dtype=np.int64)
+        in_base = out_base = (old_rows, old_rows)
+    else:
+        old_rows = base.pos_of[order[~fresh]]
+        in_base = (base.in_ptr, base.in_edge)
+        out_base = (base.out_ptr, base.out_edge)
+    in_ptr, in_edge = _splice_rows(
+        *in_base, old_rows, fresh, fresh_ids, graph.in_edges
+    )
+    out_ptr, out_edge = _splice_rows(
+        *out_base, old_rows, fresh, fresh_ids, graph.out_edges
+    )
     # Every live edge appears exactly once per CSR, or the splice is
     # inconsistent with the graph (e.g. a journal gap): rebuild.
-    if int(in_ptr[-1]) != int(live_eids.size) or \
-            int(out_ptr[-1]) != int(live_eids.size):
+    if in_ptr[-1] != live_eids.size or out_ptr[-1] != live_eids.size:
         return None
 
     # --- boundary (level-0) values --------------------------------------
-    boundary_arrival = padded(layout.boundary_arrival, n_nodes, 0.0)
-    boundary_slew = padded(layout.boundary_slew, n_nodes, 0.0)
-    # An untouched old source keeps its values: they are a pure function
-    # of its ref and the boundary.
-    old_source = np.zeros(n_nodes, dtype=bool)
-    old_source[layout.source_ids] = True
-    old_source[fresh_nodes] = False
-    source_ids = order[level_ptr[0]:level_ptr[1]] if n_levels else \
-        np.empty(0, dtype=np.int64)
-    for node_id in source_ids[~old_source[source_ids]].tolist():
+    # An untouched base source keeps its values: they are a pure
+    # function of its ref and the boundary.
+    source_ids = live_ids[level_of_live == 0]
+    boundary_arrival = np.zeros(n_nodes)
+    boundary_slew = np.zeros(n_nodes)
+    carried = np.zeros(n_nodes, dtype=bool)
+    if base is not None:
+        carried[base.source_ids] = True
+        carried[nids] = False
+        kept = np.flatnonzero(carried)
+        boundary_arrival[kept] = base.boundary_arrival[kept]
+        boundary_slew[kept] = base.boundary_slew[kept]
+    for node_id in source_ids[~carried[source_ids]].tolist():
         arrival, slew_value = _boundary_source_values(graph, boundary, node_id)
         boundary_arrival[node_id] = arrival
         boundary_slew[node_id] = slew_value
 
+    slots = _slot_fields(graph, base, nids, eids)
     net_eids_by_level, net_srcs_by_level, cell_eids_by_level = _split_fanout(
         level_ptr, out_ptr, out_edge, slots["edge_is_net"], edge_src
     )
-
     return LevelizedLayout(
         structure_version=graph.structure_version,
         n_node_slots=n_nodes,
-        n_edge_slots=n_edges,
+        n_edge_slots=len(graph.edges),
         order=order,
         pos_of=pos_of,
         level_ptr=level_ptr,
@@ -972,6 +839,91 @@ def _patch_layout(
         **slots,
         **classes,
     )
+
+
+def _raise_levels(graph: TimingGraph, src_of: "list[int]",
+                  seeds: "list[int]", levels: "list[int]") -> bool:
+    """Raise ``levels`` (per node slot, -1 for not yet levelled) from
+    ``seeds`` until every visited node sits above its whole fanin;
+    False when the worklist runs away.
+
+    Raise-only: a node moves up just far enough for legality and never
+    back down.  The sweeps need legality, not canonical (longest-chain)
+    levels (see :func:`patch_layout`), which pays off on the revert
+    half of a what-if: the raised levels stay legal after the buffer
+    comes back out, so re-editing the same site cascades zero nodes.
+    A node levelled for the first time wakes no fanout, which is queued
+    already: a new node's arcs are new, so their sinks are seeds, and a
+    build seeds every node in topological order.  The wake budget is a
+    livelock backstop (a cycle would requeue forever), not a cone bound.
+    """
+    in_edges, out_edges, edges = graph.in_edges, graph.out_edges, graph.edges
+    pending: "deque[int]" = deque(seeds)
+    queued = set(seeds)
+    budget = 32 * graph.node_count() + 256
+    while pending:
+        node_id = pending.popleft()
+        queued.discard(node_id)
+        best = 0
+        for edge_id in in_edges[node_id]:
+            level = levels[src_of[edge_id]]
+            if level < 0:  # a new fanin not levelled yet: retry after it
+                best = -1
+                break
+            if level >= best:
+                best = level + 1
+        current = levels[node_id]
+        if best < 0:
+            woken = [node_id]
+        elif best > current:
+            levels[node_id] = best
+            if current < 0:
+                continue
+            woken = [edges[edge_id].dst  # type: ignore[union-attr]
+                     for edge_id in out_edges[node_id]]
+        else:
+            continue
+        budget -= len(woken)
+        if budget < 0:
+            return False
+        for dst in woken:
+            if dst not in queued:
+                pending.append(dst)
+                queued.add(dst)
+    return True
+
+
+def _splice_rows(
+    base_ptr: np.ndarray,
+    base_flat: np.ndarray,
+    old_rows: np.ndarray,
+    fresh: np.ndarray,
+    fresh_ids: "list[int]",
+    adjacency: "list[list[int]]",
+) -> "tuple[np.ndarray, np.ndarray]":
+    """``(ptr, edge ids)`` of one CSR in the new row order.
+
+    Rows where ``fresh`` is False are gathered from the base CSR's rows
+    ``old_rows``; fresh rows are the adjacency lists of nodes
+    ``fresh_ids``, read in one flat pass.
+    """
+    rows = list(map(adjacency.__getitem__, fresh_ids))
+    kept = ~fresh
+    counts = np.empty(fresh.size, dtype=np.int64)
+    old_starts = base_ptr[old_rows]
+    counts[kept] = base_ptr[old_rows + 1] - old_starts
+    counts[fresh] = np.fromiter(map(len, rows), dtype=np.int64,
+                                count=len(rows))
+    ptr = np.zeros(fresh.size + 1, dtype=np.int64)
+    np.cumsum(counts, out=ptr[1:])
+    flat = np.empty(int(ptr[-1]), dtype=np.int64)
+    src, _ = segment_entries(old_starts, counts[kept])
+    dst, _ = segment_entries(ptr[:-1][kept], counts[kept])
+    flat[dst] = base_flat[src]
+    dst, _ = segment_entries(ptr[:-1][fresh], counts[fresh])
+    flat[dst] = np.fromiter(chain.from_iterable(rows), dtype=np.int64,
+                            count=dst.size)
+    return ptr, flat
 
 
 # ----------------------------------------------------------------------
@@ -1001,36 +953,30 @@ def compute_edge_derates(
         state.derate_early[layout.plain_eids] = 1.0
     if not layout.data_eids.size:
         return
-    depths = layout.data_depths
-    if settings.table is not None:
-        table = derates_by_depth(
-            settings.table, depths.tolist(), settings.gba_distance
-        )
-        uniq, inverse = np.unique(depths, return_inverse=True)
-        base_late = np.asarray(
-            [table[int(d)] for d in uniq]
-        )[inverse]
-    else:
-        base_late = np.full(depths.size, settings.flat_late)
+    depths, inverse = np.unique(layout.data_depths, return_inverse=True)
+
+    def by_depth(table: "DeratingTable | None", flat: float) -> np.ndarray:
+        # One lookup per distinct depth: the call the scalar fill
+        # memoizes, so both kernels read identical factors.
+        if table is None:
+            return np.full(inverse.size, flat)
+        return np.asarray([
+            table.derate(depth, settings.gba_distance)
+            for depth in depths.tolist()
+        ])[inverse]
+
     weight_vec = np.ones(len(layout.gates))
     for gate, weight in weights.items():
         col = layout.gate_index.get(gate)
         if col is not None:
             weight_vec[col] = weight
     state.derate_late[layout.data_eids] = (
-        base_late * weight_vec[layout.data_gate_cols]
+        by_depth(settings.table, settings.flat_late)
+        * weight_vec[layout.data_gate_cols]
     )
-    if settings.early_table is not None:
-        table = derates_by_depth(
-            settings.early_table, depths.tolist(), settings.gba_distance
-        )
-        uniq, inverse = np.unique(depths, return_inverse=True)
-        base_early = np.asarray(
-            [table[int(d)] for d in uniq]
-        )[inverse]
-    else:
-        base_early = np.full(depths.size, settings.data_early)
-    state.derate_early[layout.data_eids] = base_early
+    state.derate_early[layout.data_eids] = by_depth(
+        settings.early_table, settings.data_early
+    )
 
 
 # ----------------------------------------------------------------------

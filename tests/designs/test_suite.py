@@ -8,6 +8,7 @@ from repro.designs.suite import (
     design_factory,
     design_names,
 )
+from repro.errors import ReproError
 
 
 class TestSuite:
@@ -19,7 +20,7 @@ class TestSuite:
         assert len(seeds) == 10
 
     def test_unknown_design(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(ReproError, match="unknown design 'D99'"):
             build_design("D99")
 
     def test_build_returns_fresh_copies(self):

@@ -4,15 +4,19 @@ import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.context import RunContext
 from repro.service import (
     PROTOCOL_VERSION,
+    Query,
     TimingService,
     run_batch,
     serve,
     write_responses,
 )
+from repro.service.batch import parse_request
+from repro.service.registry import CONTROL_OPS
 
 
 @pytest.fixture()
@@ -281,3 +285,77 @@ class TestControlVerbs:
         # leading stats line observes the sta query's cache traffic.
         assert out[0]["result"]["queries"] >= 1
         assert out[1]["ok"] is True
+
+
+#: A valid request stream: fig2 timing queries and both control verbs.
+STREAM = "\n".join(lines(
+    {"id": 1, "op": "sta", "design": "fig2"},
+    {"op": "health"},
+    {"id": "s", "op": "stats"},
+    {"id": 4, "op": "sta", "design": "fig2"},
+)) + "\n"
+
+#: What a one-character mutation writes: JSON punctuation, quotes,
+#: whitespace, and name and number text.
+MUTATION_CHARS = st.sampled_from(list('{}[]":,. \n\tazAZ09-e'))
+
+
+@st.composite
+def mutated_streams(draw) -> str:
+    """``STREAM`` after one to three one-character replacements,
+    insertions or deletions, then truncated."""
+    text = STREAM
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(text) - 1))
+        char = draw(MUTATION_CHARS)
+        text = draw(st.sampled_from((
+            text[:i] + char + text[i + 1:],
+            text[:i] + char + text[i:],
+            text[:i] + text[i + 1:],
+        )))
+    return text[:draw(st.integers(0, len(text)))]
+
+
+def _parsed(text):
+    """The line's request record, or None when it fails to parse."""
+    try:
+        record = parse_request(text)
+        if record.get("op") not in CONTROL_OPS:
+            Query.from_any(record)
+    except Exception:
+        return None
+    return record
+
+
+@pytest.fixture(scope="module")
+def fuzz_service():
+    return TimingService(context=RunContext.from_env(
+        workers=1, backend="serial", cache=False,
+    ))
+
+
+class TestProtocolFuzz:
+    """Mutated and truncated streams, through both entry points."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(text=mutated_streams())
+    def test_one_versioned_response_per_line(self, fuzz_service, text):
+        requests = [
+            (lineno, _parsed(line.strip()))
+            for lineno, line in enumerate(io.StringIO(text), start=1)
+            if line.strip()
+        ]
+        sink = io.StringIO()
+        stats = serve(fuzz_service, io.StringIO(text), sink)
+        served = [json.loads(l) for l in sink.getvalue().splitlines()]
+        assert stats.served == len(served)
+        for responses in (run_batch(fuzz_service, io.StringIO(text)),
+                          served):
+            assert len(responses) == len(requests)
+            for (lineno, record), response in zip(requests, responses):
+                assert response["v"] == PROTOCOL_VERSION
+                if record is None:
+                    assert response["ok"] is False
+                    assert response["error"].startswith(f"line {lineno}: ")
+                else:
+                    assert response.get("id") == record.get("id")

@@ -38,6 +38,12 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "before" in out and "after" in out
 
+    def test_unknown_design_exits_2(self, capsys):
+        assert main(["sta", "NOPE"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro-sta: unknown design 'NOPE'")
+        assert "'D1'" in err and "'D10'" in err
+
     def test_scenarios(self, capsys):
         assert main(["scenarios", "D1"]) == 0
         out = capsys.readouterr().out

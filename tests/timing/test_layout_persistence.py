@@ -3,8 +3,10 @@
 Covers the three cold-path fronts: the in-process content-keyed LRU
 (eviction, structural-array sharing, the clear hook), the on-disk
 persistence tier (hydrate bit-identity incl. randomized designs,
-corrupt-payload fallback), and the level patcher that splices bounded
-structural edits into an existing layout instead of rebuilding.
+corrupt-payload fallback), and the one splice behind both a build and
+a patch: a build levels every node at its longest fanin chain, and a
+patched layout agrees row by row with its graph and with a fresh
+build of it.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from hypothesis import given, settings
 from dataclasses import fields, replace
 
 from repro.designs.generator import DesignSpec, generate_design
+from repro.designs.suite import build_design, design_names
 from repro.netlist.edit import insert_buffer, remove_buffer, resize_gate
 from repro.obs.metrics import counter
 from repro.service.store import DiskStore
@@ -185,6 +188,82 @@ def _loaded_net(design):
     return None
 
 
+def _assert_layout_structure(engine):
+    """The engine's layout agrees with its graph and a fresh build.
+
+    Every live node's CSR rows are its adjacency lists and every live
+    edge climbs a level.  A fresh build of the same graph, with the
+    domain arrays re-classified from scratch, has the same sources,
+    boundary values and classification, and names the same gate per
+    node and net per cell arc (patches may number them differently).
+    """
+    graph = engine.graph
+    layout = engine._ensure_layout()
+    live = [node.id for node in graph.live_nodes()]
+    assert sorted(layout.order.tolist()) == live
+    for node_id in live:
+        pos = layout.pos_of[node_id]
+        for ptr, flat, adjacency in (
+            (layout.in_ptr, layout.in_edge, graph.in_edges),
+            (layout.out_ptr, layout.out_edge, graph.out_edges),
+        ):
+            row = flat[ptr[pos]:ptr[pos + 1]].tolist()
+            assert row == adjacency[node_id], node_id
+    for edge in graph.live_edges():
+        assert layout.node_level[edge.src] < layout.node_level[edge.dst]
+    graph.domain_cache = None
+    fresh = K.build_layout(graph, engine.boundary(), engine.gba_depths)
+    sources = fresh.source_ids
+    assert set(layout.source_ids.tolist()) == set(sources.tolist())
+    for name in ("boundary_arrival", "boundary_slew"):
+        assert np.array_equal(
+            getattr(layout, name)[sources], getattr(fresh, name)[sources]
+        ), name
+    for name in ("live_eids", "clock_eids", "plain_eids", "data_eids",
+                 "data_depths", "data_gate_cols", "node_is_clock_tree",
+                 "edge_src", "edge_is_net"):
+        assert np.array_equal(getattr(layout, name), getattr(fresh, name)), name
+    assert layout.gates == fresh.gates
+
+    def names(lay):
+        gates = [lay.node_gates[col] if col >= 0 else None
+                 for col in lay.node_gate_col[live].tolist()]
+        nets = [lay.cell_nets[col] if col >= 0 else None
+                for col in lay.cell_edge_net[lay.live_eids].tolist()]
+        return gates, nets
+
+    assert names(layout) == names(fresh)
+
+
+def _longest_fanin_chains(graph) -> np.ndarray:
+    """Reference levels: each live node one above its deepest fanin."""
+    level = np.full(len(graph.nodes), -1, dtype=np.int64)
+    for node_id in graph.topological_order():
+        level[node_id] = max(
+            (level[graph.edge(e).src] + 1 for e in graph.in_edges[node_id]),
+            default=0,
+        )
+    return level
+
+
+class TestBuildLevels:
+    @pytest.mark.parametrize("name", design_names())
+    def test_suite_levels_are_longest_fanin_chains(self, name):
+        engine = _timed_engine(build_design(name))
+        assert np.array_equal(
+            engine._layout.node_level, _longest_fanin_chains(engine.graph)
+        )
+
+    @settings(max_examples=8, deadline=None)
+    @given(spec=design_specs(max_flops=8))
+    def test_random_levels_are_longest_fanin_chains(self, spec):
+        K.clear_layout_cache()
+        engine = _timed_engine(generate_design(spec))
+        assert np.array_equal(
+            engine._layout.node_level, _longest_fanin_chains(engine.graph)
+        )
+
+
 class TestLevelPatching:
     def test_buffer_insert_patches_instead_of_rebuilding(self):
         design = generate_design(SMALL_SPEC)
@@ -217,6 +296,7 @@ class TestLevelPatching:
         engine.apply_change(inverse)
         assert counter("kernel.layout_patches").value == patches0 + 2
         assert _setup_slacks(engine) == baseline
+        _assert_layout_structure(engine)
         # The removed buffer's net leaves the layout with its arcs, so
         # the next full sweep (a weight install) loads only live nets.
         assert all(
@@ -274,6 +354,7 @@ class TestLevelPatching:
                 change.nets.extend(last.nets)
             engine.apply_change(change)
         assert counter("kernel.layout_patches").value > patches0
+        _assert_layout_structure(engine)
         reference = _timed_engine(design)
         got = _setup_slacks(engine)
         want = _setup_slacks(reference)
