@@ -6,6 +6,10 @@ of paths on average (as low as 0.12% on D8); mGBA passes 95.36%, a
 
 Shape to reproduce: large positive improvement on every design; mGBA
 above 90% on average; no design's pass ratio degraded by the fit.
+
+The fit runs the paper's own solver, SCG + RS (Algorithms 1 and 2),
+not the flow's size-chosen default, so the table stays a measurement
+of the paper's algorithm.
 """
 
 
@@ -25,7 +29,7 @@ def _fresh_engine(design_cache, name) -> STAEngine:
 
 def test_table3_pass_ratio(benchmark, design_cache):
     names = bench_design_names()
-    flow = MGBAFlow(MGBAConfig(k_per_endpoint=20, seed=0))
+    flow = MGBAFlow(MGBAConfig(k_per_endpoint=20, solver="scg+rs", seed=0))
 
     benchmark.pedantic(
         flow.run, args=(_fresh_engine(design_cache, names[0]),),

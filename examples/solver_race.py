@@ -2,9 +2,9 @@
 """Race the mGBA solvers on one design (the Table 4 experiment, solo).
 
 Builds the fitting problem for a suite design and runs all four
-solvers — direct LSQR reference, full gradient descent, stochastic CG
-(Algorithm 2), and uniform row sampling + SCG (Algorithm 1) — printing
-accuracy and wall clock for each.
+solvers — the bounded direct solve (exact, projected Newton), full
+gradient descent, stochastic CG (Algorithm 2), and uniform row sampling
++ SCG (Algorithm 1) — printing accuracy and wall clock for each.
 
 Run:  python examples/solver_race.py [design] [k_per_endpoint]
 """
@@ -46,7 +46,7 @@ def main() -> None:
           f"{mse(problem.s_gba, problem.s_pba):.3e}\n")
 
     solvers = [
-        ("direct (LSQR ref)", lambda: solve_direct(problem)),
+        ("direct (bounded Newton)", lambda: solve_direct(problem)),
         ("GD   + w/o RS", lambda: solve_gd(problem)),
         ("SCG  + w/o RS (Alg. 2)", lambda: solve_scg(problem, seed=0)),
         ("SCG  + RS (Alg. 1+2)",

@@ -811,8 +811,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_mgba.add_argument("design")
     p_mgba.add_argument("--k", type=int, default=20)
     p_mgba.add_argument(
-        "--solver", default="scg+rs",
-        choices=["gd", "scg", "scg+rs", "direct"],
+        "--solver", default="auto",
+        choices=["auto", "gd", "scg", "scg+rs", "direct"],
+        help="auto (default): direct on small problems, scg+rs on "
+             "large ones",
     )
     p_mgba.add_argument("--seed", type=int, default=0)
     p_mgba.add_argument(

@@ -51,7 +51,9 @@ class RunContext:
         default and environment at :meth:`executor` time;
         :meth:`from_env` snapshots them into concrete values instead.
     solver / seed / epsilon / penalty:
-        mGBA fitting knobs (paper Eq. 5-6 and §4.1).
+        mGBA fitting knobs (paper Eq. 5-6 and §4.1); ``solver="auto"``
+        picks the direct solve or SCG + RS by problem size
+        (:class:`~repro.mgba.flow.MGBAConfig`).
     k_per_endpoint / max_paths / recalc_slew:
         Path selection and golden-PBA fidelity knobs (§3.2).
     pba_k:
@@ -62,7 +64,7 @@ class RunContext:
 
     workers: "int | None" = None
     backend: "str | None" = None
-    solver: str = "scg+rs"
+    solver: str = "auto"
     seed: "int | None" = 0
     epsilon: float = 0.05
     penalty: float = 10.0

@@ -20,12 +20,18 @@ import numpy as np
 
 from repro.mgba.problem import MGBAProblem
 
+#: The clamp of a weight ``1 + x``: the effective derate keeps at least
+#: this fraction of the GBA one, and at most this multiple of it.  The
+#: direct solver's box is ``[floor - 1, ceiling - 1]``, read from here.
+DERATE_FLOOR_RATIO = 0.3
+DERATE_CEILING_RATIO = 3.0
+
 
 def weights_from_solution(
     problem: MGBAProblem,
     x: np.ndarray,
-    derate_floor_ratio: float = 0.3,
-    derate_ceiling_ratio: float = 3.0,
+    derate_floor_ratio: float = DERATE_FLOOR_RATIO,
+    derate_ceiling_ratio: float = DERATE_CEILING_RATIO,
     prune_below: float = 1e-6,
 ) -> dict[str, float]:
     """Turn a solution vector into the engine's per-gate weight map.

@@ -6,7 +6,9 @@
 2. **golden** — PBA analysis of the selected paths (depth, distance,
    CRPR, golden slacks);
 3. **fit** — build the sparse problem and solve it with the configured
-   solver (SCG + uniform row sampling by default);
+   solver (by default ``"auto"``: the bounded direct solve on problems
+   of at most :data:`AUTO_DIRECT_MAX_GATES` gate columns, SCG + uniform
+   row sampling above);
 4. **update** — install the per-gate weights into the engine, so every
    subsequent (incremental) GBA query returns corrected slacks.
 
@@ -40,7 +42,26 @@ from repro.pba.enumerate import enumerate_worst_paths
 from repro.pba.paths import TimingPath
 from repro.timing.sta import STAEngine
 
+#: The largest problem, in gate columns, that ``solver="auto"`` fits
+#: with :func:`~repro.mgba.solvers.direct.solve_direct`; wider problems
+#: go to SCG + RS.  From EXPERIMENTS.md, "Fit solver vs problem size"
+#: (D1-D10 at k' = 20 and 100, and the 16 seed-0 perfbench signoff
+#: problems, min of 3): every row of at most 400 columns solves at least
+#: 2x faster under ``direct``, and the narrowest row that solves slower
+#: is D4 at k' = 100 (5606 x 471).  Every signoff fit (<= 211 columns)
+#: and every D1 fit sits far below it.
+AUTO_DIRECT_MAX_GATES = 400
+
+
+def _solve_auto(problem: MGBAProblem, config: "MGBAConfig") \
+        -> SolverResult:
+    if problem.num_gates <= AUTO_DIRECT_MAX_GATES:
+        return solve_direct(problem)
+    return solve_with_row_sampling(problem, seed=config.seed)
+
+
 _SOLVERS = {
+    "auto": _solve_auto,
     "gd": lambda problem, cfg: solve_gd(problem),
     "scg": lambda problem, cfg: solve_scg(problem, seed=cfg.seed),
     "scg+rs": lambda problem, cfg: solve_with_row_sampling(
@@ -56,13 +77,17 @@ class MGBAConfig:
 
     ``k_per_endpoint`` and ``max_paths`` are the paper's k' = 20 and
     m' <= 5e6 (scaled down by default for laptop-sized designs).
+    ``solver`` is one of ``"auto"`` (the default, chosen by problem
+    size), ``"direct"``, ``"scg+rs"`` (the paper's Algorithm 1),
+    ``"scg"`` or ``"gd"``; the result's ``solver`` names the one that
+    ran.
     """
 
     k_per_endpoint: int = 20
     max_paths: int = 200_000
     epsilon: float = 0.05
     penalty: float = 10.0
-    solver: str = "scg+rs"
+    solver: str = "auto"
     #: Golden fidelity: also re-propagate slews along each path (removes
     #: the worst-slew-propagation pessimism in addition to derate/CRPR).
     recalc_slew: bool = False
@@ -229,6 +254,7 @@ class MGBAFlow:
                 gates=problem.num_gates,
                 iterations=solution.iterations,
                 cached=cached_solve,
+                ran=solution.solver,
             )
             weights = weights_from_solution(problem, solution.x)
             corrected = problem.corrected_slacks(solution.x)

@@ -1,6 +1,6 @@
 """Optimization solvers for the mGBA quadratic program.
 
-Three solvers matching the paper's Table 4 columns plus a reference:
+Three solvers matching the paper's Table 4 columns plus a direct one:
 
 * :func:`~repro.mgba.solvers.gd.solve_gd` — full-batch gradient descent
   (the "GD + w/o RS" baseline).
@@ -8,8 +8,11 @@ Three solvers matching the paper's Table 4 columns plus a reference:
   conjugate gradient with Kaczmarz row sampling ("SCG + w/o RS").
 * :func:`~repro.mgba.solvers.sampling.solve_with_row_sampling` —
   Algorithm 1 wrapped around SCG ("SCG + RS").
-* :func:`~repro.mgba.solvers.direct.solve_direct` — scipy LSQR with
-  iterated penalty rows; the ground-truth reference for Fig. 3/4.
+* :func:`~repro.mgba.solvers.direct.solve_direct` — the exact
+  minimizer of the damped penalty objective inside the weight clamp's
+  box (projected Newton on a sparse SuperLU factorization); the flow's
+  default on small problems (``solver="auto"``) and the ground-truth
+  reference for Fig. 3/4.
 """
 
 from repro.mgba.solvers.base import SolverResult

@@ -35,7 +35,8 @@ A malformed line or failed query produces an error record
 (``"ok": false`` plus ``"error"``) instead of aborting the stream —
 a batch file with one typo still computes the other N-1 queries.  A
 line that fails before reaching the service names itself: its error
-starts ``line N:`` (1-based, blank lines counted), under both entry
+starts ``line N:`` (1-based, blank lines counted), and carries the
+line's ``"id"`` when it parsed as an object with one, under both entry
 points.
 
 ``run_batch`` reads the whole input and submits it as **one** batch,
@@ -79,6 +80,13 @@ def parse_request(line: str) -> "dict[str, Any]":
             f"request must be a JSON object, got {type(record).__name__}"
         )
     return record
+
+
+def _line_id(record: "dict[str, Any] | None") -> Any:
+    """The ``"id"`` to echo on a line's error record: the request's own
+    when the line parsed far enough to have one, so clients of either
+    entry point can correlate the failure."""
+    return record.get("id") if isinstance(record, dict) else None
 
 
 def _error_record(request_id: Any, message: str) -> "dict[str, Any]":
@@ -141,6 +149,7 @@ def run_batch(service: TimingService,
         text = line.strip()
         if not text:
             continue
+        record: "dict[str, Any] | None" = None
         try:
             record = parse_request(text)
             if record.get("op") in CONTROL_OPS:
@@ -152,7 +161,8 @@ def run_batch(service: TimingService,
                 )))
         except Exception as exc:
             entries.append(("error", (
-                None, f"line {lineno}: {type(exc).__name__}: {exc}"
+                _line_id(record),
+                f"line {lineno}: {type(exc).__name__}: {exc}",
             )))
     queries = [p[1] for kind, p in entries if kind == "query"]
     request_ids = [p[2] for kind, p in entries if kind == "query"]
@@ -250,14 +260,9 @@ def serve(service: TimingService, in_stream: TextIO,
                     )[0]
                     response = _response(record.get("id"), outcome)
             except Exception as exc:
-                # Echo the request id when the line parsed far enough
-                # to have one, and name the line, as run_batch does, so
-                # clients can correlate the failure either way.
-                line_id = (
-                    record.get("id") if isinstance(record, dict) else None
-                )
                 response = _error_record(
-                    line_id, f"line {lineno}: {type(exc).__name__}: {exc}"
+                    _line_id(record),
+                    f"line {lineno}: {type(exc).__name__}: {exc}",
                 )
                 default_flight_recorder().record_error(
                     kind=type(exc).__name__, message=str(exc),

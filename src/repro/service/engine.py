@@ -279,6 +279,9 @@ class TimingService:
         self._factories: "dict[str, Callable[[], Design]]" = {}
         self._engines: "OrderedDict[str, STAEngine]" = OrderedDict()
         self._keys: "dict[str, keymod.DesignKey]" = {}
+        #: The keys :meth:`apply_change` retired, until the next
+        #: :meth:`design_key` re-hashes what the change edited.
+        self._edited: "dict[str, keymod.DesignKey]" = {}
         self._started = time.monotonic()
         self._register_verb_telemetry()
 
@@ -328,6 +331,7 @@ class TimingService:
             self._factories[name] = factory  # type: ignore[assignment]
         self._engines.pop(name, None)
         self._keys.pop(name, None)
+        self._edited.pop(name, None)
 
     def design(self, name: str) -> Design:
         """The (memoized) design bundle behind a registered name."""
@@ -353,13 +357,15 @@ class TimingService:
         return engine
 
     def design_key(self, name: str) -> keymod.DesignKey:
-        """The design's current content address (memoized until edited)."""
+        """The design's current content address (memoized until edited;
+        after an edit only the netlist and placement are re-hashed)."""
         key = self._keys.get(name)
         if key is None:
             bundle = self.design(name)
             key = keymod.design_key(
                 bundle.netlist, bundle.constraints,
                 getattr(bundle, "placement", None), bundle.sta_config,
+                edited=self._edited.pop(name, None),
             )
             self._keys[name] = key
         return key
@@ -386,7 +392,9 @@ class TimingService:
         engine = self._engines.get(design)
         if engine is not None:
             engine.apply_change(change)
-        self._keys.pop(design, None)
+        retired = self._keys.pop(design, None)
+        if retired is not None:
+            self._edited[design] = retired
         counter("service.invalidations").inc()
 
     # ------------------------------------------------------------------

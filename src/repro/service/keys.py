@@ -27,7 +27,7 @@ that differ past the sixth must not share a key.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Any, Iterable
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -147,8 +147,21 @@ def design_key(
     constraints: "Constraints",
     placement: "Placement | None" = None,
     config: "STAConfig | None" = None,
+    edited: "DesignKey | None" = None,
 ) -> DesignKey:
-    """Compute the content address of a design bundle."""
+    """Compute the content address of a design bundle.
+
+    ``edited`` is the bundle's key from before a
+    :class:`~repro.netlist.edit.ChangeRecord`.  A change edits only the
+    netlist and the placement, so the key's ``liberty``, ``sdc`` and
+    ``config`` digests carry over and only those two are re-hashed (the
+    library digest re-serializes every cell and table).
+    """
+    if edited is not None:
+        return replace(
+            edited, netlist=netlist_hash(netlist),
+            placement=placement_hash(placement),
+        )
     from repro.timing.sta import STAConfig
 
     return DesignKey(

@@ -86,7 +86,7 @@ class DesignReport:
 
 
 def evaluate_design(name: str, mgba: bool = False, k_per_endpoint: int = 20,
-                    solver: str = "scg+rs", seed: int = 0) -> DesignReport:
+                    solver: str = "auto", seed: int = 0) -> DesignReport:
     """Build one suite design by name and report it (:func:`design_report`).
 
     Deterministic given (name, knobs): the design generator and every
@@ -109,7 +109,7 @@ def evaluate_design(name: str, mgba: bool = False, k_per_endpoint: int = 20,
 
 
 def design_report(engine: "STAEngine", name: str, mgba: bool = False,
-                  k_per_endpoint: int = 20, solver: str = "scg+rs",
+                  k_per_endpoint: int = 20, solver: str = "auto",
                   seed: int = 0, start: "float | None" = None) \
         -> DesignReport:
     """One design's report from its engine: STA, optionally the mGBA fit.
@@ -161,7 +161,7 @@ def design_report(engine: "STAEngine", name: str, mgba: bool = False,
 def evaluate_suite(names: "list[str] | None" = None, *,
                    mgba: bool = False,
                    k_per_endpoint: int = 20,
-                   solver: str = "scg+rs",
+                   solver: str = "auto",
                    seed: int = 0,
                    executor: "Executor | None" = None,
                    context: "RunContext | None" = None) \

@@ -56,6 +56,18 @@ class TestRunBatch:
         out = run_batch(service, lines({"design": "fig2"}))
         assert out[0]["ok"] is False
 
+    def test_failed_parse_echoes_the_line_id(self, service):
+        """A line that parsed as an object keeps its ``id`` on the error
+        record, under ``run_batch`` as under ``serve``."""
+        text = json.dumps({"id": 5, "design": "fig2"}) + "\n{not json\n"
+        sink = io.StringIO()
+        serve(service, io.StringIO(text), sink)
+        served = [json.loads(l) for l in sink.getvalue().splitlines()]
+        batched = run_batch(service, io.StringIO(text))
+        assert [r.get("id") for r in batched] == [5, None]
+        assert batched == served
+        assert all(r["ok"] is False for r in batched)
+
     def test_blank_lines_skipped(self, service):
         out = run_batch(service, [
             "", "   ", json.dumps({"op": "sta", "design": "fig2"}),

@@ -108,3 +108,55 @@ def test_revert_rehits_previous_artifacts(edits):
         service.register_design("dut", design=generate_design(SMALL_SPEC))
         assert service.design_key("dut").token == key_before
         assert service.sta("dut") == original
+
+
+def test_edit_rehashes_only_netlist_and_placement(monkeypatch):
+    """After an insert and after its revert, the memoized key equals a
+    from-scratch key, and the library is never re-hashed."""
+    from repro.netlist.edit import insert_buffer, remove_buffer
+    from repro.service import keys
+
+    design = generate_design(SMALL_SPEC)
+    service = TimingService(context=RunContext.from_env(
+        workers=1, backend="serial", cache=False,
+    ))
+    service.register_design("dut", design=design)
+    netlist = design.netlist
+
+    def from_scratch():
+        return keys.design_key(
+            netlist, design.constraints, design.placement,
+            design.sta_config,
+        )
+
+    pristine = service.design_key("dut")
+    hashed = []
+    real_liberty_hash = keys.liberty_hash
+    monkeypatch.setattr(
+        keys, "liberty_hash",
+        lambda library: hashed.append(library) or real_liberty_hash(library),
+    )
+    net = next(
+        name for name in sorted(netlist.nets)
+        if netlist.net_driver(name) is not None
+        and not netlist.net_driver(name).is_port
+        and sum(1 for r in netlist.net_loads(name) if not r.is_port) >= 2
+    )
+    change = insert_buffer(
+        netlist, net, netlist.library.buffers()[0].name,
+        placement=design.placement,
+    )
+    service.apply_change(change, design="dut")
+    edited = service.design_key("dut")
+    assert hashed == []
+    assert edited.netlist != pristine.netlist
+    assert edited == from_scratch()
+
+    hashed.clear()
+    buffer_name = change.metadata["buffer"]
+    inverse = remove_buffer(netlist, buffer_name)
+    design.placement.locations.pop(buffer_name, None)
+    service.apply_change(inverse, design="dut")
+    reverted = service.design_key("dut")
+    assert hashed == []
+    assert reverted == pristine == from_scratch()
