@@ -3,8 +3,9 @@
 The paper built SCG with row sampling (Algorithms 1 and 2) for fits of
 up to 10^8 path rows.  The fits this repository runs are far smaller,
 so the flow's default picks its solver by size: the bounded direct
-solve (``repro.mgba.solvers.direct``) on problems of at most
-``AUTO_DIRECT_MAX_GATES`` gate columns, SCG + RS above.  This bench
+solve (``repro.mgba.solvers.direct``) on problems whose Gram product
+``A^T A`` takes at most ``AUTO_DIRECT_MAX_GRAM_MULTIPLIES`` multiplies,
+SCG + RS above.  This bench
 measures both solvers on every committed row of EXPERIMENTS.md's "Fit
 solver vs problem size" table:
 
@@ -13,9 +14,11 @@ solver vs problem size" table:
   at a fifth of the suite's flop count, each design written to its
   five text files and parsed back, as the workload does.
 
-Per row and solver: time (min of 3), objective, pass ratio and
-iterations (Newton steps for ``direct``).  Asserted: ``direct``'s pass
-ratio is never below SCG + RS's.  Times are printed, never asserted.
+Per row: the Gram product's multiplies (the size the rule reads) and
+the solver ``"auto"`` picks; per solver: time (min of 3), objective,
+pass ratio and iterations (Newton steps for ``direct``).  Asserted:
+``direct``'s pass ratio is never below SCG + RS's.  Times are printed,
+never asserted.
 
 ``REPRO_BENCH_DESIGNS`` narrows the suite rows; the signoff rows always
 run.
@@ -32,7 +35,11 @@ from repro.designs.generator import generate_design, scaled_spec
 from repro.designs.suite import DESIGN_SPECS
 from repro.liberty.parser import parse_liberty
 from repro.liberty.writer import write_liberty
-from repro.mgba.flow import AUTO_DIRECT_MAX_GATES, MGBAConfig, MGBAFlow
+from repro.mgba.flow import (
+    AUTO_DIRECT_MAX_GRAM_MULTIPLIES,
+    MGBAConfig,
+    MGBAFlow,
+)
 from repro.mgba.metrics import pass_ratio
 from repro.mgba.problem import build_problem
 from repro.mgba.solvers import solve_direct, solve_with_row_sampling
@@ -113,12 +120,14 @@ def _rows(label, problem):
     )
     row = [
         label, f"{problem.num_paths}x{problem.num_gates}",
+        f"{problem.gram_multiplies / 1e6:.2f}",
+        MGBAConfig().solver_for(problem),
         f"{t_s*1e3:.1f}", f"{r_s.objective:.3g}", f"{p_s:.4f}",
         f"{r_s.iterations}",
         f"{t_d*1e3:.1f}", f"{r_d.objective:.3g}", f"{p_d:.4f}",
         f"{r_d.iterations}", f"{t_s / t_d:.2f}",
     ]
-    return row, (problem.num_gates, t_s, t_d, p_s, p_d)
+    return row, (problem.gram_multiplies, t_s, t_d, p_s, p_d)
 
 
 def test_fit_solver_vs_problem_size(benchmark, engine_cache):
@@ -139,16 +148,17 @@ def test_fit_solver_vs_problem_size(benchmark, engine_cache):
         stats.append(stat)
     print_table(
         "Fit solver vs problem size (time: min of 3)",
-        ["problem", "m x n",
+        ["problem", "m x n", "A^T A Mmul", "auto",
          "scg+rs ms", "obj", "pass", "iters",
          "direct ms", "obj", "pass", "steps", "rs/direct"],
         rows,
         note=(
-            f"solver='auto' runs direct up to {AUTO_DIRECT_MAX_GATES} "
-            "gate columns, scg+rs above."
+            f"solver='auto' runs direct up to "
+            f"{AUTO_DIRECT_MAX_GRAM_MULTIPLIES / 1e6:g}e6 Gram "
+            "multiplies, scg+rs above."
         ),
     )
-    slower = [n for n, t_s, t_d, _, _ in stats if t_d >= t_s]
-    print(f"narrowest row slower under direct: "
-          f"{min(slower, default='none')} columns")
+    slower = [g for g, t_s, t_d, _, _ in stats if t_d >= t_s]
+    print(f"smallest row slower under direct: "
+          f"{min(slower, default=0) / 1e6:.2f}e6 Gram multiplies")
     assert all(p_d >= p_s for *_, p_s, p_d in stats)

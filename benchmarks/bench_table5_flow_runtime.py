@@ -48,6 +48,7 @@ def test_table5_flow_runtime(benchmark, comparison_cache):
             f"{runtime['speedup']:.2f}x",
             f"{runtime['fix_speedup']:.2f}x",
             f"{gba_moves}/{mgba_moves}",
+            comparison.mgba.mgba_result.solution.solver,
         ])
     n = len(names)
     rows.append([
@@ -59,11 +60,12 @@ def test_table5_flow_runtime(benchmark, comparison_cache):
         f"{total_gba/total_mgba:.2f}x",
         "",
         "",
+        "",
     ])
     print_table(
         "Table 5: closure-flow runtime (s) with GBA vs mGBA embedded",
         ["design", "GBA flow", "post-route", "mGBA fit", "total",
-         "speedup", "fix speedup", "moves G/M"],
+         "speedup", "fix speedup", "moves G/M", "fit solver"],
         rows,
         note=(
             "Paper average speedup: 1.21x with the fit at ~2% of the "

@@ -148,9 +148,15 @@ class RunContext:
         Deliberately excludes workers/backend/cache knobs: a fit runs
         serially inside one design whatever they say, so the same fit
         fingerprint must hit the same cached artifact at any worker
-        count.
+        count.  ``"auto"`` carries its crossover: the solver it picks
+        for a design depends on it.
         """
+        solver = self.solver
+        if solver == "auto":
+            from repro.mgba.flow import AUTO_DIRECT_MAX_GRAM_MULTIPLIES
+
+            solver = f"auto<={AUTO_DIRECT_MAX_GRAM_MULTIPLIES}"
         return (
-            self.solver, self.seed, self.epsilon, self.penalty,
+            solver, self.seed, self.epsilon, self.penalty,
             self.k_per_endpoint, self.max_paths, self.recalc_slew,
         )

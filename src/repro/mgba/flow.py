@@ -7,8 +7,9 @@
    CRPR, golden slacks);
 3. **fit** — build the sparse problem and solve it with the configured
    solver (by default ``"auto"``: the bounded direct solve on problems
-   of at most :data:`AUTO_DIRECT_MAX_GATES` gate columns, SCG + uniform
-   row sampling above);
+   whose Gram product takes at most
+   :data:`AUTO_DIRECT_MAX_GRAM_MULTIPLIES` multiplies, SCG + uniform row
+   sampling above);
 4. **update** — install the per-gate weights into the engine, so every
    subsequent (incremental) GBA query returns corrected slacks.
 
@@ -42,26 +43,22 @@ from repro.pba.enumerate import enumerate_worst_paths
 from repro.pba.paths import TimingPath
 from repro.timing.sta import STAEngine
 
-#: The largest problem, in gate columns, that ``solver="auto"`` fits
-#: with :func:`~repro.mgba.solvers.direct.solve_direct`; wider problems
-#: go to SCG + RS.  From EXPERIMENTS.md, "Fit solver vs problem size"
-#: (D1-D10 at k' = 20 and 100, and the 16 seed-0 perfbench signoff
-#: problems, min of 3): every row of at most 400 columns solves at least
-#: 2x faster under ``direct``, and the narrowest row that solves slower
-#: is D4 at k' = 100 (5606 x 471).  Every signoff fit (<= 211 columns)
-#: and every D1 fit sits far below it.
-AUTO_DIRECT_MAX_GATES = 400
-
-
-def _solve_auto(problem: MGBAProblem, config: "MGBAConfig") \
-        -> SolverResult:
-    if problem.num_gates <= AUTO_DIRECT_MAX_GATES:
-        return solve_direct(problem)
-    return solve_with_row_sampling(problem, seed=config.seed)
+#: The largest problem, in multiplies of its Gram product ``A^T A``
+#: (:attr:`~repro.mgba.problem.MGBAProblem.gram_multiplies`), that
+#: ``solver="auto"`` fits with
+#: :func:`~repro.mgba.solvers.direct.solve_direct`; larger problems go to
+#: SCG + RS.  The direct solve's cost is mostly that product, which
+#: grows with the rows and the path depth as well as the columns.  From
+#: EXPERIMENTS.md, "Fit solver vs problem size" (D1-D10 at k' = 20 and
+#: 100, and the 16 seed-0 perfbench signoff problems, min of 3): every
+#: row of at most 16e6 multiplies solves at least 2x faster under
+#: ``direct``, and the smallest row that solves slower is D8 at k' = 20
+#: (18.1e6).  Every signoff fit (<= 1.61e6) and every D1 fit sits far
+#: below it.
+AUTO_DIRECT_MAX_GRAM_MULTIPLIES = 16_000_000
 
 
 _SOLVERS = {
-    "auto": _solve_auto,
     "gd": lambda problem, cfg: solve_gd(problem),
     "scg": lambda problem, cfg: solve_scg(problem, seed=cfg.seed),
     "scg+rs": lambda problem, cfg: solve_with_row_sampling(
@@ -93,14 +90,23 @@ class MGBAConfig:
     recalc_slew: bool = False
     seed: int | None = 0
 
+    def solver_for(self, problem: MGBAProblem) -> str:
+        """The solver :meth:`solve` runs on ``problem``: the configured
+        one, with ``"auto"`` resolved by the problem's size."""
+        if self.solver != "auto":
+            return self.solver
+        if problem.gram_multiplies <= AUTO_DIRECT_MAX_GRAM_MULTIPLIES:
+            return "direct"
+        return "scg+rs"
+
     def solve(self, problem: MGBAProblem) -> SolverResult:
         """Run the configured solver on a problem."""
         try:
-            runner = _SOLVERS[self.solver]
+            runner = _SOLVERS[self.solver_for(problem)]
         except KeyError:
             raise SolverError(
                 f"unknown solver {self.solver!r}; "
-                f"choose from {sorted(_SOLVERS)}"
+                f"choose from {sorted(['auto', *_SOLVERS])}"
             ) from None
         return runner(problem, self)
 

@@ -80,6 +80,12 @@ class MGBAProblem:
         return self.matrix.shape[1]
 
     @property
+    def gram_multiplies(self) -> int:
+        """Multiplies in the sparse product ``A^T A``: the sum over rows
+        of ``nnz(row)^2`` (the size ``solver="auto"`` reads)."""
+        return int(self._row_nnz @ self._row_nnz)
+
+    @property
     def lower_bound(self) -> np.ndarray:
         """Per-row lower bound on (A x) enforcing the epsilon constraint."""
         return self._lower

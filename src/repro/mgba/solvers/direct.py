@@ -21,8 +21,8 @@ Every operation is a sparse product, a SuperLU factorization or a short
 vector reduction: nothing calls a multithreaded dense BLAS kernel, so
 ``x`` is the same bytes at any BLAS thread count.
 
-Fits small problems in the mGBA flow (``solver="auto"`` below
-:data:`~repro.mgba.flow.AUTO_DIRECT_MAX_GATES` columns) and is the
+Fits small problems in the mGBA flow (``solver="auto"`` up to
+:data:`~repro.mgba.flow.AUTO_DIRECT_MAX_GRAM_MULTIPLIES`) and is the
 ground truth for Fig. 3 (the sparsity histogram of x*), Fig. 4
 (accuracy vs sampled rows) and the solver tests.
 """
@@ -45,14 +45,13 @@ X_UPPER = DERATE_CEILING_RATIO - 1.0
 #: Armijo sufficient-decrease fraction and the shortest step tried.
 _ARMIJO = 1e-4
 _MIN_STEP = 2.0 ** -40
+#: The solve stops once the Newton direction moves no component of x
+#: by more than this, or after this many Newton steps.
+_TOL = 1e-6
+_MAX_STEPS = 100
 
 
-def solve_direct(
-    problem: MGBAProblem,
-    damp: float = 1.0,
-    tol: float = 1e-6,
-    max_iter: int = 100,
-) -> SolverResult:
+def solve_direct(problem: MGBAProblem, damp: float = 1.0) -> SolverResult:
     """Projected-Newton minimizer of the damped, boxed penalty objective.
 
     ``damp`` adds a Tikhonov term that regularizes the path matrix —
@@ -63,8 +62,8 @@ def solve_direct(
     and makes every Newton system positive definite.
 
     Starts from ``x = 0`` and stops (``converged``) when the Newton
-    direction moves no component by more than ``tol`` or no longer
-    lowers the objective in floating point, or after ``max_iter``
+    direction moves no component by more than ``_TOL`` or no longer
+    lowers the objective in floating point, or after ``_MAX_STEPS``
     steps.  ``iterations`` counts Newton steps; ``history`` holds the
     damped objective after each, ``objective`` the problem's own
     (undamped) one, as every solver reports it.
@@ -93,7 +92,7 @@ def solve_direct(
     history: list[float] = []
     converged = False
     steps = 0
-    while steps < max_iter:
+    while steps < _MAX_STEPS:
         vio = np.minimum(ax - lower, 0.0)
         grad = 2.0 * (
             matrix.T @ ((ax - rhs) + penalty * vio) + ridge * x
@@ -111,7 +110,7 @@ def solve_direct(
             rows = matrix[violated]
             gram = (gram_base + penalty * (rows.T @ rows)).tocsc()
         direction = _newton_direction(gram, grad, free, x)
-        if direction is None or np.max(np.abs(direction)) <= tol:
+        if direction is None or np.max(np.abs(direction)) <= _TOL:
             converged = True
             break
         steps += 1

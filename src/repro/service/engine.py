@@ -238,9 +238,12 @@ class _SolveCache:
         self.cache = cache
 
     def _key(self, problem, config) -> str:
+        # Keyed on the solver that runs, so "auto" shares its x* with
+        # the solver it resolves to and a moved crossover cannot serve
+        # the other solver's answer.
         return keymod.solve_key(
             keymod.problem_fingerprint(problem),
-            config.solver, config.seed,
+            config.solver_for(problem), config.seed,
         )
 
     def lookup(self, problem, config):

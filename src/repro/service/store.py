@@ -11,8 +11,8 @@ one true value or misses.
 Disk layout (versioned schema)::
 
     .repro_cache/
-      v1/
-        meta.json            {"schema": 1}
+      v2/
+        meta.json            {"schema": 2}
         sta/<key>.pkl        one pickle per artifact
         pba/<key>.pkl
         solve/<key>.pkl
@@ -52,8 +52,10 @@ from repro.utils.log import get_logger
 logger = get_logger("service.store")
 
 #: Version of the on-disk artifact schema.  Bump when pickled payload
-#: shapes change incompatibly; old versions are wiped, not migrated.
-SCHEMA_VERSION = 1
+#: shapes change incompatibly, or when the code behind a keyed name
+#: changes its answer; old versions are wiped, not migrated.  2: the
+#: bounded Newton solve replaced LSQR under ``solver="direct"``.
+SCHEMA_VERSION = 2
 
 #: Recognized artifact classes, in pipeline order.  ``layout`` holds
 #: the vector kernel's persisted :class:`LevelizedLayout` structural

@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import sys
 from dataclasses import asdict, dataclass
 from typing import Any, Callable
 
@@ -55,7 +56,7 @@ from repro.timing.slack import EndpointSlack
 from repro.timing.sta import STAEngine
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ArcRow:
     """One arc of an explained path, with exact attribution.
 
@@ -65,6 +66,9 @@ class ArcRow:
     plain GBA derating, split into ``removed`` (reclaimed by the
     installed mGBA weight, 0 on a clean engine) and ``residual``
     (still on the books after correction).
+
+    Slotted, and its pin names and provenance tags interned: a served
+    explain record holds one row per arc of every path it explains.
     """
 
     edge: int
@@ -277,9 +281,12 @@ def _explain_resolved(engine: STAEngine, target: EndpointSlack,
     capture_ck = info.ck_node if info is not None else None
     crpr_credit = engine.crpr.credit(launch_ck, capture_ck)
 
+    # Pin names and provenance tags repeat across rows, paths and
+    # records: interned, they are one string each however many hold them.
+    names = [sys.intern(str(graph.node(n).ref)) for n in node_ids]
     rows: "list[ArcRow]" = []
     arrival = float(state.arrival_late[node_ids[0]])
-    for eid in edge_ids:
+    for index, eid in enumerate(edge_ids):
         edge = graph.edge(eid)
         domain, gba_depth, gate = classify(edge)
         base = float(state.edge_delay[eid])
@@ -313,14 +320,14 @@ def _explain_resolved(engine: STAEngine, target: EndpointSlack,
         pba_delay = base * pba_derate
         rows.append(ArcRow(
             edge=eid,
-            src=str(graph.node(edge.src).ref),
-            dst=str(graph.node(edge.dst).ref),
+            src=names[index],
+            dst=names[index + 1],
             domain=domain.value,
             base_delay=base,
             derate=derate,
             delay=delay,
             arrival=arrival,
-            provenance=provenance,
+            provenance=sys.intern(provenance),
             gba_derate=float(gba_derate),
             pba_derate=float(pba_derate),
             pessimism=gba_raw_delay - pba_delay,

@@ -8,7 +8,8 @@ its ``x`` must satisfy the box KKT conditions, reach an objective no
 higher than ``scipy.optimize.minimize(method="L-BFGS-B")`` on the same
 boxed objective, stay inside the clamp, and be the same bytes at any
 BLAS thread count.  ``solver="auto"`` must run it up to
-``AUTO_DIRECT_MAX_GATES`` columns and SCG + RS beyond, and say which.
+``AUTO_DIRECT_MAX_GRAM_MULTIPLIES`` multiplies in ``A^T A`` and SCG + RS
+beyond, and say which.
 """
 
 from __future__ import annotations
@@ -21,13 +22,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
+from scipy import sparse
 from scipy.optimize import minimize
 
 from repro.designs.paper_example import build_fig2_design
 from repro.designs.suite import DESIGN_SPECS
 from repro.designs.generator import generate_design
 from repro.mgba.apply import weights_from_solution
-from repro.mgba.flow import AUTO_DIRECT_MAX_GATES, MGBAConfig, MGBAFlow
+from repro.mgba.flow import (
+    AUTO_DIRECT_MAX_GRAM_MULTIPLIES,
+    MGBAConfig,
+    MGBAFlow,
+)
 from repro.mgba.problem import MGBAProblem, build_problem
 from repro.mgba.solvers import solve_direct
 from repro.mgba.solvers.direct import X_LOWER, X_UPPER
@@ -182,19 +188,41 @@ def test_same_bytes_at_any_blas_thread_count():
     assert _digests(2) == one
 
 
-def _square_problem(n: int) -> MGBAProblem:
-    return _random_problem(7, m=2 * n, n=n, nnz_per_row=6, noise=0.5)
+def _problem_of_rows(row_nnz: "list[int]", n: int) -> MGBAProblem:
+    """A random mGBA-shaped problem whose row ``i`` has ``row_nnz[i]``
+    entries, so its Gram product takes ``sum(k^2)`` multiplies."""
+    rng = np.random.default_rng(11)
+    indptr = np.concatenate([[0], np.cumsum(row_nnz)])
+    indices = np.concatenate([
+        np.sort(rng.choice(n, size=k, replace=False)) for k in row_nnz
+    ])
+    data = rng.uniform(50, 200, size=indices.size)
+    matrix = sparse.csr_matrix((data, indices, indptr),
+                               shape=(len(row_nnz), n))
+    rhs = matrix @ rng.uniform(-0.3, 0.0, size=n)
+    s_pba = rng.uniform(-100, 300, size=len(row_nnz))
+    return MGBAProblem(matrix=matrix, rhs=rhs, s_gba=s_pba + rhs,
+                       s_pba=s_pba, gates=[f"g{j}" for j in range(n)],
+                       epsilon=0.05)
 
 
-@pytest.mark.parametrize("n, ran", [
-    (AUTO_DIRECT_MAX_GATES, "direct"),
-    (AUTO_DIRECT_MAX_GATES + 1, "scg+rs"),
+#: Rows of 100 entries fill the crossover exactly; one more single-entry
+#: row takes the problem one multiply past it.
+_AT_CROSSOVER = [100] * (AUTO_DIRECT_MAX_GRAM_MULTIPLIES // 100**2)
+
+
+@pytest.mark.parametrize("row_nnz, ran", [
+    pytest.param(_AT_CROSSOVER, "direct", id="at-crossover"),
+    pytest.param(_AT_CROSSOVER + [1], "scg+rs", id="one-past"),
 ])
-def test_auto_chooses_by_gate_columns(n, ran):
-    problem = _square_problem(n)
-    assert problem.num_gates == n
-    result = MGBAConfig(solver="auto").solve(problem)
-    assert result.solver == ran
+def test_auto_chooses_by_gram_multiplies(row_nnz, ran):
+    problem = _problem_of_rows(row_nnz, n=200)
+    assert problem.gram_multiplies == (
+        AUTO_DIRECT_MAX_GRAM_MULTIPLIES + (ran == "scg+rs")
+    )
+    config = MGBAConfig(solver="auto")
+    assert config.solver_for(problem) == ran
+    assert config.solve(problem).solver == ran
 
 
 def test_flow_reports_the_solver_that_ran(design_problems):

@@ -15,7 +15,20 @@ def flow_result(medium_design):
     return engine, result
 
 
+@pytest.fixture(scope="module")
+def scg_flow_result(medium_design):
+    """The flow fitted with SCG + RS, which ``"auto"`` runs on large
+    problems (the medium design's fit is small enough for ``direct``)."""
+    engine = engine_for(medium_design)
+    result = MGBAFlow(
+        MGBAConfig(k_per_endpoint=10, seed=0, solver="scg+rs")
+    ).run(engine)
+    return engine, result
+
+
 class TestHeadlineClaims:
+    solver = "auto"
+
     def test_pass_ratio_improves(self, flow_result):
         """Table 3's direction: mGBA correlates far better than GBA."""
         _, result = flow_result
@@ -38,9 +51,19 @@ class TestHeadlineClaims:
     def test_violations_do_not_increase(self, medium_design):
         engine = engine_for(medium_design)
         before = engine.summary().violations
-        MGBAFlow(MGBAConfig(k_per_endpoint=10, seed=0)).run(engine)
+        MGBAFlow(
+            MGBAConfig(k_per_endpoint=10, seed=0, solver=self.solver)
+        ).run(engine)
         after = engine.summary().violations
         assert after <= before
+
+
+class TestHeadlineClaimsUnderSCGRS(TestHeadlineClaims):
+    solver = "scg+rs"
+
+    @pytest.fixture
+    def flow_result(self, scg_flow_result):
+        return scg_flow_result
 
 
 class TestGraphConsistency:
@@ -55,6 +78,16 @@ class TestGraphConsistency:
         engine, result = flow_result
         assert engine.weights
         assert set(engine.weights) <= set(result.problem.gates)
+
+
+class TestGraphConsistencyUnderSCGRS(TestGraphConsistency):
+    @pytest.fixture
+    def flow_result(self, scg_flow_result):
+        return scg_flow_result
+
+    def test_fit_ran_scg_rs(self, flow_result):
+        _, result = flow_result
+        assert result.solution.solver == "scg+rs"
 
 
 class TestFlowMechanics:

@@ -108,6 +108,29 @@ class TestArtifactKeys:
         assert (keys.solve_key(fp_a, "scg+rs", 0)
                 != keys.solve_key(fp_a, "scg+rs", 1))
 
+    def test_auto_solve_key_names_the_solver_that_runs(self):
+        """``"auto"`` shares the x* of the solver it picks, and only it."""
+        from repro.mgba.flow import MGBAConfig
+        from repro.service.engine import _SolveCache
+
+        engine = engine_for(generate_design(SMALL_SPEC))
+        problem = MGBAFlow(MGBAConfig(k_per_endpoint=4)).run(
+            engine, apply=False
+        ).problem
+        key = _SolveCache(None)._key
+        auto = key(problem, MGBAConfig(solver="auto"))
+        assert MGBAConfig().solver_for(problem) == "direct"
+        assert auto == key(problem, MGBAConfig(solver="direct"))
+        assert auto != key(problem, MGBAConfig(solver="scg+rs"))
+
+    def test_auto_fit_key_covers_the_crossover(self, monkeypatch):
+        from repro.mgba import flow
+
+        before = RunContext(solver="auto").fit_fingerprint()
+        monkeypatch.setattr(flow, "AUTO_DIRECT_MAX_GRAM_MULTIPLIES",
+                            flow.AUTO_DIRECT_MAX_GRAM_MULTIPLIES + 1)
+        assert RunContext(solver="auto").fit_fingerprint() != before
+
     def test_fit_key_covers_fit_knobs(self):
         design = generate_design(SMALL_SPEC)
         dk = keys.design_key(design.netlist, design.constraints,
